@@ -51,6 +51,7 @@ from .predict import (
     predict,
     replay_predictor,
     revise_queue,
+    score_predictions,
 )
 from .prefetch import PopularityModel, PrefetchReport, evaluate_prefetch
 from .sim import (
@@ -136,6 +137,7 @@ __all__ = [
     "revise_queue",
     "save_repo",
     "save_trace",
+    "score_predictions",
     "simulate_page",
     "simulate_trace",
     "trim",

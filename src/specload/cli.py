@@ -26,7 +26,7 @@ from .fixture import fixture_server, load_fixture_spec
 from .graph import MetadataRepository, load_repo, repo_stats, save_repo, trim, update
 from .har import import_har
 from .live import FetchSession, fetch_page
-from .predict import replay_predictor
+from .predict import replay_predictor, score_predictions
 from .prefetch import evaluate_prefetch
 from .sim import EMPTY, EXPIRED, FRESH, NetworkParams, Realistic, simulate_trace
 from .synth import SynthParams, generate_synthetic
@@ -149,7 +149,10 @@ def cmd_sim_speculative(args) -> int:
     )
     _emit(args, rpt.SIM_HEADER, rpt.rows_for_sim(result, per_page=not args.summary_only))
     if args.metrics_out:
-        replay = replay_predictor(trace)
+        if args.oracle:
+            replay = replay_predictor(trace)
+        else:
+            replay = score_predictions(trace.visits, [p.prediction for p in result.pages])
         rpt.write_csv(args.metrics_out, rpt.PREDICTOR_HEADER, rpt.rows_for_predictor(replay))
         rpt.write_sidecar(args.metrics_out, args.command, _flags_of(args))
     return 0

@@ -107,11 +107,6 @@ class ResourceGraph:
         if index is not None:
             index.pop(node.url_or_name, None)
 
-    def webpage_ids_under(self, subdomain_id: int | None = None) -> list[int]:
-        if subdomain_id is not None:
-            return sorted(self.nodes[subdomain_id].children)
-        return sorted(self.page_index.values())
-
 
 @dataclass
 class UpdateDelta:
@@ -158,9 +153,10 @@ def update(repo: MetadataRepository, visit: PageVisit) -> UpdateDelta:
     Creates any missing website/subdomain/webpage/subresource nodes and
     edges, then bumps n_visits and last_visit on every node the visit
     touched.  Subresources attach to the webpage node; their own host
-    does not matter, third-party resources included.
+    does not matter, third-party resources included.  The visit's URLs
+    are taken as canonical (see ``trace``).
     """
-    main_url = normalize_url(visit.main.url)
+    main_url = visit.main.url
     site = website_key(main_url)
     host = host_of(main_url)
     ts = visit.timestamp
@@ -183,10 +179,9 @@ def update(repo: MetadataRepository, visit: PageVisit) -> UpdateDelta:
         graph._link(sub_id, page_id)
         touched = [graph.website_id, sub_id, page_id]
         for record in visit.subresources:
-            res_url = normalize_url(record.url)
-            rid = graph.sub_index.get(res_url)
+            rid = graph.sub_index.get(record.url)
             if rid is None:
-                rid = graph._add_node(NodeType.SUBRESOURCE, res_url, record.kind, ts)
+                rid = graph._add_node(NodeType.SUBRESOURCE, record.url, record.kind, ts)
                 added += 1
             graph._link(page_id, rid)
             graph.edge_seen[(page_id, rid)] = ts

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
 
 from .cache import CacheStore, LookupOutcome
 from .errors import EmptyTrace, InvalidParams
-from .graph import MetadataRepository, NodeType, ResourceGraph, update
-from .trace import Trace
+from .graph import MetadataRepository, ResourceGraph, update
+from .trace import PageVisit, Trace
 from .urls import host_of, normalize_url, website_key
 
 _KIND_RANK = {"script": 0, "stylesheet": 1, "image": 2}
@@ -79,31 +80,6 @@ class Prediction:
     def __post_init__(self):
         if len(set(self.urls)) != len(self.urls):
             raise ValueError("prediction contains duplicate URLs")
-
-
-def site_candidates(
-    graph: ResourceGraph, subdomain_id: int | None = None
-) -> list[PredictionCandidate]:
-    """Materialize the candidate set for a scope (subdomain or whole site)."""
-    if subdomain_id is None:
-        ids = sorted(graph.sub_index.values())
-    else:
-        ids_set: set[int] = set()
-        for page_id in graph.nodes[subdomain_id].children:
-            ids_set |= graph.nodes[page_id].children
-        ids = sorted(ids_set)
-    out = []
-    for nid in ids:
-        node = graph.nodes[nid]
-        out.append(
-            PredictionCandidate(
-                url=node.url_or_name,
-                resource_kind=node.resource_kind,
-                n_parents=len(node.parents),
-                n_visits=node.n_visits,
-            )
-        )
-    return out
 
 
 def _node_sort_key(node) -> tuple:
@@ -306,12 +282,42 @@ def _bucketize(rows: list[VisitEvaluation], t0: float, width: float) -> list[Buc
     ]
 
 
+def score_predictions(
+    visits: Sequence[PageVisit], predictions: Sequence[Prediction]
+) -> PredictorReplayResult:
+    """Score each visit's prediction against what the visit requested.
+
+    ``predictions[i]`` is what the predictor said before ``visits[i]``.
+    Buckets are 7-day and 30-day windows from the first visit.
+    """
+    rows: list[VisitEvaluation] = []
+    for visit, prediction in zip(visits, predictions, strict=True):
+        scores = evaluate_prediction(prediction.urls, [r.url for r in visit.subresources])
+        rows.append(
+            VisitEvaluation(
+                timestamp=visit.timestamp,
+                url=visit.main.url,
+                visit_class=prediction.visit_class,
+                n_predicted=len(prediction.urls),
+                hit_ratio=scores["hit_ratio"],
+                usefulness=scores["usefulness"],
+                predicted=prediction.urls,
+            )
+        )
+    t0 = rows[0].timestamp if rows else 0.0
+    return PredictorReplayResult(
+        per_visit=rows,
+        weekly=_bucketize(rows, t0, 7 * 86400.0),
+        monthly=_bucketize(rows, t0, 30 * 86400.0),
+    )
+
+
 def replay_predictor(trace: Trace, warmup_fraction: float = 0.0) -> PredictorReplayResult:
-    """Replay a trace: predict before each visit, evaluate, then learn it.
+    """Replay a trace: predict before each visit, then learn it, and
+    score the predictions with ``score_predictions``.
 
     The first ``warmup_fraction`` of visits only feed the graph and are
-    excluded from the evaluation rows.  Buckets are 7-day and 30-day
-    windows from the first evaluated visit.
+    excluded from the evaluation rows.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise InvalidParams("warmup_fraction must be in [0, 1)")
@@ -319,27 +325,9 @@ def replay_predictor(trace: Trace, warmup_fraction: float = 0.0) -> PredictorRep
         raise EmptyTrace("cannot replay an empty trace")
     warmup = int(len(trace.visits) * warmup_fraction)
     repo = MetadataRepository()
-    rows: list[VisitEvaluation] = []
+    predictions: list[Prediction] = []
     for i, visit in enumerate(trace.visits):
         if i >= warmup:
-            prediction = predict(repo, visit.main.url)
-            actual = [normalize_url(r.url) for r in visit.subresources]
-            scores = evaluate_prediction(prediction.urls, actual)
-            rows.append(
-                VisitEvaluation(
-                    timestamp=visit.timestamp,
-                    url=normalize_url(visit.main.url),
-                    visit_class=prediction.visit_class,
-                    n_predicted=len(prediction.urls),
-                    hit_ratio=scores["hit_ratio"],
-                    usefulness=scores["usefulness"],
-                    predicted=prediction.urls,
-                )
-            )
+            predictions.append(predict(repo, visit.main.url))
         update(repo, visit)
-    t0 = rows[0].timestamp if rows else 0.0
-    return PredictorReplayResult(
-        per_visit=rows,
-        weekly=_bucketize(rows, t0, 7 * 86400.0),
-        monthly=_bucketize(rows, t0, 30 * 86400.0),
-    )
+    return score_predictions(trace.visits[warmup:], predictions)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .errors import EmptyWindow, InsufficientTrace
 from .sim import DEFAULT_NET, EMPTY, LEGACY, NetworkParams, simulate_page
 from .trace import Trace
-from .urls import normalize_url
 
 
 @dataclass
@@ -38,7 +37,7 @@ def train(
     start = window_end - training_window_s
     for visit in trace.visits:
         if start <= visit.timestamp < window_end:
-            counts[normalize_url(visit.main.url)] += 1
+            counts[visit.main.url] += 1
     if not counts:
         raise EmptyWindow(f"no visits in window ending at {window_end}")
     return PopularityModel(
@@ -100,9 +99,7 @@ def evaluate_prefetch(
         nonlocal scan
         while scan < len(visits) and visits[scan].timestamp < ts:
             v = visits[scan]
-            page_bytes[normalize_url(v.main.url)] = v.main.size_bytes + sum(
-                r.size_bytes for r in v.subresources
-            )
+            page_bytes[v.main.url] = v.main.size_bytes + sum(r.size_bytes for r in v.subresources)
             scan += 1
 
     predicted_sum = 0
@@ -128,7 +125,7 @@ def evaluate_prefetch(
         requested: set[str] = set()
         while i < len(visits) and visits[i].timestamp < interval_end:
             visit = visits[i]
-            url = normalize_url(visit.main.url)
+            url = visit.main.url
             requested.add(url)
             eval_visits += 1
             delay = simulate_page(visit, LEGACY, EMPTY, net)

@@ -26,6 +26,7 @@ speculative load cannot have turned fresh while it waited.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,7 +35,6 @@ from .errors import EmptyTrace, InvalidParams
 from .graph import MetadataRepository, update
 from .predict import Prediction, VisitClass, plan_loads, predict
 from .trace import PageVisit, ResourceRecord, Trace
-from .urls import normalize_url
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class _Engine:
         cache_state,
         net: NetworkParams,
         max_connections: int,
-        known_records: dict[str, ResourceRecord] | None,
+        known_records: Mapping[str, ResourceRecord] | None,
         scales: dict[OperationClass, float],
     ):
         if max_connections < 2:
@@ -137,11 +137,9 @@ class _Engine:
         self.net = net
         self.max_connections = max_connections
         self.scales = scales
-        self.known = dict(known_records or {})
-        # The visit's own records are authoritative for anything the
-        # page actually transfers this time around.
-        for record in (visit.main, *visit.subresources):
-            self.known[normalize_url(record.url)] = record
+        # Read with ``get`` only: copying it per page would make a
+        # trace replay quadratic in its length.
+        self.known = known_records if known_records is not None else {}
         # One connection belongs to the main resource for the whole
         # page load; subresources contend for the rest.  Keeping the
         # pools separate is what makes the speculative head start show
@@ -211,7 +209,7 @@ class _Engine:
         self._push_event(parse_t, "parse", None)
 
     def _on_parse(self, parse_t: float) -> None:
-        actual = {normalize_url(r.url) for r in self.visit.subresources}
+        actual = {r.url for r in self.visit.subresources}
         if isinstance(self.mode, Speculative):
             for url, job in self.jobs.items():
                 if job.is_main:
@@ -224,7 +222,7 @@ class _Engine:
                     self.canceled.add(url)
         offsets = self.visit.offsets
         for i, record in enumerate(self.visit.subresources):
-            url = normalize_url(record.url)
+            url = record.url
             ready = parse_t + offsets[i]
             self.ready_at[url] = ready
             if url in self.jobs:
@@ -253,7 +251,7 @@ class _Engine:
 
     def run(self) -> float:
         visit = self.visit
-        main_url = normalize_url(visit.main.url)
+        main_url = visit.main.url
         main = _Job(
             url=main_url, priority=(0, 0, ""), is_main=True, required=True, record=visit.main
         )
@@ -271,17 +269,16 @@ class _Engine:
             # the schedule.  This makes the speculative subresource
             # schedule an exact left shift of the legacy one, so under
             # correct prediction it can never come out slower.
-            cadence = {
-                normalize_url(r.url): visit.offsets[i]
-                for i, r in enumerate(visit.subresources)
-            }
+            cadence = {r.url: visit.offsets[i] for i, r in enumerate(visit.subresources)}
+            # The visit's own records are authoritative for anything the
+            # page actually transfers this time around.
+            own = {r.url: r for r in visit.subresources}
             rank = 0
             for item in (*plan.immediate, *plan.waiting):
                 if item.url == main_url or item.url in self.jobs:
                     continue
-                job = _Job(
-                    url=item.url, priority=(1, rank, item.url), record=self.known.get(item.url)
-                )
+                record = own.get(item.url) or self.known.get(item.url)
+                job = _Job(url=item.url, priority=(1, rank, item.url), record=record)
                 self.jobs[item.url] = job
                 ready = cadence.get(item.url, 0.0)
                 self.ready_at[item.url] = ready
@@ -317,7 +314,7 @@ class _Engine:
         # for it counts at its completion time.
         done_required = [main.done_ms or 0.0]
         for record in visit.subresources:
-            url = normalize_url(record.url)
+            url = record.url
             job = self.jobs.get(url)
             if job is None or job.done_ms is None:
                 raise RuntimeError(f"required resource never completed: {url}")
@@ -336,9 +333,14 @@ def simulate_page(
     cache_state=EMPTY,
     net: NetworkParams = DEFAULT_NET,
     max_connections: int = 4,
-    known_records: dict[str, ResourceRecord] | None = None,
+    known_records: Mapping[str, ResourceRecord] | None = None,
 ) -> float:
-    """Simulate one page load; returns the page delay in milliseconds."""
+    """Simulate one page load; returns the page delay in milliseconds.
+
+    ``known_records`` maps canonical URLs to their latest observed
+    records, for sizing speculative loads of URLs this visit does not
+    request; it is only read with ``get``.
+    """
     engine = _Engine(visit, mode, cache_state, net, max_connections, known_records, {})
     return engine.run()
 
@@ -351,7 +353,7 @@ def whatif_scale(
     cache_state=EMPTY,
     mode=LEGACY,
     max_connections: int = 4,
-    known_records: dict[str, ResourceRecord] | None = None,
+    known_records: Mapping[str, ResourceRecord] | None = None,
 ) -> float:
     """Re-run the page with every duration of one operation class scaled.
 
@@ -369,11 +371,18 @@ def whatif_scale(
 
 @dataclass(frozen=True)
 class PageResult:
+    """One visit's delays.  ``prediction`` is what the learned predictor
+    said before the visit, None under the oracle."""
+
     url: str
     timestamp: float
-    visit_class: VisitClass | None
     legacy_ms: float
     speculative_ms: float
+    prediction: Prediction | None = None
+
+    @property
+    def visit_class(self) -> VisitClass | None:
+        return self.prediction.visit_class if self.prediction else None
 
     @property
     def reduction_ms(self) -> float:
@@ -423,7 +432,9 @@ def simulate_trace(
     """Compare legacy and speculative loading over a whole trace.
 
     Runs both modes for every visit.  With ``with_predictor`` the
-    speculative side predicts from a repository learned visit by visit;
+    speculative side predicts from a repository learned visit by visit
+    (predict, simulate, then learn the visit), and each page result
+    keeps its prediction for scoring (``predict.score_predictions``);
     otherwise it gets the oracle prediction (the visit's real
     subresource list, in document order).  Under a Realistic cache each
     mode evolves its own copy of the store, since the two browsers would
@@ -438,16 +449,14 @@ def simulate_trace(
     known_records: dict[str, ResourceRecord] = {}
     result = SimResult()
     for visit in trace.visits:
-        main_url = normalize_url(visit.main.url)
+        main_url = visit.main.url
         if with_predictor:
             prediction = predict(repo, main_url)
-            visit_class = prediction.visit_class
         else:
             prediction = Prediction(
-                urls=tuple(normalize_url(r.url) for r in visit.subresources),
+                urls=tuple(r.url for r in visit.subresources),
                 visit_class=VisitClass.REVISIT,
             )
-            visit_class = None
         legacy_ms = simulate_page(visit, LEGACY, legacy_state, net, max_connections, known_records)
         speculative_ms = simulate_page(
             visit, Speculative(prediction), spec_state, net, max_connections, known_records
@@ -456,14 +465,14 @@ def simulate_trace(
             update(repo, visit)
         known_records[main_url] = visit.main
         for record in visit.subresources:
-            known_records[normalize_url(record.url)] = record
+            known_records[record.url] = record
         result.pages.append(
             PageResult(
                 url=main_url,
                 timestamp=visit.timestamp,
-                visit_class=visit_class,
                 legacy_ms=legacy_ms,
                 speculative_ms=speculative_ms,
+                prediction=prediction if with_predictor else None,
             )
         )
     return result

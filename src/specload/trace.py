@@ -10,6 +10,14 @@ was parsed).  On disk a trace is UTF-8 JSON Lines, one visit per line:
      "subs": [...], "offsets": [...]}
 
 ``cc`` holds cache-control facts with only the present keys serialized.
+
+Every resource URL in a trace is canonical: lower-case scheme and host,
+no default port, no fragment (``urls.normalize_url``).  The form is
+established once, at ingest: ``ResourceRecord.from_json`` (and so
+``load_trace``), ``har.import_har`` and the live HTML parser normalise,
+and ``synth`` emits canonical URLs by construction.  Everything
+downstream (the simulator, the graph, the replays, prefetching) uses
+``record.url`` as given and never re-normalises it.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import EmptyTrace, SchemaError
+from .urls import normalize_url
 
 RESOURCE_KINDS = ("html", "script", "stylesheet", "image", "other")
 
@@ -72,7 +81,12 @@ class CacheDirectives:
 
 @dataclass(frozen=True)
 class ResourceRecord:
-    """One observed resource response."""
+    """One observed resource response.
+
+    ``url`` must be canonical (see the module docstring).  The
+    constructor does not normalise it, so that generators which build
+    canonical URLs pay nothing; ``from_json`` does.
+    """
 
     url: str
     kind: str
@@ -103,7 +117,7 @@ class ResourceRecord:
             if key not in obj:
                 raise ValueError(f"resource missing {key!r}")
         return cls(
-            url=obj["url"],
+            url=normalize_url(obj["url"]),
             kind=obj["kind"],
             size_bytes=int(obj["size"]),
             cache_directives=CacheDirectives.from_json(obj.get("cc", {})),
@@ -207,8 +221,10 @@ def save_trace(trace: Trace | Iterable[PageVisit], path) -> None:
 def load_trace(path) -> Trace:
     """Read a JSONL trace, sorting visits by timestamp.
 
-    Ties keep file order.  Raises SchemaError with the offending line
-    number for records that do not parse.
+    Ties keep file order.  URLs are canonicalised on the way in.
+    Raises SchemaError with the offending line number for records that
+    do not parse, including a visit whose subresource URLs collapse to
+    the same canonical URL.
     """
     visits: list[PageVisit] = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -8,7 +8,15 @@ import math
 import pytest
 
 from specload.cli import main, parse_capacity
-from specload.report import CACHE_HEADER, FETCH_HEADER, PREFETCH_HEADER
+from specload.predict import replay_predictor
+from specload.report import (
+    CACHE_HEADER,
+    FETCH_HEADER,
+    PREDICTOR_HEADER,
+    PREFETCH_HEADER,
+    rows_for_predictor,
+    write_csv,
+)
 from specload.trace import load_trace
 
 
@@ -166,6 +174,26 @@ def test_sim_speculative_summary_and_metrics(tmp_path, trace_path):
         == 0
     )
     assert out.read_bytes() == body
+
+
+def test_sim_speculative_metrics_match_a_separate_replay(tmp_path, trace_path):
+    # In predictor mode the metrics score the predictions the simulation
+    # already made; they must equal a second, separate learning pass.
+    metrics = tmp_path / "pred.csv"
+    assert (
+        run(
+            "sim-speculative",
+            "--trace", str(trace_path),
+            "--cache-state", "realistic",
+            "--out", str(tmp_path / "sim.csv"),
+            "--metrics-out", str(metrics),
+        )
+        == 0
+    )
+    expected = tmp_path / "expected.csv"
+    replay = replay_predictor(load_trace(trace_path))
+    write_csv(expected, PREDICTOR_HEADER, rows_for_predictor(replay))
+    assert metrics.read_bytes() == expected.read_bytes()
 
 
 def test_sim_prefetch(tmp_path, trace_path):

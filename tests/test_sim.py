@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specload.cache import CacheStore
+import specload.sim as sim
+from specload.cache import CacheStore, replay_cache_sim
 from specload.errors import EmptyTrace, InvalidParams
-from specload.predict import Prediction, VisitClass
+from specload.predict import Prediction, VisitClass, replay_predictor, score_predictions
 from specload.sim import (
     EMPTY,
     EXPIRED,
@@ -21,7 +24,8 @@ from specload.sim import (
     simulate_trace,
     whatif_scale,
 )
-from specload.trace import PageVisit, Trace
+from specload.synth import SynthParams, generate_synthetic
+from specload.trace import PageVisit, Trace, load_trace
 from specload.urls import normalize_url
 
 from conftest import rec, visit, trace_of
@@ -287,6 +291,108 @@ def test_simulate_trace_with_predictor_learns():
 def test_simulate_trace_rejects_empty():
     with pytest.raises(EmptyTrace):
         simulate_trace(Trace(visits=[]))
+
+
+def test_predictions_kept_by_simulate_trace_score_like_replay_predictor():
+    # The predictor is learned once, inside simulate_trace; scoring the
+    # predictions it kept must give exactly the separate replay's result.
+    params = SynthParams(
+        n_sites=4, pages_per_site=40, subresources_per_page=8, visits=1200, seed=5
+    )
+    trace = generate_synthetic(params)
+    result = simulate_trace(trace, cache_state=Realistic(CacheStore()), with_predictor=True)
+    learned = score_predictions(trace.visits, [p.prediction for p in result.pages])
+    replayed = replay_predictor(trace)
+    assert learned.per_visit == replayed.per_visit
+    assert learned.weekly == replayed.weekly
+    assert learned.monthly == replayed.monthly
+    assert len(learned.weekly) > 1 and len(learned.monthly) > 1
+    assert all(p.prediction is None for p in simulate_trace(trace).pages)
+
+
+# --- known_records is read with get only --------------------------------
+
+
+class GetOnly:
+    """A read-only mapping that allows ``get`` and nothing else, so a
+    per-page copy of the caller's records would fail loudly."""
+
+    def __init__(self, data):
+        self._data = data
+
+    def get(self, key, default=None):
+        return self._data.get(key, default)
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("known_records must only be read with get")
+
+    __iter__ = keys = items = values = copy = __len__ = __contains__ = __getitem__ = _refuse
+
+
+def test_simulate_page_reads_known_records_with_get_only():
+    net = NetworkParams()
+    v = page(1, size=0)
+    ghost = rec("http://sim.example/ghost.js", size=125_000)
+    mode = Speculative(
+        Prediction(urls=(ghost.url, v.subresources[0].url), visit_class=VisitClass.REVISIT)
+    )
+    known = {ghost.url: ghost}
+    guarded = simulate_page(v, mode, EMPTY, net, 2, GetOnly(known))
+    # The mispredicted ghost load is sized from the known record and
+    # holds the only subresource connection for 200 + 1000 ms.
+    assert guarded == simulate_page(v, mode, EMPTY, net, 2, known) == 1400.0
+    # Unknown, the ghost load costs one round trip.
+    assert simulate_page(v, mode, EMPTY, net, 2) == 400.0
+
+
+def test_simulate_trace_reads_known_records_with_get_only(monkeypatch):
+    trace = generate_synthetic(
+        SynthParams(n_sites=3, pages_per_site=20, subresources_per_page=6, visits=200, seed=2)
+    )
+    state = Realistic(CacheStore())
+    expected = simulate_trace(trace, cache_state=state, with_predictor=True)
+    real = sim.simulate_page
+
+    def guarded(visit, mode, cache_state, net, max_connections, known_records):
+        return real(visit, mode, cache_state, net, max_connections, GetOnly(known_records))
+
+    monkeypatch.setattr(sim, "simulate_page", guarded)
+    assert simulate_trace(trace, cache_state=state, with_predictor=True) == expected
+
+
+# --- canonical URLs at ingest -------------------------------------------
+
+
+def test_realistic_cache_hits_for_non_canonical_trace_urls(tmp_path):
+    # Both visits spell their URLs with an upper-case scheme and host and
+    # the default port.  The cache must store and look up one form.
+    def record(url, kind, ts):
+        cc = {"max_age": 86400}
+        return {"url": url, "kind": kind, "size": 12_500, "cc": cc, "fetched_at": ts}
+
+    path = tmp_path / "raw.jsonl"
+    with path.open("w") as fh:
+        for ts in (0.0, 60.0):
+            line = {
+                "user": "u",
+                "ts": ts,
+                "main": record("HTTP://A.COM:80/index.html", "html", ts),
+                "subs": [record("HTTP://A.COM:80/app.js", "script", ts)],
+            }
+            fh.write(json.dumps(line) + "\n")
+    trace = load_trace(path)
+
+    result = simulate_trace(trace, cache_state=Realistic(CacheStore()), with_predictor=True)
+    # Second visit: both resources fresh, so only the parse remains.
+    assert result.pages[1].legacy_ms == 100.0
+    assert result.pages[1].speculative_ms == 100.0
+
+    state = Realistic(CacheStore())
+    for v in trace.visits:
+        simulate_page(v, LEGACY, state)
+    replayed = replay_cache_sim(trace)
+    assert state.store.counters.fresh_hits == replayed.counters.fresh_hits == 2
+    assert state.store.counters == replayed.counters
 
 
 # --- schedule-dominance properties ------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from specload.errors import InvalidParams
 from specload.synth import VISITS_PER_DAY, SynthParams, generate_synthetic
 from specload.trace import save_trace
-from specload.urls import website_key
+from specload.urls import normalize_url, website_key
 
 
 def test_same_seed_same_bytes(tmp_path):
@@ -18,6 +18,14 @@ def test_same_seed_same_bytes(tmp_path):
     b = dump(SynthParams(visits=200, seed=42), "b.jsonl")
     assert a == b
     assert a != dump(SynthParams(visits=200, seed=43), "c.jsonl")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_emitted_urls_are_canonical(seed):
+    trace = generate_synthetic(SynthParams(visits=300, seed=seed))
+    for v in trace.visits:
+        for r in (v.main, *v.subresources):
+            assert normalize_url(r.url) == r.url
 
 
 def test_visit_count_and_pacing():

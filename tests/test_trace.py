@@ -110,3 +110,40 @@ def test_span_and_empty():
     assert t.span_seconds() == 60.0
     with pytest.raises(EmptyTrace):
         Trace(visits=[]).span_seconds()
+
+
+def _raw_visit(main_url, sub_urls, ts=0.0) -> str:
+    return json.dumps(
+        {
+            "user": "u",
+            "ts": ts,
+            "main": {"url": main_url, "kind": "html", "size": 1},
+            "subs": [{"url": u, "kind": "script", "size": 1} for u in sub_urls],
+        }
+    )
+
+
+def test_load_canonicalises_urls(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        _raw_visit("HTTP://A.COM:80/index.html#top", ["https://CDN.A.com:443/app.js?v=1"]) + "\n"
+    )
+    v = load_trace(path).visits[0]
+    assert v.main.url == "http://a.com/index.html"
+    assert [r.url for r in v.subresources] == ["https://cdn.a.com/app.js?v=1"]
+
+
+@pytest.mark.parametrize(
+    "subs",
+    [
+        ["http://a.com/x.js", "HTTP://a.com:80/x.js#frag"],  # collapse to one URL
+        ["not a url"],
+    ],
+)
+def test_load_rejects_bad_subresource_urls_with_line(tmp_path, subs):
+    path = tmp_path / "bad.jsonl"
+    lines = [_raw_visit("http://a.com/", ["http://a.com/x.js"]), _raw_visit("http://a.com/", subs)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_trace(path)
+    assert err.value.line == 2
