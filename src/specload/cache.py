@@ -62,9 +62,6 @@ class CacheEntry:
     size_bytes: int
     stored_at: float
     lifetime: float | None
-    has_validator: bool
-    last_access: float
-    seq: int = 0
     validator: str | None = None
     directives: CacheDirectives = field(default_factory=CacheDirectives)
 
@@ -99,16 +96,11 @@ class CacheStore:
         self.entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.temp: dict[str, CacheEntry] = {}
         self.counters = CacheCounters()
-        self._seq = 0
         self._used = 0
 
     @property
     def used_bytes(self) -> int:
         return self._used
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def classify(self, url: str, now: float) -> LookupOutcome:
         """Classification only; no counters, no recency updates."""
@@ -138,13 +130,8 @@ def lookup(store: CacheStore, url: str, now: float) -> LookupOutcome:
     if outcome is LookupOutcome.MISS:
         store.counters.misses += 1
         return outcome
-    if url in store.temp:
-        entry = store.temp[url]
-    else:
-        entry = store.entries[url]
+    if url not in store.temp:
         store.entries.move_to_end(url)
-    entry.last_access = now
-    entry.seq = store._next_seq()
     if outcome is LookupOutcome.FRESH_HIT:
         store.counters.fresh_hits += 1
     else:
@@ -170,20 +157,17 @@ def admit(
     """
     d = record.cache_directives
     size = record.size_bytes
-    lifetime = freshness_lifetime(d, fetched_at=now)
+    entry = CacheEntry(
+        url=record.url,
+        size_bytes=size,
+        stored_at=now,
+        lifetime=freshness_lifetime(d, fetched_at=now),
+        validator=validator,
+        directives=d,
+    )
     if d.no_store:
         store.counters.bytes_fetched += size
-        store.temp[record.url] = CacheEntry(
-            url=record.url,
-            size_bytes=size,
-            stored_at=now,
-            lifetime=lifetime,
-            has_validator=d.has_validator,
-            last_access=now,
-            seq=store._next_seq(),
-            validator=validator,
-            directives=d,
-        )
+        store.temp[record.url] = entry
         return
 
     prior = store.entries.pop(record.url, None)
@@ -199,17 +183,7 @@ def admit(
     while store._used + size > store.capacity_bytes and store.entries:
         _, evicted = store.entries.popitem(last=False)
         store._used -= evicted.size_bytes
-    store.entries[record.url] = CacheEntry(
-        url=record.url,
-        size_bytes=size,
-        stored_at=now,
-        lifetime=lifetime,
-        has_validator=d.has_validator,
-        last_access=now,
-        seq=store._next_seq(),
-        validator=validator,
-        directives=d,
-    )
+    store.entries[record.url] = entry
     store._used += size
 
 

@@ -336,6 +336,10 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
 
     with session._cache_lock:
         page_complete(session.cache)
+        # A body is only read back for a hit on a cached entry.
+        session._bodies = {
+            u: b for u, b in session._bodies.items() if u in session.cache.entries
+        }
     observed_subs = tuple(
         records[u] for u in actual_urls if records.get(u) is not None
     )

@@ -17,22 +17,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
 
-from .cache import CacheStore, LookupOutcome
+from .cache import LookupOutcome
 from .errors import EmptyTrace, InvalidParams
-from .graph import MetadataRepository, ResourceGraph, update
+from .graph import GraphNode, MetadataRepository, ResourceGraph, update
 from .trace import PageVisit, Trace
 from .urls import host_of, normalize_url, website_key
 
 _KIND_RANK = {"script": 0, "stylesheet": 1, "image": 2}
-
-
-def kind_rank(kind: str | None) -> int:
-    return _KIND_RANK.get(kind or "", 3)
 
 
 def round_half_up(x: float) -> int:
@@ -47,32 +43,6 @@ class VisitClass(Enum):
 
 
 @dataclass(frozen=True)
-class PredictionCandidate:
-    url: str
-    resource_kind: str | None
-    n_parents: int
-    n_visits: int
-
-    @property
-    def url_length(self) -> int:
-        return len(self.url)
-
-    def sort_key(self):
-        return (
-            -self.n_parents,
-            kind_rank(self.resource_kind),
-            -self.n_visits,
-            len(self.url),
-            self.url,
-        )
-
-
-def sort_candidates(candidates: list[PredictionCandidate]) -> list[PredictionCandidate]:
-    """Total priority order; the URL itself is the final tiebreak."""
-    return sorted(candidates, key=PredictionCandidate.sort_key)
-
-
-@dataclass(frozen=True)
 class Prediction:
     urls: tuple[str, ...]
     visit_class: VisitClass
@@ -82,10 +52,12 @@ class Prediction:
             raise ValueError("prediction contains duplicate URLs")
 
 
-def _node_sort_key(node) -> tuple:
+def priority_key(node: GraphNode) -> tuple:
+    """Total priority order over graph nodes; the URL itself is the
+    final tiebreak."""
     return (
         -len(node.parents),
-        kind_rank(node.resource_kind),
+        _KIND_RANK.get(node.resource_kind or "", 3),
         -node.n_visits,
         len(node.url_or_name),
         node.url_or_name,
@@ -104,7 +76,7 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
     Matches the graph in decreasing specificity: exact webpage node
     (revisit, all children), else known subdomain, else known website
     (new visit, truncated scope candidates), else an unknown site and an
-    empty prediction.  Ordering is exactly ``sort_candidates``.
+    empty prediction.  Ordering is exactly ``priority_key``.
     """
     url = normalize_url(url)
     site = website_key(url)
@@ -115,7 +87,7 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
         page_id = graph.page_index.get(url)
         if page_id is not None:
             nodes = [graph.nodes[nid] for nid in graph.nodes[page_id].children]
-            nodes.sort(key=_node_sort_key)
+            nodes.sort(key=priority_key)
             return Prediction(
                 urls=tuple(n.url_or_name for n in nodes),
                 visit_class=VisitClass.REVISIT,
@@ -135,7 +107,7 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
         best = heapq.nsmallest(
             num_predicted,
             (graph.nodes[nid] for nid in candidate_ids),
-            key=_node_sort_key,
+            key=priority_key,
         )
         return Prediction(urls=tuple(n.url_or_name for n in best), visit_class=visit_class)
 
@@ -158,12 +130,14 @@ class LoadPlan:
 
 def plan_loads(
     prediction: Prediction,
-    cache: CacheStore,
+    cache,
     now: float,
     max_connections: int = 4,
 ) -> LoadPlan:
     """Turn a prediction into speculative load work.
 
+    ``cache`` is anything with a pure ``classify(url, now)``: a
+    ``CacheStore`` or a simulator cache state.
     Fresh-in-cache candidates are dropped entirely.  The first
     ``max_connections - 1`` survivors load immediately (one connection
     always stays reserved for the main resource); the rest wait in
@@ -312,22 +286,27 @@ def score_predictions(
     )
 
 
-def replay_predictor(trace: Trace, warmup_fraction: float = 0.0) -> PredictorReplayResult:
-    """Replay a trace: predict before each visit, then learn it, and
-    score the predictions with ``score_predictions``.
+def replay(visits: Iterable[PageVisit]) -> Iterator[tuple[PageVisit, Prediction]]:
+    """Yield each visit with the prediction made before it.  A visit is
+    learned when the consumer asks for the next one, so the consumer
+    sees the graph as it was before the visit."""
+    repo = MetadataRepository()
+    for visit in visits:
+        yield visit, predict(repo, visit.main.url)
+        update(repo, visit)
 
-    The first ``warmup_fraction`` of visits only feed the graph and are
-    excluded from the evaluation rows.
+
+def replay_predictor(trace: Trace, warmup_fraction: float = 0.0) -> PredictorReplayResult:
+    """Replay a trace through ``replay`` and score the predictions with
+    ``score_predictions``.
+
+    The first ``warmup_fraction`` of visits only feed the graph; their
+    predictions are dropped from the evaluation rows.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise InvalidParams("warmup_fraction must be in [0, 1)")
     if not trace.visits:
         raise EmptyTrace("cannot replay an empty trace")
     warmup = int(len(trace.visits) * warmup_fraction)
-    repo = MetadataRepository()
-    predictions: list[Prediction] = []
-    for i, visit in enumerate(trace.visits):
-        if i >= warmup:
-            predictions.append(predict(repo, visit.main.url))
-        update(repo, visit)
-    return score_predictions(trace.visits[warmup:], predictions)
+    predictions = [prediction for _, prediction in replay(trace.visits)]
+    return score_predictions(trace.visits[warmup:], predictions[warmup:])

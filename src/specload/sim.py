@@ -21,6 +21,15 @@ resource and the immediate speculative loads, discovery time for
 subresources found by parsing (instant when fresh), and channel grant
 for queued loads.  A URL is loaded at most once per page, so a queued
 speculative load cannot have turned fresh while it waited.
+
+A cache state is any object with five methods: ``classify(url, now)``
+(pure, what the planner sees), ``lookup(url, now)`` (a request at
+issuance), ``admit(record, now)`` (a response came in),
+``page_complete()`` and ``fork()`` (an independent copy, one per mode
+in a trace replay).  ``FRESH``, ``EXPIRED`` and ``EMPTY`` answer every
+request with one fixed outcome and store nothing; ``Realistic(store)``
+runs the ``cache`` module's semantics against a store that evolves as
+the simulation runs.
 """
 
 from __future__ import annotations
@@ -30,10 +39,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cache import CacheEntry, CacheStore, LookupOutcome, admit, lookup, page_complete
+from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
 from .errors import EmptyTrace, InvalidParams
-from .graph import MetadataRepository, update
-from .predict import Prediction, VisitClass, plan_loads, predict
+from .predict import Prediction, VisitClass, plan_loads, replay
 from .trace import PageVisit, ResourceRecord, Trace
 
 
@@ -49,16 +57,30 @@ class NetworkParams:
 DEFAULT_NET = NetworkParams()
 
 
-class Fresh:
-    """Everything is cached and fresh."""
+@dataclass(frozen=True)
+class Uniform:
+    """Every request classifies the same way and nothing is stored."""
+
+    outcome: LookupOutcome
+
+    def classify(self, url: str, now: float) -> LookupOutcome:
+        return self.outcome
+
+    lookup = classify
+
+    def admit(self, record: ResourceRecord, now: float) -> None:
+        pass
+
+    def page_complete(self) -> None:
+        pass
+
+    def fork(self) -> "Uniform":
+        return self
 
 
-class Expired:
-    """Everything is cached but expired; every request revalidates."""
-
-
-class Empty:
-    """Nothing is cached; every request fetches in full."""
+FRESH = Uniform(LookupOutcome.FRESH_HIT)
+EXPIRED = Uniform(LookupOutcome.EXPIRED_REVALIDATE)
+EMPTY = Uniform(LookupOutcome.MISS)
 
 
 @dataclass
@@ -67,10 +89,20 @@ class Realistic:
 
     store: CacheStore
 
+    def classify(self, url: str, now: float) -> LookupOutcome:
+        return self.store.classify(url, now)
 
-FRESH = Fresh()
-EXPIRED = Expired()
-EMPTY = Empty()
+    def lookup(self, url: str, now: float) -> LookupOutcome:
+        return lookup(self.store, url, now)
+
+    def admit(self, record: ResourceRecord, now: float) -> None:
+        admit(self.store, record, now)
+
+    def page_complete(self) -> None:
+        page_complete(self.store)
+
+    def fork(self) -> "Realistic":
+        return Realistic(self.store.copy())
 
 
 @dataclass(frozen=True)
@@ -90,21 +122,6 @@ class OperationClass(Enum):
     MAIN_FETCH = "main_fetch"
     PARSE = "parse"
     SUBRESOURCE_FETCH = "subresource_fetch"
-
-
-def _classify(cache_state, url: str, now_s: float) -> LookupOutcome:
-    if isinstance(cache_state, Fresh):
-        return LookupOutcome.FRESH_HIT
-    if isinstance(cache_state, Expired):
-        return LookupOutcome.EXPIRED_REVALIDATE
-    if isinstance(cache_state, Empty):
-        return LookupOutcome.MISS
-    return lookup(cache_state.store, url, now_s)
-
-
-def _admit(cache_state, record: ResourceRecord, now_s: float) -> None:
-    if isinstance(cache_state, Realistic):
-        admit(cache_state.store, record, now_s)
 
 
 @dataclass
@@ -184,7 +201,7 @@ class _Engine:
         """Classify and start a job now; False means it resolved as a
         fresh hit without consuming a connection.  The main resource
         rides its reserved connection and never draws on the pool."""
-        outcome = _classify(self.cache_state, job.url, self._now_s())
+        outcome = self.cache_state.lookup(job.url, self._now_s())
         if outcome is LookupOutcome.FRESH_HIT:
             job.done_ms = self.now
             return False
@@ -221,7 +238,11 @@ class _Engine:
                     # already on a connection finishes on its own.
                     self.canceled.add(url)
         offsets = self.visit.offsets
-        for i, record in enumerate(self.visit.subresources):
+        # Push ready events in (offset, document index) order.  An
+        # offset too small to survive ``parse_t + offset`` then still
+        # breaks the tie the way it orders speculative loads.
+        for i in sorted(range(len(offsets)), key=offsets.__getitem__):
+            record = self.visit.subresources[i]
             url = record.url
             ready = parse_t + offsets[i]
             self.ready_at[url] = ready
@@ -231,23 +252,6 @@ class _Engine:
             job = _Job(url=url, priority=(2, i, url), required=True, record=record)
             self.jobs[url] = job
             self._push_event(ready, "ready", job)
-
-    def _plan_store(self) -> CacheStore:
-        if isinstance(self.cache_state, Realistic):
-            return self.cache_state.store
-        synthetic = CacheStore(capacity_bytes=float("inf"))
-        if isinstance(self.cache_state, (Fresh, Expired)):
-            fresh = isinstance(self.cache_state, Fresh)
-            for url in self.mode.prediction.urls:
-                synthetic.entries[url] = CacheEntry(
-                    url=url,
-                    size_bytes=0,
-                    stored_at=0.0,
-                    lifetime=float("inf") if fresh else None,
-                    has_validator=True,
-                    last_access=0.0,
-                )
-        return synthetic
 
     def run(self) -> float:
         visit = self.visit
@@ -261,7 +265,7 @@ class _Engine:
             self._on_main_done(main)
         if isinstance(self.mode, Speculative):
             plan = plan_loads(
-                self.mode.prediction, self._plan_store(), self._now_s(), self.max_connections
+                self.mode.prediction, self.cache_state, self._now_s(), self.max_connections
             )
             # Speculative loads skip the wait for the main resource but
             # keep the page's own request cadence: a load that the page
@@ -294,7 +298,7 @@ class _Engine:
                 if not job.is_main:
                     self.free += 1
                 if job.record is not None:
-                    _admit(self.cache_state, job.record, self._now_s())
+                    self.cache_state.admit(job.record, self._now_s())
                 if job.is_main:
                     self._on_main_done(job)
             elif kind == "parse":
@@ -306,8 +310,7 @@ class _Engine:
             self._dispatch()
         self._dispatch()
 
-        if isinstance(self.cache_state, Realistic):
-            page_complete(self.cache_state.store)
+        self.cache_state.page_complete()
 
         # Page delay: when the last required resource is in hand.  A
         # speculative load that lands before the parser would have asked
@@ -416,12 +419,6 @@ class SimResult:
         return self.mean_reduction_ms / self.mean_legacy_ms if self.mean_legacy_ms > 0 else 0.0
 
 
-def _initial_state(cache_state):
-    if isinstance(cache_state, Realistic):
-        return Realistic(store=cache_state.store.copy())
-    return cache_state
-
-
 def simulate_trace(
     trace: Trace,
     net: NetworkParams = DEFAULT_NET,
@@ -432,37 +429,34 @@ def simulate_trace(
     """Compare legacy and speculative loading over a whole trace.
 
     Runs both modes for every visit.  With ``with_predictor`` the
-    speculative side predicts from a repository learned visit by visit
+    speculative side takes its predictions from ``predict.replay``
     (predict, simulate, then learn the visit), and each page result
     keeps its prediction for scoring (``predict.score_predictions``);
     otherwise it gets the oracle prediction (the visit's real
-    subresource list, in document order).  Under a Realistic cache each
-    mode evolves its own copy of the store, since the two browsers would
+    subresource list, in document order).  Each mode runs against its
+    own ``fork`` of the cache state, since the two browsers would
     accumulate different histories.  Mispredicted fetch sizes come from
     each URL's most recent earlier observation.
     """
     if not trace.visits:
         raise EmptyTrace("cannot simulate an empty trace")
-    legacy_state = _initial_state(cache_state)
-    spec_state = _initial_state(cache_state)
-    repo = MetadataRepository() if with_predictor else None
+    legacy_state = cache_state.fork()
+    spec_state = cache_state.fork()
     known_records: dict[str, ResourceRecord] = {}
     result = SimResult()
-    for visit in trace.visits:
+    if with_predictor:
+        visits = replay(trace.visits)
+    else:
+        visits = (
+            (v, Prediction(tuple(r.url for r in v.subresources), VisitClass.REVISIT))
+            for v in trace.visits
+        )
+    for visit, prediction in visits:
         main_url = visit.main.url
-        if with_predictor:
-            prediction = predict(repo, main_url)
-        else:
-            prediction = Prediction(
-                urls=tuple(r.url for r in visit.subresources),
-                visit_class=VisitClass.REVISIT,
-            )
         legacy_ms = simulate_page(visit, LEGACY, legacy_state, net, max_connections, known_records)
         speculative_ms = simulate_page(
             visit, Speculative(prediction), spec_state, net, max_connections, known_records
         )
-        if with_predictor:
-            update(repo, visit)
         known_records[main_url] = visit.main
         for record in visit.subresources:
             known_records[record.url] = record

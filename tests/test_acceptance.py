@@ -28,13 +28,11 @@ from specload.predict import (
     LoadPlan,
     PlannedLoad,
     Prediction,
-    PredictionCandidate,
     VisitClass,
     plan_loads,
     predict,
     replay_predictor,
     revise_queue,
-    sort_candidates,
 )
 from specload.prefetch import evaluate_prefetch
 from specload.sim import (
@@ -51,6 +49,7 @@ from specload.trace import PageVisit, Trace
 from specload.urls import normalize_url
 
 from conftest import rec, visit, trace_of
+from priority_oracle import PredictionCandidate, candidate_of, sort_candidates
 from test_cache import naive_replay
 from test_graph import build as build_graphs, random_visits
 
@@ -288,6 +287,35 @@ def test_06_priority_and_queue_conformance():
         if [c.sort_key() for c in sort_candidates(shuffled)] != keys:
             violations += 1
 
+    revisits = 0
+    for _ in range(200):  # predict's revisit order is the oracle's order
+        repo = MetadataRepository()
+        kind_of = {i: rng.choice(kinds[:4]) for i in range(15)}
+        for t in range(rng.randint(1, 30)):
+            subs = rng.sample(range(15), rng.randint(1, 8))
+            update(
+                repo,
+                PageVisit(
+                    user_id="u",
+                    timestamp=float(t),
+                    main=rec(f"http://www.s.example/p{rng.randrange(5)}", kind="html"),
+                    subresources=tuple(
+                        rec(f"http://cdn.s.example/{'x' * (i % 3)}{i}", kind=kind_of[i])
+                        for i in subs
+                    ),
+                ),
+            )
+        graph = repo.graphs["s.example"]
+        for page_url, page_id in graph.page_index.items():
+            children = [graph.nodes[nid] for nid in graph.nodes[page_id].children]
+            expected = [c.url for c in sort_candidates([candidate_of(n) for n in children])]
+            prediction = predict(repo, page_url)
+            revisits += 1
+            if prediction.visit_class is not VisitClass.REVISIT:
+                violations += 1
+            if list(prediction.urls) != expected:
+                violations += 1
+
     for _ in range(1000):  # connection arithmetic and fresh-hit exclusion
         urls = [f"http://s/{i}.js" for i in rng.sample(range(40), rng.randint(0, 20))]
         fresh = set(rng.sample(range(40), rng.randint(0, 20)))
@@ -334,7 +362,11 @@ def test_06_priority_and_queue_conformance():
             violations += 1
 
     assert violations == 0
-    _ok(6, "priority and queue conformance", "0 violations across 3000 randomized cases")
+    _ok(
+        6,
+        "priority and queue conformance",
+        f"0 violations across 3000 randomized cases and {revisits} predicted revisits",
+    )
 
 
 def test_07_trim_matches_rebuild():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 import requests
 
+from specload.cache import CacheStore
 from specload.errors import MainResourceFailed
 from specload.fixture import fixture_server
 from specload.live import FetchSession, extract_subresources, fetch_page
@@ -155,6 +156,28 @@ def test_connection_bound_is_respected():
         report = fetch_page(session, srv.url("/p.html"), mode="legacy")
         assert len(report.resources) == 11
         assert session.max_inflight_seen <= 3
+
+
+def test_session_keeps_bodies_only_for_cached_pages():
+    # Each page with its script is about 1.1 kB; the cache holds two.
+    cached = {"Cache-Control": "max-age=300"}
+    spec = {
+        "delay_ms": 0,
+        "pages": {
+            f"/p{i}.html": {"subresources": [f"/r{i}.js"], "headers": cached}
+            for i in range(10)
+        },
+        "resources": {f"/r{i}.js": {"size": 1000, "headers": cached} for i in range(10)},
+    }
+    with fixture_server(spec) as srv:
+        session = FetchSession(cache=CacheStore(capacity_bytes=2500))
+        for i in range(10):
+            fetch_page(session, srv.url(f"/p{i}.html"), mode="legacy")
+            assert set(session._bodies) <= set(session.cache.entries)
+        assert len(session.cache.entries) < 10
+        # A page that is still cached is served fresh from its kept body.
+        last = fetch_page(session, srv.url("/p9.html"), mode="legacy")
+        assert last.resources[0].outcome == "fresh"
 
 
 def test_main_resource_failure_raises():

@@ -8,29 +8,35 @@ from hypothesis import strategies as st
 
 from specload.cache import CacheStore, admit
 from specload.errors import InvalidParams
-from specload.graph import MetadataRepository, update
+from specload.graph import GraphNode, MetadataRepository, NodeType, update
 from specload.predict import (
     LoadPlan,
     PlannedLoad,
     Prediction,
-    PredictionCandidate,
     VisitClass,
     evaluate_prediction,
     plan_loads,
     predict,
+    priority_key,
     replay_predictor,
     revise_queue,
     round_half_up,
-    sort_candidates,
 )
 from specload.trace import PageVisit, Trace
 
 from conftest import rec, visit, trace_of
+from priority_oracle import candidate_of, sort_candidates
 
 
-def cand(url, kind="script", parents=1, visits=1):
-    return PredictionCandidate(
-        url=url, resource_kind=kind, n_parents=parents, n_visits=visits
+def node(url, kind="script", parents=1, visits=1):
+    return GraphNode(
+        node_id=0,
+        node_type=NodeType.SUBRESOURCE,
+        url_or_name=url,
+        resource_kind=kind,
+        last_visit=0.0,
+        n_visits=visits,
+        parents=set(range(parents)),
     )
 
 
@@ -46,47 +52,51 @@ def test_round_half_up(x, expected):
 
 
 def test_sort_order_by_hand():
-    a = cand("http://s/shared.js", parents=5, visits=2)
-    b = cand("http://s/rare.js", parents=1, visits=9)  # fewer parents loses
-    c = cand("http://s/style.css", kind="stylesheet", parents=5, visits=2)
-    d = cand("http://s/pic.png", kind="image", parents=5, visits=9)
-    e = cand("http://s/blob.bin", kind="other", parents=5, visits=9)
-    f = cand("http://s/hot.js", parents=5, visits=7)  # more visits than a
-    g = cand("http://s/aa.js", parents=1, visits=9)  # shorter URL than b
-    h = cand("http://s/ab.js", parents=1, visits=9)  # URL tiebreak vs g
+    a = node("http://s/shared.js", parents=5, visits=2)
+    b = node("http://s/rare.js", parents=1, visits=9)  # fewer parents loses
+    c = node("http://s/style.css", kind="stylesheet", parents=5, visits=2)
+    d = node("http://s/pic.png", kind="image", parents=5, visits=9)
+    e = node("http://s/blob.bin", kind="other", parents=5, visits=9)
+    f = node("http://s/hot.js", parents=5, visits=7)  # more visits than a
+    g = node("http://s/aa.js", parents=1, visits=9)  # shorter URL than b
+    h = node("http://s/ab.js", parents=1, visits=9)  # URL tiebreak vs g
 
-    got = sort_candidates([b, e, h, a, d, g, c, f])
+    got = sorted([b, e, h, a, d, g, c, f], key=priority_key)
     assert got == [f, a, c, d, e, g, h, b]
 
 
-_candidates = st.lists(
+_nodes = st.lists(
     st.builds(
-        PredictionCandidate,
+        node,
         url=st.text(
             alphabet="abcdefgh:/.",
             min_size=1,
             max_size=12,
         ),
-        resource_kind=st.sampled_from(["script", "stylesheet", "image", "other", None]),
-        n_parents=st.integers(min_value=0, max_value=50),
-        n_visits=st.integers(min_value=0, max_value=50),
+        kind=st.sampled_from(["script", "stylesheet", "image", "other", None]),
+        parents=st.integers(min_value=0, max_value=50),
+        visits=st.integers(min_value=0, max_value=50),
     ),
     max_size=30,
 )
 
 
 @settings(max_examples=1000, deadline=None)
-@given(_candidates, st.randoms(use_true_random=False))
-def test_sort_is_a_total_order(cands, rng):
-    ordered = sort_candidates(cands)
-    assert sorted(c.url for c in ordered) == sorted(c.url for c in cands)
+@given(_nodes, st.randoms(use_true_random=False))
+def test_sort_is_a_total_order(nodes, rng):
+    ordered = sorted(nodes, key=priority_key)
+    assert sorted(n.url_or_name for n in ordered) == sorted(n.url_or_name for n in nodes)
     for x, y in zip(ordered, ordered[1:]):
-        assert x.sort_key() <= y.sort_key()
+        assert priority_key(x) <= priority_key(y)
     # input order never matters: any shuffle sorts to the same sequence
-    shuffled = list(cands)
+    shuffled = list(nodes)
     rng.shuffle(shuffled)
-    assert [c.sort_key() for c in sort_candidates(shuffled)] == [
-        c.sort_key() for c in ordered
+    assert [priority_key(n) for n in sorted(shuffled, key=priority_key)] == [
+        priority_key(n) for n in ordered
+    ]
+    # and it is the order the independent oracle gives
+    assert [candidate_of(n).sort_key() for n in ordered] == [
+        c.sort_key() for c in sort_candidates([candidate_of(n) for n in nodes])
     ]
 
 

@@ -3,13 +3,13 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specload.sim as sim
-from specload.cache import CacheStore, replay_cache_sim
+from specload.cache import CacheStore, admit, replay_cache_sim
 from specload.errors import EmptyTrace, InvalidParams
-from specload.predict import Prediction, VisitClass, replay_predictor, score_predictions
+from specload.predict import Prediction, VisitClass, replay, replay_predictor, score_predictions
 from specload.sim import (
     EMPTY,
     EXPIRED,
@@ -260,6 +260,39 @@ def test_realistic_no_store_expires_with_the_page():
     assert not store.temp
 
 
+def _prepared(state, urls, now) -> Realistic:
+    """An infinite store that answers ``urls`` at ``now`` the way
+    ``state`` does."""
+    store = CacheStore(capacity_bytes=float("inf"))
+    directives = {FRESH: {"max_age": 10**9}, EXPIRED: {"no_cache": True}}
+    if state in directives:
+        for url in urls:
+            admit(store, rec(url, **directives[state]), now=now)
+    return Realistic(store)
+
+
+def test_uniform_states_are_special_cases_of_the_realistic_cache():
+    trace = generate_synthetic(
+        SynthParams(n_sites=4, pages_per_site=30, subresources_per_page=8, visits=400, seed=5)
+    )
+    known: dict = {}
+    compared = mispredicted = 0
+    for v, prediction in replay(trace.visits):
+        actual = {v.main.url, *(r.url for r in v.subresources)}
+        mispredicted += not actual.issuperset(prediction.urls)
+        urls = actual | set(prediction.urls)
+        for mode in (LEGACY, Speculative(prediction)):
+            for state in (FRESH, EXPIRED, EMPTY):
+                uniform = simulate_page(v, mode, state, known_records=known)
+                realistic = simulate_page(
+                    v, mode, _prepared(state, urls, v.timestamp), known_records=known
+                )
+                assert uniform == realistic, (v.main.url, mode, state)
+                compared += 1
+        known.update({r.url: r for r in (v.main, *v.subresources)})
+    assert compared == 2400 and mispredicted > 0
+
+
 # --- trace-level comparison -------------------------------------------
 
 
@@ -398,6 +431,23 @@ def test_realistic_cache_hits_for_non_canonical_trace_urls(tmp_path):
 # --- schedule-dominance properties ------------------------------------
 
 
+def _page_case(offsets, sizes, connections):
+    """A page whose ``sizes[0]`` is the main resource's and ``sizes[i + 1]``
+    is subresource i's, with its connection bound."""
+    main = rec("http://prop.example/p", kind="html", size=sizes[0])
+    subs = tuple(
+        rec(f"http://prop.example/{i}.js", size=size) for i, size in enumerate(sizes[1:])
+    )
+    v = PageVisit(
+        user_id="u",
+        timestamp=0.0,
+        main=main,
+        subresources=subs,
+        discovery_offsets=tuple(offsets),
+    )
+    return v, connections
+
+
 @st.composite
 def _random_pages(draw):
     k = draw(st.integers(min_value=1, max_value=8))
@@ -412,22 +462,20 @@ def _random_pages(draw):
         )
     )
     connections = draw(st.integers(min_value=2, max_value=6))
-    main = rec("http://prop.example/p", kind="html", size=sizes[0])
-    subs = tuple(
-        rec(f"http://prop.example/{i}.js", size=sizes[i + 1]) for i in range(k)
-    )
-    v = PageVisit(
-        user_id="u",
-        timestamp=0.0,
-        main=main,
-        subresources=subs,
-        discovery_offsets=tuple(offsets),
-    )
-    return v, connections
+    return _page_case(offsets, sizes, connections)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_random_pages())
+# An offset too small to survive parse time + offset once lost its tie
+# in legacy mode only: legacy 1701.008 against speculative 1401.016.
+@example(
+    _page_case(
+        (0.0, 401.0, 2.2e-16, 0.0, 0.0, 0.0, 0.0, 0.0),
+        (0, 0, 0, 125, 0, 25001, 75126, 0, 0),
+        3,
+    )
+)
 def test_oracle_speculation_never_loses(case):
     v, connections = case
     legacy = simulate_page(v, LEGACY, EMPTY, max_connections=connections)
