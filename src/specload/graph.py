@@ -74,13 +74,20 @@ class ResourceGraph:
             parents=set(),
             children=set(),
         )
-        if node_type is NodeType.SUBDOMAIN:
-            self.subdomain_index[key] = nid
-        elif node_type is NodeType.WEBPAGE:
-            self.page_index[key] = nid
-        elif node_type is NodeType.SUBRESOURCE:
-            self.sub_index[key] = nid
+        index = self._index_of(node_type)
+        if index is not None:
+            index[key] = nid
         return nid
+
+    def _index_of(self, node_type: NodeType) -> dict[str, int] | None:
+        """The key -> node id index for ``node_type``; None for the website."""
+        if node_type is NodeType.SUBRESOURCE:
+            return self.sub_index
+        if node_type is NodeType.WEBPAGE:
+            return self.page_index
+        if node_type is NodeType.SUBDOMAIN:
+            return self.subdomain_index
+        return None
 
     def _link(self, parent_id: int, child_id: int) -> None:
         self.nodes[parent_id].children.add(child_id)
@@ -99,11 +106,7 @@ class ResourceGraph:
         for cid in list(node.children):
             self.nodes[cid].parents.discard(nid)
             self.edge_seen.pop((nid, cid), None)
-        index = {
-            NodeType.SUBDOMAIN: self.subdomain_index,
-            NodeType.WEBPAGE: self.page_index,
-            NodeType.SUBRESOURCE: self.sub_index,
-        }.get(node.node_type)
+        index = self._index_of(node.node_type)
         if index is not None:
             index.pop(node.url_or_name, None)
 
@@ -204,38 +207,46 @@ def trim(repo: MetadataRepository, now: float, max_age_days: float = 30.0) -> in
     """
     window = max_age_days * 86400.0
     removed = 0
+    # Locals compared with ``is``, and the cheap test first: each scan
+    # visits every node of every graph on every trim.
+    webpage, subresource, subdomain = (
+        NodeType.WEBPAGE, NodeType.SUBRESOURCE, NodeType.SUBDOMAIN
+    )
     with repo.lock:
         for site in list(repo.graphs):
             graph = repo.graphs[site]
+            nodes = graph.nodes
             stale = [
                 nid
-                for nid, node in graph.nodes.items()
-                if node.node_type in (NodeType.WEBPAGE, NodeType.SUBRESOURCE)
-                and now - node.last_visit > window
+                for nid, node in nodes.items()
+                if now - node.last_visit > window
+                and (node.node_type is webpage or node.node_type is subresource)
             ]
             for nid in stale:
                 graph._remove_node(nid)
             removed += len(stale)
-            for (pid, cid), ts in list(graph.edge_seen.items()):
-                if now - ts > window:
-                    graph._unlink(pid, cid)
+            stale_edges = [
+                edge for edge, ts in graph.edge_seen.items() if now - ts > window
+            ]
+            for pid, cid in stale_edges:
+                graph._unlink(pid, cid)
             orphans = [
                 nid
-                for nid, node in graph.nodes.items()
-                if node.node_type is NodeType.SUBRESOURCE and not node.parents
+                for nid, node in nodes.items()
+                if not node.parents and node.node_type is subresource
             ]
             for nid in orphans:
                 graph._remove_node(nid)
             removed += len(orphans)
             empty_subdomains = [
                 nid
-                for nid, node in graph.nodes.items()
-                if node.node_type is NodeType.SUBDOMAIN and not node.children
+                for nid, node in nodes.items()
+                if not node.children and node.node_type is subdomain
             ]
             for nid in empty_subdomains:
                 graph._remove_node(nid)
             removed += len(empty_subdomains)
-            if not graph.nodes[graph.website_id].children:
+            if not nodes[graph.website_id].children:
                 del repo.graphs[site]
                 removed += 1
     return removed

@@ -169,16 +169,16 @@ def _fetch_one(
                 kind=kind_hint,
             )
             return row, record, body
-        # fresh main with no stored body: we still have to ask the
-        # network for something to parse, so fall through as a
-        # revalidation.
-        outcome = LookupOutcome.EXPIRED_REVALIDATE
 
     headers = {"User-Agent": session.user_agent}
+    # A main resource without a kept body (say, first fetched as a
+    # subresource), fresh or not, needs a full response to parse, so
+    # it sends no validator: a 304 would leave nothing to parse.
     if (
         outcome is LookupOutcome.EXPIRED_REVALIDATE
         and entry is not None
         and entry.validator
+        and (not is_main or url in session._bodies)
     ):
         headers["If-None-Match"] = entry.validator
 

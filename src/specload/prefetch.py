@@ -48,6 +48,45 @@ def train(
     )
 
 
+class _SlidingWindow:
+    """``train``'s models for non-decreasing window ends, in linear time.
+
+    The visits must be in timestamp order (as in a ``Trace``).  Each
+    visit is counted once when it enters the window and uncounted once
+    when it leaves, so a whole evaluation costs one pass over the trace
+    instead of one per refresh.
+    """
+
+    def __init__(self, visits, training_window_s: float, top_k: int):
+        self.visits = visits
+        self.training_window_s = training_window_s
+        self.top_k = top_k
+        self.counts: Counter = Counter()  # main URLs of visits[lo:hi]
+        self.lo = self.hi = 0
+
+    def model_at(self, window_end: float) -> PopularityModel:
+        """Equal to ``train(trace, window_end, training_window_s, top_k)``."""
+        visits, counts = self.visits, self.counts
+        while self.hi < len(visits) and visits[self.hi].timestamp < window_end:
+            counts[visits[self.hi].main.url] += 1
+            self.hi += 1
+        start = window_end - self.training_window_s
+        while self.lo < self.hi and visits[self.lo].timestamp < start:
+            url = visits[self.lo].main.url
+            counts[url] -= 1
+            if not counts[url]:
+                del counts[url]
+            self.lo += 1
+        if not counts:
+            raise EmptyWindow(f"no visits in window ending at {window_end}")
+        return PopularityModel(
+            counts=Counter(counts),
+            window_end=window_end,
+            training_window_s=self.training_window_s,
+            top_k=self.top_k,
+        )
+
+
 def predict_pages(model: PopularityModel) -> list[str]:
     """Top-k page URLs by visit count, ties broken by URL ascending."""
     ranked = sorted(model.counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -112,13 +151,13 @@ def evaluate_prefetch(
     delay_matched = 0.0
     n_intervals = 0
 
+    window = _SlidingWindow(visits, training_window_s, top_k)
     boundary = t0 + training_window_s
     i = next(idx for idx, v in enumerate(visits) if v.timestamp >= boundary)
     while boundary <= t_end:
         observe_until(boundary)
         try:
-            model = train(trace, boundary, training_window_s, top_k)
-            predicted = set(predict_pages(model))
+            predicted = set(predict_pages(window.model_at(boundary)))
         except EmptyWindow:
             predicted = set()
         interval_end = boundary + refresh_interval_s

@@ -18,6 +18,11 @@ established once, at ingest: ``ResourceRecord.from_json`` (and so
 and ``synth`` emits canonical URLs by construction.  Everything
 downstream (the simulator, the graph, the replays, prefetching) uses
 ``record.url`` as given and never re-normalises it.
+
+``load_trace`` builds one ``CacheDirectives`` per distinct ``cc`` object
+in the file and shares it between the records that carry that ``cc``;
+the directives are frozen, so sharing is invisible.  The sharing lasts
+for one load: nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -79,6 +84,30 @@ class CacheDirectives:
         )
 
 
+def _directives(cc, memo: dict | None) -> CacheDirectives:
+    """``CacheDirectives.from_json(cc)``, shared through ``memo`` by equal ``cc``s.
+
+    The key holds each value's type, so 604800, 604800.0 and True stay
+    apart and ``to_json`` gives back what was read.  A ``cc`` with an
+    unhashable value, or with a float zero (-0.0 == 0.0 but prints
+    differently), gets an object of its own.
+    """
+    if memo is None or not isinstance(cc, dict):
+        return CacheDirectives.from_json(cc)
+    values = tuple(cc.values())
+    types = tuple(map(type, values))
+    if float in types and 0.0 in values:
+        return CacheDirectives.from_json(cc)
+    key = (tuple(cc), values, types)
+    try:
+        directives = memo.get(key)
+    except TypeError:
+        return CacheDirectives.from_json(cc)
+    if directives is None:
+        directives = memo[key] = CacheDirectives.from_json(cc)
+    return directives
+
+
 @dataclass(frozen=True)
 class ResourceRecord:
     """One observed resource response.
@@ -110,7 +139,7 @@ class ResourceRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ResourceRecord":
+    def from_json(cls, obj: dict, _memo: dict | None = None) -> "ResourceRecord":
         if not isinstance(obj, dict):
             raise ValueError("resource must be an object")
         for key in ("url", "kind", "size"):
@@ -120,7 +149,7 @@ class ResourceRecord:
             url=normalize_url(obj["url"]),
             kind=obj["kind"],
             size_bytes=int(obj["size"]),
-            cache_directives=CacheDirectives.from_json(obj.get("cc", {})),
+            cache_directives=_directives(obj.get("cc", {}), _memo),
             fetched_at=float(obj.get("fetched_at", 0.0)),
         )
 
@@ -170,7 +199,7 @@ class PageVisit:
         return out
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PageVisit":
+    def from_json(cls, obj: dict, _memo: dict | None = None) -> "PageVisit":
         if not isinstance(obj, dict):
             raise ValueError("visit must be an object")
         for key in ("user", "ts", "main", "subs"):
@@ -185,8 +214,8 @@ class PageVisit:
         return cls(
             user_id=str(obj["user"]),
             timestamp=float(obj["ts"]),
-            main=ResourceRecord.from_json(obj["main"]),
-            subresources=tuple(ResourceRecord.from_json(s) for s in subs),
+            main=ResourceRecord.from_json(obj["main"], _memo),
+            subresources=tuple(ResourceRecord.from_json(s, _memo) for s in subs),
             discovery_offsets=tuple(float(x) for x in offsets),
         )
 
@@ -227,6 +256,7 @@ def load_trace(path) -> Trace:
     the same canonical URL.
     """
     visits: list[PageVisit] = []
+    memo: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -236,7 +266,7 @@ def load_trace(path) -> Trace:
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno) from exc
             try:
-                visits.append(PageVisit.from_json(obj))
+                visits.append(PageVisit.from_json(obj, memo))
             except (ValueError, TypeError, KeyError) as exc:
                 raise SchemaError(str(exc), line=lineno) from exc
     visits.sort(key=lambda v: v.timestamp)

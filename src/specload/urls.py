@@ -7,6 +7,7 @@ Resources are grouped into websites by registrable domain so that
 from __future__ import annotations
 
 import ipaddress
+import re
 from urllib.parse import urlsplit, urlunsplit
 
 from .errors import MalformedUrl
@@ -25,13 +26,31 @@ _MULTI_LABEL_SUFFIXES = {
 }
 
 
+# Strings that are already canonical; see normalize_url.
+_CANONICAL = re.compile(r'https?://[a-z0-9.-]+(?:[/?][!"$-~]*)?(?<!\?)')
+
+
 def normalize_url(raw: str) -> str:
     """Return the canonical form of ``raw``.
 
     Lower-cases scheme and host, strips the fragment, and removes default
     ports.  Path and query are preserved verbatim.  Raises MalformedUrl
     when the input has no scheme or no host.
+
+    Fast path: a string that wholly matches ``_CANONICAL`` is returned
+    as is.  That is ``http://`` or ``https://``, a non-empty host of
+    ``[a-z0-9.-]`` (so no port and no userinfo), then nothing or a
+    ``/`` or ``?`` followed by printable ASCII other than space and
+    ``#``, with no ``?`` as the last character.  Every other input goes
+    through ``urlsplit`` (``_normalize_split``), which stays the
+    definition; ``tests/test_urls.py`` checks the two agree.
     """
+    if isinstance(raw, str) and _CANONICAL.fullmatch(raw):
+        return raw
+    return _normalize_split(raw)
+
+
+def _normalize_split(raw: str) -> str:
     if not isinstance(raw, str) or not raw.strip():
         raise MalformedUrl(f"not a URL: {raw!r}")
     try:

@@ -11,6 +11,8 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import visit
 from specload.errors import CorruptRepository
@@ -27,6 +29,7 @@ from specload.graph import (
     trim,
     update,
 )
+from trim_reference import reference_trim
 
 DAY = 86400.0
 
@@ -166,6 +169,45 @@ def test_trim_equals_rebuild_from_window(seed):
     trim(trimmed, now=now, max_age_days=30.0)
     rebuilt = build([v for v in visits if now - v.timestamp <= window_s])
     assert trimmed.structure() == rebuilt.structure()
+
+
+_graph_ops = st.one_of(
+    # (op, site, host, page, subresources, half-days): timestamps come in
+    # any order and land exactly on the trim thresholds.
+    st.tuples(
+        st.just("update"),
+        st.integers(0, 2),
+        st.sampled_from(["www", "m"]),
+        st.integers(0, 4),
+        st.lists(st.integers(0, 7), max_size=4, unique=True),
+        st.integers(0, 40),
+    ),
+    st.tuples(st.just("trim"), st.integers(0, 44), st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0])),
+    st.just(("reload",)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_graph_ops, max_size=40))
+def test_trim_matches_reference(ops):
+    repo, ref = MetadataRepository(), MetadataRepository()
+    for op in ops:
+        if op[0] == "update":
+            _, site, host, page, subs, half_days = op
+            v = visit(
+                f"http://{host}.site{site}.com/p{page}",
+                [f"http://cdn.site{site}.com/r{r}.js" for r in subs],
+                ts=half_days * DAY / 2,
+            )
+            update(repo, v)
+            update(ref, v)
+        elif op[0] == "trim":
+            _, half_days, max_age_days = op
+            now = half_days * DAY / 2
+            assert trim(repo, now, max_age_days) == reference_trim(ref, now, max_age_days)
+        else:
+            repo, ref = loads_repo(dumps_repo(repo)), loads_repo(dumps_repo(ref))
+        assert dumps_repo(repo) == dumps_repo(ref)
 
 
 # --- serialization -------------------------------------------------------

@@ -180,6 +180,24 @@ def test_session_keeps_bodies_only_for_cached_pages():
         assert last.resources[0].outcome == "fresh"
 
 
+@pytest.mark.parametrize("cache_control", ["max-age=300", "max-age=0"])
+def test_page_first_seen_as_subresource_is_fetched_whole(cache_control):
+    # /x.js is cached from the first page but has no kept body, so as a
+    # page of its own it must be fetched, not revalidated into a 304.
+    spec = {
+        "delay_ms": 0,
+        "pages": {"/p.html": {"subresources": ["/x.js"]}},
+        "resources": {"/x.js": {"size": 500, "headers": {"Cache-Control": cache_control}}},
+    }
+    with fixture_server(spec) as srv:
+        session = FetchSession()
+        fetch_page(session, srv.url("/p.html"), mode="legacy")
+        assert srv.url("/x.js") in session.cache.entries
+        report = fetch_page(session, srv.url("/x.js"), mode="legacy")
+        assert report.resources[0].outcome == "fetched"
+        assert report.resources[0].bytes == 500
+
+
 def test_main_resource_failure_raises():
     with fixture_server(CACHING_SPEC) as srv:
         dead_url = srv.url("/index.html")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from specload.errors import EmptyWindow, InsufficientTrace
-from specload.prefetch import evaluate_prefetch, predict_pages, train
+from specload.prefetch import _SlidingWindow, evaluate_prefetch, predict_pages, train
 from specload.synth import SynthParams, generate_synthetic
 from specload.trace import Trace
 from specload.urls import normalize_url
@@ -118,3 +118,42 @@ def test_mostly_new_visits_cap_usefulness():
     trace = generate_synthetic(SynthParams(visits=600, seed=0))
     rep = evaluate_prefetch(trace, training_window_s=5 * 86400.0)
     assert rep.usefulness <= 0.25
+
+
+def _train_or_none(trace, window_end, window, k):
+    try:
+        return train(trace, window_end, window, k)
+    except EmptyWindow:
+        return None
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+@pytest.mark.parametrize(
+    "window_days,refresh_days",
+    [(3.0, 1.0), (1.0, 1.0), (0.01, 0.37), (2.0, 5.0), (0.0, 1.0), (-1.0, 1.0)],
+)
+def test_sliding_window_equals_train_at_every_boundary(seed, window_days, refresh_days):
+    trace = generate_synthetic(SynthParams(visits=300, seed=seed, n_sites=4))
+    # A gap of quiet days, so some windows are empty.
+    later = [
+        visit(v.main.url, [], ts=v.timestamp + 20 * 86400.0)
+        for v in trace.visits[-40:]
+    ]
+    trace = Trace(visits=trace.visits + later)
+    window, refresh, k = window_days * 86400.0, refresh_days * 86400.0, 3
+    sliding = _SlidingWindow(trace.visits, window, k)
+    boundary = trace.visits[0].timestamp + window
+    empty = 0
+    while boundary <= trace.visits[-1].timestamp:
+        expected = _train_or_none(trace, boundary, window, k)
+        if expected is None:
+            empty += 1
+            with pytest.raises(EmptyWindow):
+                sliding.model_at(boundary)
+        else:
+            got = sliding.model_at(boundary)
+            assert got.counts == expected.counts
+            assert 0 not in got.counts.values()
+            assert predict_pages(got) == predict_pages(expected)
+        boundary += refresh
+    assert empty > 0

@@ -147,3 +147,68 @@ def test_load_rejects_bad_subresource_urls_with_line(tmp_path, subs):
     with pytest.raises(SchemaError) as err:
         load_trace(path)
     assert err.value.line == 2
+
+
+# --- cache directives shared per load ------------------------------------
+
+_CCS = [
+    {"max_age": 604800},
+    {"max_age": 604800.0},
+    {"max_age": True},
+    {"max_age": 1},
+    {"has_validator": True},
+    {"no_store": True},
+    {},
+    {"expires": 0.0},
+    {"expires": -0.0},
+    {"has_validator": True, "max_age": 604800},
+]
+
+
+def _canonical_line(ts: float, ccs) -> str:
+    obj = {
+        "user": "u",
+        "ts": ts,
+        "main": {"url": "http://a.com/", "kind": "html", "size": 1, "cc": ccs[0], "fetched_at": ts},
+        "subs": [
+            {"url": f"http://a.com/{i}.js", "kind": "script", "size": 1, "cc": cc, "fetched_at": ts}
+            for i, cc in enumerate(ccs[1:])
+        ],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_save_of_load_gives_the_same_bytes(tmp_path):
+    # Each directive set twice in one file: sharing must not merge
+    # values that are equal but print differently (604800 / 604800.0 /
+    # true, 0.0 / -0.0).
+    lines = [_canonical_line(1.0, _CCS), _canonical_line(2.0, _CCS[::-1])]
+    path, out = tmp_path / "t.jsonl", tmp_path / "out.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    save_trace(load_trace(path), out)
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_equal_cc_shares_one_object_within_a_load_only(tmp_path):
+    cc = {"has_validator": True, "max_age": 60}
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        _canonical_line(1.0, [cc, cc, {"max_age": 60.0, "has_validator": True}]) + "\n"
+        + _canonical_line(2.0, [cc, {}]) + "\n"
+    )
+    first, second = load_trace(path).visits
+    shared = first.main.cache_directives
+    assert first.subresources[0].cache_directives is shared
+    assert second.main.cache_directives is shared
+    assert first.subresources[1].cache_directives is not shared
+    again = load_trace(path).visits[0].main.cache_directives
+    assert again == shared and again is not shared
+
+
+def test_unhashable_cc_values_load_as_before(tmp_path):
+    cc = {"max_age": [60], "expires": {"at": 1}}
+    path = tmp_path / "t.jsonl"
+    path.write_text(_canonical_line(1.0, [cc, cc]) + "\n")
+    v = load_trace(path).visits[0]
+    assert v.main.cache_directives == CacheDirectives.from_json(cc)
+    assert v.main.cache_directives is not v.subresources[0].cache_directives

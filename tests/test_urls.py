@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specload.errors import MalformedUrl
-from specload.urls import host_of, normalize_url, website_key
+from specload.urls import _CANONICAL, _normalize_split, host_of, normalize_url, website_key
 
 
 @pytest.mark.parametrize(
@@ -64,3 +64,60 @@ def test_website_key(url, key):
 
 def test_host_of_strips_port():
     assert host_of("http://a.com:8080/x") == "a.com"
+
+
+# --- fast path against urlsplit ------------------------------------------
+
+_TRICKY = "aZ09.-:/?#@[]% \t\n\x00\x7fé&=~\\"
+_ascii = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+_url_like = st.one_of(
+    # Mostly canonical: the fast path's side of its boundary.
+    st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["http://", "https://"]),
+        st.from_regex(r"[a-z0-9.-]{1,12}", fullmatch=True),
+        st.sampled_from(["", "/", "?", "//"]),
+        st.text(alphabet=_ascii, max_size=12),
+        st.sampled_from(["", "", "?", "#", " ", "\t"]),
+    ),
+    # Near misses: case, userinfo, ports, stray characters.
+    st.builds(
+        "{}{}{}{}{}{}".format,
+        st.sampled_from(["http://", "https://", "HTTP://", "Https://", "ftp://", "http:", ""]),
+        st.sampled_from(["", "user@", "u:p@"]),
+        st.one_of(
+            st.from_regex(r"[a-z0-9.-]{0,12}", fullmatch=True),
+            st.text(alphabet="aZ09.-[]%é ", max_size=8),
+        ),
+        st.sampled_from(["", ":", ":0", ":80", ":443", ":8080", ":0080", ":99999", ":x"]),
+        st.sampled_from(["", "/", "?", "#", "//"]),
+        st.text(alphabet=_TRICKY, max_size=12),
+    ),
+    st.text(max_size=30),
+)
+
+
+def _outcome(fn, raw):
+    try:
+        return fn(raw)
+    except MalformedUrl:
+        return MalformedUrl
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_url_like)
+@example("http://a.com?")
+@example("http://a.com/x?")
+@example("http://a.com/x\n")
+@example("http://a.com/x ")
+@example("http://a.com/#")
+@example("http://a.com:80/x")
+@example("http://u@a.com/x")
+@example("http://A.com/x")
+@example("http://a.com/[x]%41?a?b")
+@example("http://a.com")
+def test_fast_path_agrees_with_urlsplit(raw):
+    slow = _outcome(_normalize_split, raw)
+    if _CANONICAL.fullmatch(raw):
+        assert slow == raw
+    assert _outcome(normalize_url, raw) == slow
