@@ -36,18 +36,27 @@ DAY_S = 86400.0
 
 
 def parse_capacity(text: str) -> float:
-    """Capacity strings: '6MB', '32MB', '64MB' (MiB), or 'inf'."""
+    """Capacity strings: '6MB', '32MB', '64MB' (MiB), or 'inf'.
+
+    Only the literal 'inf' is unbounded; a size that is not a finite
+    number of bytes ('nanMB', '1e400MB') is rejected, since a NaN
+    capacity would silently never evict.
+    """
     t = text.strip().lower()
     if t == "inf":
         return math.inf
     if t.endswith("mb"):
         try:
-            n = float(t[:-2])
+            size = float(t[:-2]) * 1024 * 1024
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad capacity: {text!r}")
-        if n <= 0:
+        if not math.isfinite(size):
+            raise argparse.ArgumentTypeError(
+                f"bad capacity: {text!r} (not finite; use 'inf' for an unbounded cache)"
+            )
+        if size <= 0:
             raise argparse.ArgumentTypeError("capacity must be positive")
-        return n * 1024 * 1024
+        return size
     raise argparse.ArgumentTypeError(
         f"bad capacity: {text!r} (expected e.g. 6MB, 32MB, 64MB, or inf)"
     )

@@ -197,18 +197,15 @@ class FixtureServer:
             log_slot = len(self.request_log) - 1
 
         if page is None and res is None:
-            self._send(handler, 404, {"Content-Type": "text/plain"}, b"not found")
-            status = 404
+            status, headers, body = 404, {"Content-Type": "text/plain"}, b"not found"
         elif handler.headers.get("If-None-Match") == etag:
             # the injected delay above applies to 304s too; a
             # revalidation saves bytes, not round trips
-            self._send(handler, 304, {"ETag": etag}, b"")
-            status = 304
+            status, headers, body = 304, {"ETag": etag}, b""
         elif page is not None:
             body = _render_page(path, list(page.get("subresources", [])))
             headers = {"Content-Type": "text/html", "ETag": etag}
             headers.update(page.get("headers", {}))
-            self._send(handler, 200, headers, body)
             status = 200
         else:
             body = _padded_body(path, int(res.get("size", 0)), self._version(path))
@@ -217,10 +214,12 @@ class FixtureServer:
                 "ETag": etag,
             }
             headers.update(res.get("headers", {}))
-            self._send(handler, 200, headers, body)
             status = 200
+        # Logged before sending: a client holding the response must find
+        # its status in the log, not the placeholder.
         with self._lock:
             self.request_log[log_slot] = (path, status)
+        self._send(handler, status, headers, body)
 
     def _handle_post(self, handler) -> None:
         path = handler.path.split("?", 1)[0]

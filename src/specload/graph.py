@@ -19,6 +19,8 @@ import io
 import json
 import struct
 import threading
+from bisect import bisect_left, insort
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -46,6 +48,23 @@ class GraphNode:
     children: set[int] = field(default_factory=set)
 
 
+_KIND_RANK = {"script": 0, "stylesheet": 1, "image": 2}
+
+
+def priority_key(node: GraphNode) -> tuple:
+    """Total priority order over graph nodes: more parents first (shared
+    infrastructure), then scripts before stylesheets before images before
+    the rest, then more visits, then shorter URLs; the URL itself is the
+    final tiebreak."""
+    return (
+        -len(node.parents),
+        _KIND_RANK.get(node.resource_kind or "", 3),
+        -node.n_visits,
+        len(node.url_or_name),
+        node.url_or_name,
+    )
+
+
 class ResourceGraph:
     def __init__(self, site: str):
         self.site = site
@@ -57,7 +76,53 @@ class ResourceGraph:
         # in which the page requested that subresource.
         self.edge_seen: dict[tuple[int, int], float] = {}
         self._next_id = 0
+        self._init_ranking()
         self.website_id = self._add_node(NodeType.WEBSITE, site, None, 0.0)
+
+    def _init_ranking(self) -> None:
+        # The subresources' priority keys in order, and the ids of the
+        # subresources taken out of it because their key may have changed.
+        # Both stay None until ``ranked_subresources`` is first called.
+        # Invariant once built: every subresource node is either in
+        # ``_unranked`` or in ``_ranking`` under its current key.
+        self._ranking: list[tuple] | None = None
+        self._unranked: set[int] | None = None
+
+    def ranked_subresources(self) -> Iterator[GraphNode]:
+        """Every subresource node, in ``priority_key`` order.
+
+        The order is built by one sort on first use and kept after that:
+        a node whose key may change is taken out of it first, and put
+        back here.  The caller holds the repository lock while iterating.
+        """
+        nodes, sub_index, ranking = self.nodes, self.sub_index, self._ranking
+        if ranking is None:
+            ranking = self._ranking = sorted(
+                priority_key(nodes[nid]) for nid in sub_index.values()
+            )
+            self._unranked = set()
+        elif self._unranked:
+            for nid in self._unranked:
+                node = nodes.get(nid)
+                if node is not None:
+                    insort(ranking, priority_key(node))
+            self._unranked.clear()
+        for key in ranking:
+            yield nodes[sub_index[key[-1]]]
+
+    def _unrank(self, node: GraphNode) -> None:
+        """Take a subresource out of the kept order before its key
+        changes or it is removed; a no-op until the order is built."""
+        unranked = self._unranked
+        if (
+            unranked is None
+            or node.node_type is not NodeType.SUBRESOURCE
+            or node.node_id in unranked
+        ):
+            return
+        ranking = self._ranking
+        del ranking[bisect_left(ranking, priority_key(node))]
+        unranked.add(node.node_id)
 
     def _add_node(
         self, node_type: NodeType, key: str, kind: str | None, ts: float
@@ -77,6 +142,8 @@ class ResourceGraph:
         index = self._index_of(node_type)
         if index is not None:
             index[key] = nid
+        if self._unranked is not None and node_type is NodeType.SUBRESOURCE:
+            self._unranked.add(nid)
         return nid
 
     def _index_of(self, node_type: NodeType) -> dict[str, int] | None:
@@ -90,21 +157,28 @@ class ResourceGraph:
         return None
 
     def _link(self, parent_id: int, child_id: int) -> None:
+        child = self.nodes[child_id]
+        self._unrank(child)
         self.nodes[parent_id].children.add(child_id)
-        self.nodes[child_id].parents.add(parent_id)
+        child.parents.add(parent_id)
 
     def _unlink(self, parent_id: int, child_id: int) -> None:
+        child = self.nodes[child_id]
+        self._unrank(child)
         self.nodes[parent_id].children.discard(child_id)
-        self.nodes[child_id].parents.discard(parent_id)
+        child.parents.discard(parent_id)
         self.edge_seen.pop((parent_id, child_id), None)
 
     def _remove_node(self, nid: int) -> None:
         node = self.nodes.pop(nid)
+        self._unrank(node)
         for pid in list(node.parents):
             self.nodes[pid].children.discard(nid)
             self.edge_seen.pop((pid, nid), None)
         for cid in list(node.children):
-            self.nodes[cid].parents.discard(nid)
+            child = self.nodes[cid]
+            self._unrank(child)
+            child.parents.discard(nid)
             self.edge_seen.pop((nid, cid), None)
         index = self._index_of(node.node_type)
         if index is not None:
@@ -189,6 +263,8 @@ def update(repo: MetadataRepository, visit: PageVisit) -> UpdateDelta:
             graph._link(page_id, rid)
             graph.edge_seen[(page_id, rid)] = ts
             touched.append(rid)
+        # ``_link`` took every touched subresource out of the kept order,
+        # so bumping ``n_visits`` here leaves that order valid.
         for nid in touched:
             node = graph.nodes[nid]
             node.last_visit = ts
@@ -357,6 +433,7 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
     graph.page_index = {}
     graph.sub_index = {}
     graph.edge_seen = {}
+    graph._init_ranking()
     graph.website_id = -1
     websites = 0
     for item in payload.get("nodes", []):
@@ -378,15 +455,16 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
         if nid in graph.nodes:
             raise CorruptRepository("duplicate node id")
         graph.nodes[nid] = node
-        if node_type is NodeType.WEBSITE:
+        index = graph._index_of(node_type)
+        if index is None:
             websites += 1
             graph.website_id = nid
-        elif node_type is NodeType.SUBDOMAIN:
-            graph.subdomain_index[node.url_or_name] = nid
-        elif node_type is NodeType.WEBPAGE:
-            graph.page_index[node.url_or_name] = nid
+        elif node.url_or_name in index:
+            # Each key names one node; a second one would be shadowed in
+            # the index while still ranked and linked.
+            raise CorruptRepository(f"duplicate {node_type.name} {node.url_or_name}")
         else:
-            graph.sub_index[node.url_or_name] = nid
+            index[node.url_or_name] = nid
     if websites != 1:
         raise CorruptRepository(f"graph for {site} has {websites} website nodes")
     graph._next_id = max(graph.nodes) + 1 if graph.nodes else 0

@@ -127,7 +127,8 @@ class FetchSession:
         self._inflight_lock = threading.Lock()
         self._inflight = 0
         self.max_inflight_seen = 0
-        self._bodies: dict[str, bytes] = {}
+        # Page URL -> (the URL the body came from after redirects, body).
+        self._bodies: dict[str, tuple[str, bytes]] = {}
 
     def _enter_network(self):
         with self._inflight_lock:
@@ -145,9 +146,10 @@ def _fetch_one(
     kind_hint: str,
     t0: float,
     is_main: bool = False,
-) -> tuple[ResourceLoad, ResourceRecord | None, bytes | None]:
+) -> tuple[ResourceLoad, ResourceRecord | None, tuple[str, bytes] | None]:
     """Fetch one URL through the cache: returns the report row, the
-    observed record (None on error), and the body for main resources."""
+    observed record (None on error), and for main resources the page:
+    the URL its body came from after any redirects, and the body."""
     rel = lambda: (time.perf_counter() - t0) * 1000.0
     t_start = rel()
     with session._cache_lock:
@@ -155,8 +157,8 @@ def _fetch_one(
         outcome = lookup(session.cache, url, now)
         entry = session.cache.temp.get(url) or session.cache.entries.get(url)
     if outcome is LookupOutcome.FRESH_HIT and entry is not None:
-        body = session._bodies.get(url) if is_main else None
-        if not is_main or body is not None:
+        page = session._bodies.get(url) if is_main else None
+        if not is_main or page is not None:
             record = ResourceRecord(
                 url=url,
                 kind=kind_hint,
@@ -168,7 +170,7 @@ def _fetch_one(
                 url=url, outcome="fresh", bytes=0, t_start_ms=t_start, t_end_ms=rel(),
                 kind=kind_hint,
             )
-            return row, record, body
+            return row, record, page
 
     headers = {"User-Agent": session.user_agent}
     # A main resource without a kept body (say, first fetched as a
@@ -211,12 +213,12 @@ def _fetch_one(
         )
         with session._cache_lock:
             admit(session.cache, record, time.time(), validator=validator or entry.validator)
-        body = session._bodies.get(url) if is_main else None
+        page = session._bodies.get(url) if is_main else None
         row = ResourceLoad(
             url=url, outcome="revalidated", bytes=0, t_start_ms=t_start, t_end_ms=rel(),
             kind=kind_hint, redirects=redirects,
         )
-        return row, record, body
+        return row, record, page
 
     body = resp.content or b""
     kind = kind_from_mime(resp.headers.get("Content-Type"))
@@ -229,10 +231,11 @@ def _fetch_one(
         cache_directives=directives_from_mapping(resp.headers),
         fetched_at=time.time(),
     )
+    page = (resp.url, body) if is_main else None
     with session._cache_lock:
         admit(session.cache, record, time.time(), validator=validator)
         if is_main:
-            session._bodies[url] = body
+            session._bodies[url] = page
     row = ResourceLoad(
         url=url,
         outcome="fetched",
@@ -242,7 +245,7 @@ def _fetch_one(
         kind=record.kind,
         redirects=redirects,
     )
-    return row, record, body if is_main else None
+    return row, record, page
 
 
 def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadReport:
@@ -280,13 +283,15 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
             plan = None
             main_future = pool.submit(_fetch_one, session, url, "html", t0, True)
 
-        main_row, main_record, body = main_future.result()
-        if main_row.outcome == "error" or main_record is None or body is None:
+        main_row, main_record, page = main_future.result()
+        if main_row.outcome == "error" or main_record is None or page is None:
             raise MainResourceFailed(url, main_row.error or "no body")
         rows[url] = main_row
         records[url] = main_record
 
-        found = extract_subresources(body, base_url=url)
+        # Relative references resolve against where the page ended up.
+        final_url, body = page
+        found = extract_subresources(body, base_url=final_url)
         found = [(u, k) for u, k in found if u != url]
         actual_urls = [u for u, _ in found]
         kinds = dict(found)

@@ -10,25 +10,32 @@ wants about as many subresources as its neighbors.
 
 Priority order everywhere: more parents first (shared infrastructure),
 then scripts before stylesheets before images before the rest (parse
-blockers first), then more visits, then shorter URLs.
+blockers first), then more visits, then shorter URLs.  The key,
+``priority_key``, lives in ``graph`` and is re-exported here.
+
+A revisit sorts the page's own children.  A new visit walks the order
+each graph keeps of its subresources (``ResourceGraph.ranked_subresources``)
+from the front and stops after the scope's fan-out of in-scope hits, so
+it costs the nodes re-placed since the last walk plus the walk, not a
+scan and sort of the whole scope.  For a website scope the walk is the
+fan-out long; for a subdomain scope it also skips the site's other
+subdomains' subresources ranked ahead of the hits.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from statistics import fmean
 
 from .cache import LookupOutcome
 from .errors import EmptyTrace, InvalidParams
-from .graph import GraphNode, MetadataRepository, ResourceGraph, update
+from .graph import MetadataRepository, ResourceGraph, priority_key, update
 from .trace import PageVisit, Trace
 from .urls import host_of, normalize_url, website_key
-
-_KIND_RANK = {"script": 0, "stylesheet": 1, "image": 2}
 
 
 def round_half_up(x: float) -> int:
@@ -50,18 +57,6 @@ class Prediction:
     def __post_init__(self):
         if len(set(self.urls)) != len(self.urls):
             raise ValueError("prediction contains duplicate URLs")
-
-
-def priority_key(node: GraphNode) -> tuple:
-    """Total priority order over graph nodes; the URL itself is the
-    final tiebreak."""
-    return (
-        -len(node.parents),
-        _KIND_RANK.get(node.resource_kind or "", 3),
-        -node.n_visits,
-        len(node.url_or_name),
-        node.url_or_name,
-    )
 
 
 def _mean_children(graph: ResourceGraph, page_ids) -> float:
@@ -92,23 +87,18 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
                 urls=tuple(n.url_or_name for n in nodes),
                 visit_class=VisitClass.REVISIT,
             )
+        candidates = graph.ranked_subresources()
         subdomain_id = graph.subdomain_index.get(host_of(url))
         if subdomain_id is not None:
             visit_class = VisitClass.NEW_VISIT_SUBDOMAIN_KNOWN
             page_ids = graph.nodes[subdomain_id].children
-            candidate_ids: set[int] = set()
-            for pid in page_ids:
-                candidate_ids |= graph.nodes[pid].children
+            # In scope: a child of one of the subdomain's pages.
+            candidates = (n for n in candidates if not page_ids.isdisjoint(n.parents))
         else:
             visit_class = VisitClass.NEW_VISIT_WEBSITE_KNOWN
-            page_ids = set(graph.page_index.values())
-            candidate_ids = set(graph.sub_index.values())
+            page_ids = graph.page_index.values()
         num_predicted = max(1, round_half_up(_mean_children(graph, page_ids)))
-        best = heapq.nsmallest(
-            num_predicted,
-            (graph.nodes[nid] for nid in candidate_ids),
-            key=priority_key,
-        )
+        best = islice(candidates, num_predicted)
         return Prediction(urls=tuple(n.url_or_name for n in best), visit_class=visit_class)
 
 

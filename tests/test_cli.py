@@ -37,6 +37,16 @@ def test_parse_capacity():
             parse_capacity(bad)
 
 
+@pytest.mark.parametrize("text", ["nanMB", "1e400MB", "infMB", "-infMB", "1e308MB"])
+def test_non_finite_capacity_is_a_usage_error(text):
+    # Only the literal 'inf' means unbounded; NaN would never evict.
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_capacity(text)
+    with pytest.raises(SystemExit) as exc:
+        run("sim-cache", "--trace", "t", "--capacity", text)
+    assert exc.value.code == 2
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run("--version")

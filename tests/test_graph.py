@@ -7,7 +7,9 @@ the same structure as updating with everything and trimming once.
 
 from __future__ import annotations
 
+import json
 import random
+import struct
 import threading
 
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import visit
 from specload.errors import CorruptRepository
 from specload.graph import (
+    _MAGIC,
     MetadataRepository,
     NodeType,
     dumps_repo,
@@ -257,6 +260,17 @@ def test_loads_rejects_garbage():
     data = dumps_repo(repo)
     with pytest.raises(CorruptRepository):
         loads_repo(data[: len(data) - 5])
+
+
+def test_loads_rejects_a_key_named_twice():
+    repo = build([visit("http://a.com/", ["http://a.com/x.js"], ts=0.0)])
+    data = dumps_repo(repo)
+    payload = json.loads(data[len(_MAGIC) + 8:])
+    sub = next(n for n in payload["nodes"] if n["y"] == int(NodeType.SUBRESOURCE))
+    payload["nodes"].append({**sub, "i": 99})
+    body = json.dumps(payload).encode()
+    with pytest.raises(CorruptRepository, match="duplicate SUBRESOURCE"):
+        loads_repo(_MAGIC + struct.pack(">II", 1, len(body)) + body)
 
 
 def test_repo_stats_counts():

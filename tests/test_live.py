@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 import requests
 
@@ -196,6 +199,50 @@ def test_page_first_seen_as_subresource_is_fetched_whole(cache_control):
         report = fetch_page(session, srv.url("/x.js"), mode="legacy")
         assert report.resources[0].outcome == "fetched"
         assert report.resources[0].bytes == 500
+
+
+class _RedirectingHandler(BaseHTTPRequestHandler):
+    """/old answers 301 to /new/p.html, which loads the relative a.js."""
+
+    routes = {
+        "/old": (301, {"Location": "/new/p.html"}, b""),
+        "/new/p.html": (200, {"Content-Type": "text/html"}, b'<script src="a.js"></script>'),
+        "/new/a.js": (200, {"Content-Type": "application/javascript"}, b"var a;"),
+    }
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        status, headers, body = self.routes.get(self.path, (404, {}, b""))
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_subresources_resolve_against_the_redirected_url():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _RedirectingHandler)
+    server.paths = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        report = fetch_page(FetchSession(), base + "/old", mode="legacy")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert [(r.url, r.outcome) for r in report.resources] == [
+        (base + "/old", "fetched"),
+        (base + "/new/a.js", "fetched"),
+    ]
+    assert report.resources[0].redirects == 1
+    assert "/a.js" not in server.paths and "/new/a.js" in server.paths
 
 
 def test_main_resource_failure_raises():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,15 @@ from hypothesis import strategies as st
 
 from specload.cache import CacheStore, admit
 from specload.errors import InvalidParams
-from specload.graph import GraphNode, MetadataRepository, NodeType, update
+from specload.graph import (
+    GraphNode,
+    MetadataRepository,
+    NodeType,
+    dumps_repo,
+    loads_repo,
+    trim,
+    update,
+)
 from specload.predict import (
     LoadPlan,
     PlannedLoad,
@@ -23,6 +33,7 @@ from specload.predict import (
     round_half_up,
 )
 from specload.trace import PageVisit, Trace
+from specload.urls import host_of, website_key
 
 from conftest import rec, visit, trace_of
 from priority_oracle import candidate_of, sort_candidates
@@ -287,6 +298,154 @@ def test_truncation_floor_is_one():
     update(repo, visit("http://tiny.example/only", ["http://tiny.example/x.js"], ts=1.0))
     pred = predict(repo, "http://tiny.example/other")
     assert len(pred.urls) == 1
+
+
+# --- the kept ranking against a full scan ----------------------------
+
+DAY = 86400.0
+
+
+def reference_predict(repo: MetadataRepository, url: str) -> Prediction:
+    """The scan ``predict`` replaced: gather the whole scope, order it
+    with the independent oracle, keep the scope's mean fan-out."""
+    graph = repo.graphs.get(website_key(url))
+    if graph is None:
+        return Prediction(urls=(), visit_class=VisitClass.UNKNOWN)
+    nodes = graph.nodes
+    page_id = graph.page_index.get(url)
+    if page_id is not None:
+        scope = nodes[page_id].children
+        k, visit_class = len(scope), VisitClass.REVISIT
+    else:
+        subdomain_id = graph.subdomain_index.get(host_of(url))
+        if subdomain_id is not None:
+            page_ids = list(nodes[subdomain_id].children)
+            scope = set().union(*(nodes[pid].children for pid in page_ids))
+            visit_class = VisitClass.NEW_VISIT_SUBDOMAIN_KNOWN
+        else:
+            page_ids = list(graph.page_index.values())
+            scope = set(graph.sub_index.values())
+            visit_class = VisitClass.NEW_VISIT_WEBSITE_KNOWN
+        mean = fmean(len(nodes[pid].children) for pid in page_ids) if page_ids else 0.0
+        k = max(1, math.floor(mean + 0.5))
+    ordered = sort_candidates([candidate_of(nodes[nid]) for nid in scope])
+    return Prediction(urls=tuple(c.url for c in ordered[:k]), visit_class=visit_class)
+
+
+def assert_kept_orders_exact(repo: MetadataRepository) -> None:
+    """Every graph that has built its ranking holds the oracle's order."""
+    for graph in repo.graphs.values():
+        if graph._ranking is None:
+            continue
+        subs = [graph.nodes[nid] for nid in graph.sub_index.values()]
+        assert [candidate_of(n).sort_key() for n in graph.ranked_subresources()] == [
+            c.sort_key() for c in sort_candidates([candidate_of(n) for n in subs])
+        ]
+
+
+def _sub_url(site: int, host: str, i: int) -> str:
+    if i < 6:  # shared by the site's pages
+        return f"http://cdn.site{site}.com/r{i}.js"
+    if i < 8:  # one subdomain's own
+        return f"http://{host}.site{site}.com/own{i}.css"
+    return f"http://tracker.net/t{i}.js"  # third party, on every site
+
+
+_probes = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from(["www", "m", "blog"]), st.integers(0, 6)),
+    max_size=4,
+)
+_ranking_ops = st.tuples(
+    st.one_of(
+        # Timestamps come in any order and land on the trim thresholds.
+        st.tuples(
+            st.just("update"),
+            st.integers(0, 2),
+            st.sampled_from(["www", "m", "blog"]),
+            st.integers(0, 4),
+            st.lists(
+                st.tuples(
+                    st.integers(0, 9),
+                    st.sampled_from(["script", "stylesheet", "image", "other"]),
+                ),
+                max_size=6,
+                unique_by=lambda sub: sub[0],
+            ),
+            st.integers(0, 40),
+        ),
+        st.tuples(
+            st.just("trim"), st.integers(0, 44), st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0])
+        ),
+        st.just(("reload",)),
+    ),
+    _probes,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ranking_ops, max_size=40))
+def test_kept_ranking_predicts_like_a_full_scan(ops):
+    repo = MetadataRepository()
+    for op, probes in ops:
+        if op[0] == "update":
+            _, site, host, page, subs, half_days = op
+            ts = half_days * DAY / 2
+            update(
+                repo,
+                PageVisit(
+                    user_id="u",
+                    timestamp=ts,
+                    main=rec(f"http://{host}.site{site}.com/p{page}", kind="html"),
+                    subresources=tuple(
+                        rec(_sub_url(site, host, i), kind=kind, fetched_at=ts)
+                        for i, kind in subs
+                    ),
+                ),
+            )
+        elif op[0] == "trim":
+            _, half_days, max_age_days = op
+            trim(repo, half_days * DAY / 2, max_age_days)
+        else:
+            repo = loads_repo(dumps_repo(repo))
+        # Pages 5 and 6 are never visited, site 3 never exists.
+        for site, host, page in probes:
+            url = f"http://{host}.site{site}.com/p{page}"
+            assert predict(repo, url) == reference_predict(repo, url)
+        assert_kept_orders_exact(repo)
+
+
+def test_trimmed_page_takes_parents_from_a_ranked_subresource():
+    shared, own, other = (f"http://www.a.com/{n}.js" for n in ("s", "a", "b"))
+    repo = MetadataRepository()
+    update(repo, visit("http://www.a.com/p1", [shared, own], ts=0.0))
+    update(repo, visit("http://www.a.com/p1", [shared, own], ts=1.0))
+    update(repo, visit("http://www.a.com/p2", [shared, other], ts=40 * DAY))
+    update(repo, visit("http://www.a.com/p3", [other], ts=40 * DAY))
+    new_page = "http://www.a.com/new"
+    # shared.js and b.js both have two parents; shared.js has more visits.
+    assert predict(repo, new_page).urls == (shared, other)
+    # p1 and a.js go stale, so shared.js is left with one parent.
+    assert trim(repo, now=40 * DAY, max_age_days=30.0) == 2
+    assert predict(repo, new_page).urls == (other, shared)
+    assert predict(repo, new_page) == reference_predict(repo, new_page)
+    assert_kept_orders_exact(repo)
+
+
+def test_stale_edge_takes_a_parent_from_a_ranked_subresource():
+    shared, other, own = (f"http://www.a.com/{n}.js" for n in ("s", "b", "c"))
+    repo = MetadataRepository()
+    update(repo, visit("http://www.a.com/p1", [shared], ts=0.0))
+    update(repo, visit("http://www.a.com/p1", [shared], ts=1.0))
+    update(repo, visit("http://www.a.com/p1", [own], ts=40 * DAY))
+    update(repo, visit("http://www.a.com/p2", [shared, other], ts=40 * DAY))
+    update(repo, visit("http://www.a.com/p3", [other], ts=40 * DAY))
+    new_page = "http://www.a.com/new"
+    assert predict(repo, new_page).urls == (shared, other)
+    # Every node stays; only p1's edge to shared.js goes stale.
+    assert trim(repo, now=40 * DAY, max_age_days=30.0) == 0
+    assert predict(repo, new_page).urls == (other,)
+    assert predict(repo, new_page) == reference_predict(repo, new_page)
+    assert_kept_orders_exact(repo)
 
 
 def test_prediction_rejects_duplicates():
