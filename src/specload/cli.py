@@ -23,7 +23,7 @@ from . import __version__, report as rpt
 from .cache import CacheStore, replay_cache_sim
 from .errors import SpecloadError
 from .fixture import fixture_server, load_fixture_spec
-from .graph import MetadataRepository, load_repo, repo_stats, save_repo, trim, update
+from .graph import History, MetadataRepository, load_repo, repo_stats, save_repo, trim
 from .har import import_har
 from .live import FetchSession, fetch_page
 from .predict import replay_predictor, score_predictions
@@ -60,6 +60,23 @@ def parse_capacity(text: str) -> float:
     raise argparse.ArgumentTypeError(
         f"bad capacity: {text!r} (expected e.g. 6MB, 32MB, 64MB, or inf)"
     )
+
+
+def parse_trim_days(text: str) -> float:
+    """A history window in days: a finite number >= 0.
+
+    A NaN or infinite window would silently never trim, and a negative
+    one would forget visits from the future.
+    """
+    try:
+        days = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad trim window: {text!r}")
+    if not math.isfinite(days):
+        raise argparse.ArgumentTypeError(f"bad trim window: {text!r} (not finite)")
+    if days < 0:
+        raise argparse.ArgumentTypeError(f"bad trim window: {text!r} (must be >= 0)")
+    return days
 
 
 def _net_from(args) -> NetworkParams:
@@ -148,6 +165,8 @@ def cmd_sim_prefetch(args) -> int:
 
 
 def cmd_sim_speculative(args) -> int:
+    # Absent unless given, so the sidecar of an untrimmed run is unchanged.
+    trim_days = getattr(args, "trim_days", None)
     trace = load_trace(args.trace)
     result = simulate_trace(
         trace,
@@ -155,11 +174,12 @@ def cmd_sim_speculative(args) -> int:
         cache_state=_cache_state_from(args),
         with_predictor=not args.oracle,
         max_connections=args.connections,
+        trim_days=trim_days,
     )
     _emit(args, rpt.SIM_HEADER, rpt.rows_for_sim(result, per_page=not args.summary_only))
     if args.metrics_out:
         if args.oracle:
-            replay = replay_predictor(trace)
+            replay = replay_predictor(trace, trim_days=trim_days)
         else:
             replay = score_predictions(trace.visits, [p.prediction for p in result.pages])
         rpt.write_csv(args.metrics_out, rpt.PREDICTOR_HEADER, rpt.rows_for_predictor(replay))
@@ -168,18 +188,10 @@ def cmd_sim_speculative(args) -> int:
 
 
 def _build_repo(trace: Trace, trim_days: float | None) -> MetadataRepository:
-    repo = MetadataRepository()
-    last_trim = None
+    history = History(trim_days)
     for visit in trace.visits:
-        update(repo, visit)
-        if trim_days is not None:
-            day = int(visit.timestamp // DAY_S)
-            if last_trim is None:
-                last_trim = day
-            elif day > last_trim:
-                trim(repo, now=visit.timestamp, max_age_days=trim_days)
-                last_trim = day
-    return repo
+        history.learn(visit)
+    return history.repo
 
 
 def cmd_graph(args) -> int:
@@ -326,6 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connections", type=int, default=4, help="connection bound (default: 4)")
     _add_net_flags(p)
     p.add_argument("--summary-only", action="store_true", help="omit per-page rows")
+    p.add_argument(
+        "--trim-days",
+        type=parse_trim_days,
+        default=argparse.SUPPRESS,
+        help="predict from a history window of this many days, trimmed once a day "
+        "(default: keep everything)",
+    )
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--metrics-out", help="also write predictor hit ratio / usefulness CSV")
     p.set_defaults(func=cmd_sim_speculative)
@@ -337,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (build, trim; trim defaults to --repo)")
     p.add_argument(
         "--trim-days",
-        type=float,
+        type=parse_trim_days,
         default=None,
         help="history window in days (trim default: 30; build keeps everything if omitted)",
     )

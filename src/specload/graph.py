@@ -11,6 +11,31 @@ the cutoff window *and* edges that have not been seen within it, which
 makes trimming equivalent to rebuilding the graph from only the recent
 visits; without edge timestamps, a page that stopped referencing some
 subresource would keep advertising it forever.
+
+A daily trim costs what it removes, not the size of the history.  A
+graph's first trim scans every node and edge, as a repository fresh from
+``loads_repo`` needs, and then builds the graph's age index
+(``_AgeIndex``): a heap of ``(ts, page_id, rids)`` claims.  From then on
+``update`` pushes one claim per visit, and a trim pops only the claims
+with ``now - ts > window``, the same expression the scan uses.  The
+index keeps two invariants:
+
+- every page, subresource and page-to-subresource edge whose timestamp
+  is not NaN has an unpopped claim at exactly that timestamp, because
+  every write of a timestamp pushes one and a popped claim that matches
+  removes its target.  So a popped prefix finds every stale node and
+  edge, whatever order the timestamps came in and whatever window each
+  trim uses.  A claim that no longer matches is skipped: it is only
+  checked, never trusted.
+- after every ``update`` and ``trim`` it holds at most three ids per
+  live page, subresource and edge (``_live``); past that it is rebuilt
+  from the graph.
+
+A trim leaves no parentless subresource and no childless subdomain, and
+``update`` only adds links, so later orphans and empty subdomains can
+only be the children and parents of what a trim removes or unlinks.  A
+graph that never trims (``sim-speculative``, ``predict.replay`` without
+a window) builds no index.
 """
 
 from __future__ import annotations
@@ -23,10 +48,13 @@ from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from heapq import heapify, heappop, heappush
 
 from .errors import CorruptRepository
 from .trace import PageVisit
 from .urls import host_of, normalize_url, website_key
+
+DAY_S = 86400.0
 
 
 class NodeType(IntEnum):
@@ -76,10 +104,10 @@ class ResourceGraph:
         # in which the page requested that subresource.
         self.edge_seen: dict[tuple[int, int], float] = {}
         self._next_id = 0
-        self._init_ranking()
+        self._init_lazy()
         self.website_id = self._add_node(NodeType.WEBSITE, site, None, 0.0)
 
-    def _init_ranking(self) -> None:
+    def _init_lazy(self) -> None:
         # The subresources' priority keys in order, and the ids of the
         # subresources taken out of it because their key may have changed.
         # Both stay None until ``ranked_subresources`` is first called.
@@ -87,6 +115,9 @@ class ResourceGraph:
         # ``_unranked`` or in ``_ranking`` under its current key.
         self._ranking: list[tuple] | None = None
         self._unranked: set[int] | None = None
+        # The age index (see the module docstring); None until the
+        # graph's first trim.
+        self._age: _AgeIndex | None = None
 
     def ranked_subresources(self) -> Iterator[GraphNode]:
         """Every subresource node, in ``priority_key`` order.
@@ -185,6 +216,69 @@ class ResourceGraph:
             index.pop(node.url_or_name, None)
 
 
+class _AgeIndex:
+    """A graph's pages, subresources and edges by age, for ``trim``.
+
+    ``heap`` holds entries ``(ts, page_id, rids)``: a claim that the page
+    ``page_id``, each subresource in ``rids`` and each edge
+    ``(page_id, rid)`` may have been last touched at ``ts``.  Claims go
+    stale when a later ``update`` touches the same ids again; they are
+    checked against the graph when popped, never trusted.  ``size``
+    counts the ids held: one per entry plus its ``rids``.
+    """
+
+    __slots__ = ("heap", "size")
+
+    def __init__(self, graph: ResourceGraph):
+        self.rebuild(graph)
+
+    def rebuild(self, graph: ResourceGraph) -> None:
+        """One claim per live edge, page and subresource, grouped by
+        (timestamp, page): at most ``2 * _live(graph)`` ids.  A NaN
+        timestamp is never stale, so it gets no claim."""
+        nodes = graph.nodes
+        groups: dict[tuple[float, int], list[int]] = {}
+        for (pid, cid), ts in graph.edge_seen.items():
+            if ts == ts:
+                groups.setdefault((ts, pid), []).append(cid)
+        for pid in graph.page_index.values():
+            ts = nodes[pid].last_visit
+            if ts == ts:
+                groups.setdefault((ts, pid), [])
+        # -1 names no page here; a claim is only ever a hint.
+        for rid in graph.sub_index.values():
+            ts = nodes[rid].last_visit
+            if ts == ts:
+                groups.setdefault((ts, -1), []).append(rid)
+        self.heap = [(ts, pid, rids) for (ts, pid), rids in groups.items()]
+        heapify(self.heap)
+        self.size = len(groups) + sum(len(rids) for rids in groups.values())
+
+    def add(self, graph: ResourceGraph, ts: float, page_id: int, rids: list[int]) -> None:
+        """Record one ``update`` of ``page_id`` and ``rids`` at ``ts``;
+        rebuild once the index holds more than ``3 * _live(graph)`` ids."""
+        if ts != ts:
+            return
+        heappush(self.heap, (ts, page_id, rids))
+        self.size += 1 + len(rids)
+        if self.size > 3 * _live(graph):
+            self.rebuild(graph)
+
+    def pop_stale(self, now: float, window: float) -> Iterator[tuple[int, list[int]]]:
+        """Pop every entry with ``now - ts > window``.  Those are a prefix
+        of the heap order, since ``now - ts`` never rises as ``ts`` does."""
+        heap = self.heap
+        while heap and now - heap[0][0] > window:
+            _, page_id, rids = heappop(heap)
+            self.size -= 1 + len(rids)
+            yield page_id, rids
+
+
+def _live(graph: ResourceGraph) -> int:
+    """The pages, subresources and page-to-subresource edges of ``graph``."""
+    return len(graph.page_index) + len(graph.sub_index) + len(graph.edge_seen)
+
+
 @dataclass
 class UpdateDelta:
     nodes_added: int
@@ -254,7 +348,7 @@ def update(repo: MetadataRepository, visit: PageVisit) -> UpdateDelta:
             page_id = graph._add_node(NodeType.WEBPAGE, main_url, "html", ts)
             added += 1
         graph._link(sub_id, page_id)
-        touched = [graph.website_id, sub_id, page_id]
+        rids = []
         for record in visit.subresources:
             rid = graph.sub_index.get(record.url)
             if rid is None:
@@ -262,13 +356,16 @@ def update(repo: MetadataRepository, visit: PageVisit) -> UpdateDelta:
                 added += 1
             graph._link(page_id, rid)
             graph.edge_seen[(page_id, rid)] = ts
-            touched.append(rid)
+            rids.append(rid)
         # ``_link`` took every touched subresource out of the kept order,
         # so bumping ``n_visits`` here leaves that order valid.
+        touched = (graph.website_id, sub_id, page_id, *rids)
         for nid in touched:
             node = graph.nodes[nid]
             node.last_visit = ts
             node.n_visits += 1
+        if graph._age is not None:
+            graph._age.add(graph, ts, page_id, rids)
     return UpdateDelta(nodes_added=added, nodes_touched=len(touched))
 
 
@@ -280,52 +377,116 @@ def trim(repo: MetadataRepository, now: float, max_age_days: float = 30.0) -> in
     subresources left parentless, then childless subdomains and empty
     website graphs.  Returns the number of nodes removed (cascades
     included).  A node exactly at the threshold survives.
+
+    A graph's first trim scans all of it and then builds its age index;
+    later trims pop only the index entries that crossed the window.
     """
-    window = max_age_days * 86400.0
+    window = max_age_days * DAY_S
     removed = 0
-    # Locals compared with ``is``, and the cheap test first: each scan
-    # visits every node of every graph on every trim.
-    webpage, subresource, subdomain = (
-        NodeType.WEBPAGE, NodeType.SUBRESOURCE, NodeType.SUBDOMAIN
-    )
     with repo.lock:
         for site in list(repo.graphs):
             graph = repo.graphs[site]
-            nodes = graph.nodes
-            stale = [
-                nid
-                for nid, node in nodes.items()
-                if now - node.last_visit > window
-                and (node.node_type is webpage or node.node_type is subresource)
-            ]
-            for nid in stale:
-                graph._remove_node(nid)
-            removed += len(stale)
-            stale_edges = [
-                edge for edge, ts in graph.edge_seen.items() if now - ts > window
-            ]
-            for pid, cid in stale_edges:
-                graph._unlink(pid, cid)
-            orphans = [
-                nid
-                for nid, node in nodes.items()
-                if not node.parents and node.node_type is subresource
-            ]
-            for nid in orphans:
-                graph._remove_node(nid)
-            removed += len(orphans)
-            empty_subdomains = [
-                nid
-                for nid, node in nodes.items()
-                if not node.children and node.node_type is subdomain
-            ]
-            for nid in empty_subdomains:
-                graph._remove_node(nid)
-            removed += len(empty_subdomains)
-            if not nodes[graph.website_id].children:
+            removed += _trim_graph(graph, now, window)
+            if not graph.nodes[graph.website_id].children:
                 del repo.graphs[site]
                 removed += 1
+            elif graph._age is None:
+                graph._age = _AgeIndex(graph)
     return removed
+
+
+def _trim_graph(graph: ResourceGraph, now: float, window: float) -> int:
+    """Trim one graph; returns the number of nodes removed.
+
+    Without an age index every node and edge is a candidate, as a graph
+    fresh from ``loads_repo`` may hold anything.  With one, the
+    candidates are what the popped claims name, and only the children
+    and parents of what goes can become orphans or empty subdomains:
+    the graph had none after its last trim, and ``update`` only adds
+    links.  The removal rule is the same either way.
+    """
+    webpage, subresource, subdomain = (
+        NodeType.WEBPAGE, NodeType.SUBRESOURCE, NodeType.SUBDOMAIN
+    )
+    nodes, edge_seen, age = graph.nodes, graph.edge_seen, graph._age
+    if age is None:
+        candidates, edges = list(nodes), None
+    else:
+        candidates, edges = set(), []
+        for page_id, rids in age.pop_stale(now, window):
+            candidates.add(page_id)
+            candidates.update(rids)
+            edges.extend((page_id, rid) for rid in rids)
+    stale = [
+        nid
+        for nid in candidates
+        if (node := nodes.get(nid)) is not None
+        and now - node.last_visit > window
+        and (node.node_type is webpage or node.node_type is subresource)
+    ]
+    children: set[int] = set()
+    parents: set[int] = set()
+    for nid in stale:
+        node = nodes[nid]
+        children |= node.children
+        parents |= node.parents
+        graph._remove_node(nid)
+    for edge in list(edge_seen) if edges is None else edges:
+        ts = edge_seen.get(edge)
+        if ts is not None and now - ts > window:
+            graph._unlink(*edge)
+            children.add(edge[1])
+            parents.add(edge[0])
+    if age is None:
+        children = parents = list(nodes)
+    orphans = [
+        nid
+        for nid in children
+        if (node := nodes.get(nid)) is not None
+        and not node.parents
+        and node.node_type is subresource
+    ]
+    for nid in orphans:
+        graph._remove_node(nid)
+    empty_subdomains = [
+        nid
+        for nid in parents
+        if (node := nodes.get(nid)) is not None
+        and not node.children
+        and node.node_type is subdomain
+    ]
+    for nid in empty_subdomains:
+        graph._remove_node(nid)
+    if age is not None and age.size > 3 * _live(graph):
+        age.rebuild(graph)
+    return len(stale) + len(orphans) + len(empty_subdomains)
+
+
+class History:
+    """A repository learned one visit at a time and trimmed once a day.
+
+    ``learn`` folds a visit in with ``update``.  With ``trim_days`` set,
+    a visit on a later day (``timestamp // 86400``) than the last trim,
+    or than the first visit, then trims the repository with ``now`` at
+    that visit's timestamp.  ``graph build --trim-days``, ``predict.replay``
+    and everything built on it share this rule.
+    """
+
+    def __init__(self, trim_days: float | None = None):
+        self.repo = MetadataRepository()
+        self.trim_days = trim_days
+        self._day: int | None = None
+
+    def learn(self, visit: PageVisit) -> None:
+        update(self.repo, visit)
+        if self.trim_days is None:
+            return
+        day = int(visit.timestamp // DAY_S)
+        if self._day is None:
+            self._day = day
+        elif day > self._day:
+            trim(self.repo, now=visit.timestamp, max_age_days=self.trim_days)
+            self._day = day
 
 
 def get_webpage_node(repo: MetadataRepository, url: str) -> GraphNode | None:
@@ -433,7 +594,7 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
     graph.page_index = {}
     graph.sub_index = {}
     graph.edge_seen = {}
-    graph._init_ranking()
+    graph._init_lazy()
     graph.website_id = -1
     websites = 0
     for item in payload.get("nodes", []):

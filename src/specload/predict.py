@@ -33,7 +33,7 @@ from statistics import fmean
 
 from .cache import LookupOutcome
 from .errors import EmptyTrace, InvalidParams
-from .graph import MetadataRepository, ResourceGraph, priority_key, update
+from .graph import History, MetadataRepository, ResourceGraph, priority_key
 from .trace import PageVisit, Trace
 from .urls import host_of, normalize_url, website_key
 
@@ -276,19 +276,25 @@ def score_predictions(
     )
 
 
-def replay(visits: Iterable[PageVisit]) -> Iterator[tuple[PageVisit, Prediction]]:
+def replay(
+    visits: Iterable[PageVisit], trim_days: float | None = None
+) -> Iterator[tuple[PageVisit, Prediction]]:
     """Yield each visit with the prediction made before it.  A visit is
     learned when the consumer asks for the next one, so the consumer
-    sees the graph as it was before the visit."""
-    repo = MetadataRepository()
+    sees the graph as it was before the visit.  With ``trim_days`` the
+    graph forgets what is older than that window, trimmed once a day as
+    ``graph build --trim-days`` does (``graph.History``)."""
+    history = History(trim_days)
     for visit in visits:
-        yield visit, predict(repo, visit.main.url)
-        update(repo, visit)
+        yield visit, predict(history.repo, visit.main.url)
+        history.learn(visit)
 
 
-def replay_predictor(trace: Trace, warmup_fraction: float = 0.0) -> PredictorReplayResult:
-    """Replay a trace through ``replay`` and score the predictions with
-    ``score_predictions``.
+def replay_predictor(
+    trace: Trace, warmup_fraction: float = 0.0, trim_days: float | None = None
+) -> PredictorReplayResult:
+    """Replay a trace through ``replay`` (trimming with ``trim_days``)
+    and score the predictions with ``score_predictions``.
 
     The first ``warmup_fraction`` of visits only feed the graph; their
     predictions are dropped from the evaluation rows.
@@ -298,5 +304,5 @@ def replay_predictor(trace: Trace, warmup_fraction: float = 0.0) -> PredictorRep
     if not trace.visits:
         raise EmptyTrace("cannot replay an empty trace")
     warmup = int(len(trace.visits) * warmup_fraction)
-    predictions = [prediction for _, prediction in replay(trace.visits)]
+    predictions = [prediction for _, prediction in replay(trace.visits, trim_days)]
     return score_predictions(trace.visits[warmup:], predictions[warmup:])

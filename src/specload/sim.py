@@ -425,12 +425,14 @@ def simulate_trace(
     cache_state=EMPTY,
     with_predictor: bool = False,
     max_connections: int = 4,
+    trim_days: float | None = None,
 ) -> SimResult:
     """Compare legacy and speculative loading over a whole trace.
 
     Runs both modes for every visit.  With ``with_predictor`` the
     speculative side takes its predictions from ``predict.replay``
-    (predict, simulate, then learn the visit), and each page result
+    (predict, simulate, then learn the visit, trimming the graph to
+    ``trim_days`` once a day when that is set), and each page result
     keeps its prediction for scoring (``predict.score_predictions``);
     otherwise it gets the oracle prediction (the visit's real
     subresource list, in document order).  Each mode runs against its
@@ -445,7 +447,7 @@ def simulate_trace(
     known_records: dict[str, ResourceRecord] = {}
     result = SimResult()
     if with_predictor:
-        visits = replay(trace.visits)
+        visits = replay(trace.visits, trim_days)
     else:
         visits = (
             (v, Prediction(tuple(r.url for r in v.subresources), VisitClass.REVISIT))

@@ -21,8 +21,11 @@ downstream (the simulator, the graph, the replays, prefetching) uses
 
 ``load_trace`` builds one ``CacheDirectives`` per distinct ``cc`` object
 in the file and shares it between the records that carry that ``cc``;
-the directives are frozen, so sharing is invisible.  The sharing lasts
-for one load: nothing is kept between calls.
+the directives are frozen, so sharing is invisible.  It also normalises
+each distinct URL string once.  Both memos last for one load: nothing is
+kept between calls.  ``from_json`` runs the constructors' checks itself,
+in their order, and then fills the slots of the frozen instance directly
+instead of going through ``__init__``.
 """
 
 from __future__ import annotations
@@ -87,18 +90,18 @@ class CacheDirectives:
 def _directives(cc, memo: dict | None) -> CacheDirectives:
     """``CacheDirectives.from_json(cc)``, shared through ``memo`` by equal ``cc``s.
 
-    The key holds each value's type, so 604800, 604800.0 and True stay
-    apart and ``to_json`` gives back what was read.  A ``cc`` with an
-    unhashable value, or with a float zero (-0.0 == 0.0 but prints
-    differently), gets an object of its own.
+    The key is one flat tuple of the ``(key, value)`` pairs followed by
+    each value's type, so 604800, 604800.0 and True stay apart and
+    ``to_json`` gives back what was read.  A ``cc`` with an unhashable
+    value, or with a float zero (-0.0 == 0.0 but prints differently),
+    gets an object of its own.
     """
     if memo is None or not isinstance(cc, dict):
         return CacheDirectives.from_json(cc)
-    values = tuple(cc.values())
-    types = tuple(map(type, values))
-    if float in types and 0.0 in values:
+    values = cc.values()
+    if 0.0 in values and float in map(type, values):
         return CacheDirectives.from_json(cc)
-    key = (tuple(cc), values, types)
+    key = (*cc.items(), *map(type, values))
     try:
         directives = memo.get(key)
     except TypeError:
@@ -108,7 +111,30 @@ def _directives(cc, memo: dict | None) -> CacheDirectives:
     return directives
 
 
-@dataclass(frozen=True)
+def _check_record(kind, size: int) -> None:
+    if kind not in RESOURCE_KINDS:
+        raise ValueError(f"unknown resource kind {kind!r}")
+    if size < 0:
+        raise ValueError("size_bytes must be >= 0")
+
+
+def _check_visit(main, subs: tuple, offsets: tuple) -> None:
+    if main.kind != "html":
+        raise ValueError("main resource must be html")
+    if len({r.url for r in subs}) != len(subs):
+        raise ValueError("duplicate subresource URL within one visit")
+    if offsets and len(offsets) != len(subs):
+        raise ValueError("discovery_offsets length mismatch")
+    if any(off < 0 for off in offsets):
+        raise ValueError("discovery offsets must be >= 0")
+
+
+# ``from_json`` runs these checks itself, after its conversions (the
+# order ``__init__`` gives), then fills the slots of a bare instance.
+_new = object.__new__
+
+
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     """One observed resource response.
 
@@ -124,10 +150,7 @@ class ResourceRecord:
     fetched_at: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in RESOURCE_KINDS:
-            raise ValueError(f"unknown resource kind {self.kind!r}")
-        if self.size_bytes < 0:
-            raise ValueError("size_bytes must be >= 0")
+        _check_record(self.kind, self.size_bytes)
 
     def to_json(self) -> dict:
         return {
@@ -140,21 +163,34 @@ class ResourceRecord:
 
     @classmethod
     def from_json(cls, obj: dict, _memo: dict | None = None) -> "ResourceRecord":
+        """Parse one record.  ``_memo`` is ``load_trace``'s per-load dict:
+        raw URL string -> canonical URL, and ``cc`` key -> directives."""
         if not isinstance(obj, dict):
             raise ValueError("resource must be an object")
-        for key in ("url", "kind", "size"):
-            if key not in obj:
-                raise ValueError(f"resource missing {key!r}")
-        return cls(
-            url=normalize_url(obj["url"]),
-            kind=obj["kind"],
-            size_bytes=int(obj["size"]),
-            cache_directives=_directives(obj.get("cc", {}), _memo),
-            fetched_at=float(obj.get("fetched_at", 0.0)),
-        )
+        try:
+            raw_url, kind, size = obj["url"], obj["kind"], obj["size"]
+        except KeyError as exc:  # the first missing key, in that order
+            raise ValueError(f"resource missing {exc.args[0]!r}") from None
+        if _memo is not None and type(raw_url) is str:
+            url = _memo.get(raw_url)
+            if url is None:
+                url = _memo[raw_url] = normalize_url(raw_url)
+        else:
+            url = normalize_url(raw_url)
+        size = int(size)
+        directives = _directives(obj.get("cc", {}), _memo)
+        fetched_at = float(obj.get("fetched_at", 0.0))
+        _check_record(kind, size)
+        record = _new(cls)
+        _set_url(record, url)
+        _set_kind(record, kind)
+        _set_size(record, size)
+        _set_directives(record, directives)
+        _set_fetched_at(record, fetched_at)
+        return record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageVisit:
     """One page load: main resource plus the subresources it requested.
 
@@ -171,15 +207,7 @@ class PageVisit:
     discovery_offsets: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.main.kind != "html":
-            raise ValueError("main resource must be html")
-        urls = [r.url for r in self.subresources]
-        if len(set(urls)) != len(urls):
-            raise ValueError("duplicate subresource URL within one visit")
-        if self.discovery_offsets and len(self.discovery_offsets) != len(self.subresources):
-            raise ValueError("discovery_offsets length mismatch")
-        if any(off < 0 for off in self.discovery_offsets):
-            raise ValueError("discovery offsets must be >= 0")
+        _check_visit(self.main, self.subresources, self.discovery_offsets)
 
     @property
     def offsets(self) -> tuple[float, ...]:
@@ -202,22 +230,52 @@ class PageVisit:
     def from_json(cls, obj: dict, _memo: dict | None = None) -> "PageVisit":
         if not isinstance(obj, dict):
             raise ValueError("visit must be an object")
-        for key in ("user", "ts", "main", "subs"):
-            if key not in obj:
-                raise ValueError(f"visit missing {key!r}")
-        subs = obj["subs"]
+        try:
+            user, ts, main, subs = obj["user"], obj["ts"], obj["main"], obj["subs"]
+        except KeyError as exc:  # the first missing key, in that order
+            raise ValueError(f"visit missing {exc.args[0]!r}") from None
         if not isinstance(subs, list):
             raise ValueError("subs must be a list")
         offsets = obj.get("offsets", [])
         if not isinstance(offsets, list):
             raise ValueError("offsets must be a list")
-        return cls(
-            user_id=str(obj["user"]),
-            timestamp=float(obj["ts"]),
-            main=ResourceRecord.from_json(obj["main"], _memo),
-            subresources=tuple(ResourceRecord.from_json(s, _memo) for s in subs),
-            discovery_offsets=tuple(float(x) for x in offsets),
-        )
+        user = str(user)
+        ts = float(ts)
+        parse = ResourceRecord.from_json
+        main = parse(main, _memo)
+        subs = tuple([parse(s, _memo) for s in subs])
+        offsets = tuple(map(float, offsets))
+        _check_visit(main, subs, offsets)
+        visit = _new(cls)
+        _set_user(visit, user)
+        _set_timestamp(visit, ts)
+        _set_main(visit, main)
+        _set_subresources(visit, subs)
+        _set_offsets(visit, offsets)
+        return visit
+
+
+# Slot setters of the two frozen classes, for ``from_json``.
+_set_url, _set_kind, _set_size, _set_directives, _set_fetched_at = (
+    member.__set__
+    for member in (
+        ResourceRecord.url,
+        ResourceRecord.kind,
+        ResourceRecord.size_bytes,
+        ResourceRecord.cache_directives,
+        ResourceRecord.fetched_at,
+    )
+)
+_set_user, _set_timestamp, _set_main, _set_subresources, _set_offsets = (
+    member.__set__
+    for member in (
+        PageVisit.user_id,
+        PageVisit.timestamp,
+        PageVisit.main,
+        PageVisit.subresources,
+        PageVisit.discovery_offsets,
+    )
+)
 
 
 @dataclass

@@ -4,10 +4,11 @@ import argparse
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from specload.cli import main, parse_capacity
+from specload.cli import main, parse_capacity, parse_trim_days
 from specload.predict import replay_predictor
 from specload.report import (
     CACHE_HEADER,
@@ -45,6 +46,54 @@ def test_non_finite_capacity_is_a_usage_error(text):
     with pytest.raises(SystemExit) as exc:
         run("sim-cache", "--trace", "t", "--capacity", text)
     assert exc.value.code == 2
+
+
+_TRIM_DAYS_COMMANDS = [
+    ("graph", "build", "--trace", "t", "--out", "o"),
+    ("graph", "trim", "--repo", "r"),
+    ("sim-speculative", "--trace", "t"),
+]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "-1", "-0.5", "week"])
+@pytest.mark.parametrize("argv", _TRIM_DAYS_COMMANDS)
+def test_bad_trim_days_is_a_usage_error(argv, text, capsys):
+    # A NaN or infinite window never trims; a negative one forgets the future.
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_trim_days(text)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, f"--trim-days={text}")
+    assert exc.value.code == 2
+    assert "bad trim window" in capsys.readouterr().err
+
+
+def test_zero_and_fractional_trim_days_are_valid(tmp_path, trace_path):
+    assert parse_trim_days("0") == 0.0 and parse_trim_days("0.5") == 0.5
+    repo = tmp_path / "repo.bin"
+    for text in ("0", "0.5"):
+        assert run("graph", "build", "--trace", str(trace_path), "--out", str(repo),
+                   "--trim-days", text) == 0
+        assert run("graph", "trim", "--repo", str(repo), "--trim-days", text) == 0
+        out = tmp_path / f"sim{text}.csv"
+        assert run("sim-speculative", "--trace", str(trace_path), "--summary-only",
+                   "--trim-days", text, "--out", str(out)) == 0
+
+
+def test_sim_speculative_trim_days(tmp_path, trace_path):
+    plain, trimmed = tmp_path / "plain.csv", tmp_path / "trimmed.csv"
+    metrics = tmp_path / "metrics.csv"
+    assert run("sim-speculative", "--trace", str(trace_path), "--out", str(plain)) == 0
+    assert run("sim-speculative", "--trace", str(trace_path), "--out", str(trimmed),
+               "--trim-days", "0.5", "--metrics-out", str(metrics)) == 0
+    # Without the flag the sidecar is what it was before the flag existed.
+    assert "trim_days" not in json.loads(Path(str(plain) + ".meta.json").read_text())["flags"]
+    meta = json.loads(Path(str(trimmed) + ".meta.json").read_text())
+    assert meta["flags"]["trim_days"] == 0.5
+    expected = tmp_path / "expected.csv"
+    replay = replay_predictor(load_trace(trace_path), trim_days=0.5)
+    write_csv(expected, PREDICTOR_HEADER, rows_for_predictor(replay))
+    assert metrics.read_bytes() == expected.read_bytes()
+    assert replay != replay_predictor(load_trace(trace_path))
 
 
 def test_version_flag(capsys):

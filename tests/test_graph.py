@@ -8,18 +8,23 @@ the same structure as updating with everything and trimming once.
 from __future__ import annotations
 
 import json
+import math
 import random
 import struct
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specload.cli as cli
+import specload.graph as graph_module
 from conftest import visit
 from specload.errors import CorruptRepository
 from specload.graph import (
     _MAGIC,
+    History,
     MetadataRepository,
     NodeType,
     dumps_repo,
@@ -31,7 +36,11 @@ from specload.graph import (
     save_repo,
     trim,
     update,
+    _AgeIndex,
+    _live,
 )
+from specload.synth import SynthParams, generate_synthetic
+from specload.trace import Trace
 from trim_reference import reference_trim
 
 DAY = 86400.0
@@ -211,6 +220,226 @@ def test_trim_matches_reference(ops):
         else:
             repo, ref = loads_repo(dumps_repo(repo)), loads_repo(dumps_repo(ref))
         assert dumps_repo(repo) == dumps_repo(ref)
+
+
+# --- the age index -------------------------------------------------------
+
+
+def _synth_with_late_visits(seed: int) -> list:
+    """A churning synth trace plus two visits whose timestamps go
+    backwards: a known page, and a page first seen out of order."""
+    visits = list(
+        generate_synthetic(
+            SynthParams(
+                n_sites=4,
+                pages_per_site=30,
+                subresources_per_page=8,
+                churn_rate_per_day=0.3,
+                visits=1200,
+                seed=seed,
+            )
+        ).visits
+    )
+    early = visits[300]
+    late_known = replace(visits[200], timestamp=early.timestamp)
+    late_new = replace(
+        early,
+        main=replace(early.main, url=early.main.url + "-late"),
+        timestamp=early.timestamp - DAY,
+    )
+    visits.insert(900, late_known)
+    visits.insert(1000, late_new)
+    return visits
+
+
+def _learn_all(visits, trim_days, trim_fn, monkeypatch, reload_at=None):
+    """Feed ``visits`` to a ``History`` whose trims go through ``trim_fn``;
+    returns each trim's ``removed`` and the final repository bytes."""
+    removed = []
+
+    def recording(repo, now, max_age_days):
+        removed.append(trim_fn(repo, now, max_age_days))
+        return removed[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "trim", recording)
+        history = History(trim_days)
+        for i, v in enumerate(visits):
+            if i == reload_at:
+                history.repo = loads_repo(dumps_repo(history.repo))
+            history.learn(v)
+    return removed, dumps_repo(history.repo)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("trim_days", [1.0, 7.0, 30.0])
+def test_indexed_trim_matches_reference_over_synth(seed, trim_days, monkeypatch):
+    visits = _synth_with_late_visits(seed)
+    expected = _learn_all(visits, trim_days, reference_trim, monkeypatch)
+    assert len(expected[0]) > 30 and sum(expected[0]) > 0
+
+    removed = []
+
+    def recording(repo, now, max_age_days):
+        removed.append(trim(repo, now, max_age_days))
+        return removed[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "trim", recording)
+        data = dumps_repo(cli._build_repo(Trace(visits=visits), trim_days))
+    assert (removed, data) == expected
+
+    reloaded = _learn_all(visits, trim_days, trim, monkeypatch, reload_at=len(visits) // 2)
+    assert reloaded == _learn_all(
+        visits, trim_days, reference_trim, monkeypatch, reload_at=len(visits) // 2
+    )
+
+
+def test_age_index_stays_within_its_bound(monkeypatch):
+    rebuilds = []
+    rebuild = _AgeIndex.rebuild
+
+    def counting(index, graph):
+        rebuild(index, graph)
+        rebuilds.append(index.size)
+        assert index.size <= 2 * _live(graph)
+
+    monkeypatch.setattr(_AgeIndex, "rebuild", counting)
+    # Few pages visited often: the index fills with claims that later
+    # visits make stale, so it has to compact between trims.
+    trace = generate_synthetic(
+        SynthParams(n_sites=2, pages_per_site=6, subresources_per_page=5, visits=1500, seed=4)
+    )
+    history = History(trim_days=7.0)
+    for v in trace.visits:
+        history.learn(v)
+        for graph in history.repo.graphs.values():
+            index = graph._age
+            if index is not None:
+                assert index.size <= 3 * _live(graph)
+                assert index.size == sum(1 + len(rids) for _, _, rids in index.heap)
+    assert len(rebuilds) > 2 * len(history.repo.graphs)
+
+    # A trim can shrink the graph far more than the index: a page dated
+    # back in time takes its subresources with it, while its newer
+    # claims stay queued.  The trim compacts the index itself.
+    subs = [f"http://a.com/{i}.js" for i in range(10)]
+    repo, ref = MetadataRepository(), MetadataRepository()
+    steps = [("update", visit("http://a.com/keep", ["http://a.com/k.js"], ts=30 * DAY))]
+    steps.append(("trim", 0.0, 10.0))  # builds the index
+    steps += [("update", visit("http://a.com/p", subs, ts=(10 + d) * DAY)) for d in range(6)]
+    steps += [("update", visit("http://a.com/p", [], ts=1 * DAY)), ("trim", 12 * DAY, 10.0)]
+    _run_against_reference(repo, ref, steps)
+    graph = repo.graphs["a.com"]
+    assert _live(graph) == 3 and graph._age.size <= 3 * _live(graph)
+
+
+def test_a_graph_that_never_trims_has_no_index():
+    repo = build(random_visits(random.Random(2), 80))
+    assert all(graph._age is None for graph in repo.graphs.values())
+    trim(repo, now=0.0, max_age_days=30.0)  # nothing is stale yet
+    assert all(graph._age is not None for graph in repo.graphs.values())
+    back = loads_repo(dumps_repo(repo))
+    assert all(graph._age is None for graph in back.graphs.values())
+
+
+def test_nan_and_backward_timestamps_trim_like_the_reference():
+    steps = [
+        ("update", "http://a.com/p", ["http://a.com/1.js", "http://a.com/2.js"], 10 * DAY),
+        ("trim", 10 * DAY, 30.0),
+        ("update", "http://a.com/p", ["http://a.com/1.js"], math.nan),
+        ("update", "http://a.com/q", ["http://a.com/2.js"], 2 * DAY),
+        ("trim", 20 * DAY, 10.0),
+        ("update", "http://a.com/q", ["http://a.com/3.js"], 30 * DAY),
+        ("trim", 33 * DAY, 1.0),
+        ("trim", 100 * DAY, 0.0),
+    ]
+    repo, ref = MetadataRepository(), MetadataRepository()
+    for step in steps:
+        if step[0] == "update":
+            v = visit(step[1], step[2], ts=step[3])
+            update(repo, v)
+            update(ref, v)
+        else:
+            assert trim(repo, step[1], step[2]) == reference_trim(ref, step[1], step[2])
+        assert dumps_repo(repo) == dumps_repo(ref)
+    assert "a.com" in repo.graphs  # the NaN page is never stale
+
+
+def _run_against_reference(repo, ref, steps) -> None:
+    """Apply ``("update", visit)`` and ``("trim", now, days)`` steps to
+    both repositories, comparing each trim's count and the bytes."""
+    for step in steps:
+        if step[0] == "update":
+            update(repo, step[1])
+            update(ref, step[1])
+        else:
+            assert trim(repo, step[1], step[2]) == reference_trim(ref, step[1], step[2])
+        assert dumps_repo(repo) == dumps_repo(ref)
+
+
+def test_subresource_whose_touching_edge_is_gone_still_ages_out():
+    # r's last touch (via p, backwards in time) is its only claim once p
+    # is gone: the index must hold subresources, not only edges.
+    p, p2, r = "http://a.com/p", "http://a.com/p2", "http://a.com/r.js"
+    repo, ref = MetadataRepository(), MetadataRepository()
+    _run_against_reference(repo, ref, [
+        ("update", visit(p2, [r], ts=20 * DAY)),
+        ("update", visit(p, [r], ts=10 * DAY)),
+        ("update", visit(p, [], ts=1 * DAY)),
+        ("trim", 12 * DAY, 10.0),  # p goes; builds the index
+        ("trim", 21 * DAY, 10.0),  # r goes
+    ])
+    assert r not in repo.graphs["a.com"].sub_index
+
+
+def test_stale_edge_orphans_a_fresh_subresource_under_the_index():
+    p, q, r = "http://a.com/p", "http://a.com/q", "http://a.com/r.js"
+    repo, ref = MetadataRepository(), MetadataRepository()
+    _run_against_reference(repo, ref, [
+        ("update", visit(p, [r], ts=10 * DAY)),
+        ("trim", 10 * DAY, 10.0),  # builds the index
+        ("update", visit(q, [r], ts=30 * DAY)),
+        ("update", visit(q, [], ts=1 * DAY)),
+        ("update", visit(p, [], ts=24 * DAY)),
+        ("trim", 15 * DAY, 10.0),  # q goes; r keeps its parent p
+        ("trim", 25 * DAY, 10.0),  # the p -> r edge goes, and r with it
+    ])
+    assert r not in repo.graphs["a.com"].sub_index
+
+
+def test_loaded_timestamps_on_other_edges_trim_like_the_reference():
+    # A repository file may time any edge, and may hold orphans.  Claims
+    # that name a subdomain must not remove it by its own age, and
+    # unlinking its last timed edge must remove it as empty.
+    payload = {
+        "site": "a.com",
+        "nodes": [
+            {"i": 0, "y": 0, "u": "a.com", "k": "", "v": 1, "t": 0.0},
+            {"i": 1, "y": 1, "u": "www.a.com", "k": "", "v": 1, "t": 0.0},
+            {"i": 2, "y": 2, "u": "http://www.a.com/", "k": "html", "v": 1, "t": 100 * DAY},
+            {"i": 3, "y": 3, "u": "http://www.a.com/x.js", "k": "script", "v": 1,
+             "t": 100 * DAY},
+            {"i": 4, "y": 2, "u": "http://www.a.com/b", "k": "html", "v": 1, "t": 100 * DAY},
+            {"i": 5, "y": 1, "u": "m.a.com", "k": "", "v": 1, "t": 0.0},
+            {"i": 6, "y": 2, "u": "http://m.a.com/", "k": "html", "v": 1, "t": 100 * DAY},
+            # Already parentless and childless on load: the first trim's
+            # scan removes them.
+            {"i": 7, "y": 3, "u": "http://www.a.com/orphan.js", "k": "script", "v": 1,
+             "t": 100 * DAY},
+            {"i": 8, "y": 1, "u": "cdn.a.com", "k": "", "v": 1, "t": 100 * DAY},
+        ],
+        "edges": [
+            [0, 1, None], [0, 5, None], [1, 2, 50 * DAY], [1, 4, None],
+            [2, 3, 100 * DAY], [4, 3, 100 * DAY], [5, 6, 50 * DAY], [0, 8, None],
+        ],
+    }
+    body = json.dumps(payload).encode()
+    data = _MAGIC + struct.pack(">II", 1, len(body)) + body
+    repo, ref = loads_repo(data), loads_repo(data)
+    _run_against_reference(repo, ref, [("trim", 55 * DAY, 10.0), ("trim", 70 * DAY, 10.0)])
+    assert sorted(n.url_or_name for n in repo.graphs["a.com"].nodes.values()
+                  if n.node_type is NodeType.SUBDOMAIN) == ["www.a.com"]
 
 
 # --- serialization -------------------------------------------------------

@@ -28,10 +28,15 @@ from specload.predict import (
     plan_loads,
     predict,
     priority_key,
+    replay,
     replay_predictor,
     revise_queue,
     round_half_up,
+    score_predictions,
 )
+from specload.cli import _build_repo
+from specload.sim import simulate_trace
+from specload.synth import SynthParams, generate_synthetic
 from specload.trace import PageVisit, Trace
 from specload.urls import host_of, website_key
 
@@ -527,3 +532,37 @@ def test_pure_revisit_traces_hit_perfectly():
         assert pred.visit_class is VisitClass.REVISIT
         assert set(pred.urls) == set(subs)
         assert len(pred.urls) == len(subs)
+
+
+# --- replay with a trim window --------------------------------------------
+
+
+@pytest.mark.parametrize("trim_days", [1.0, 3.0])
+def test_trimming_replay_predicts_like_build_then_predict(trim_days):
+    day = 86400.0
+    trace = generate_synthetic(
+        SynthParams(
+            n_sites=4,
+            pages_per_site=30,
+            subresources_per_page=8,
+            churn_rate_per_day=0.3,
+            visits=400,
+            seed=6,
+        )
+    )
+    visits = trace.visits
+    predictions = [prediction for _, prediction in replay(visits, trim_days)]
+    days = [int(v.timestamp // day) for v in visits]
+    boundaries = [i for i in range(1, len(visits)) if days[i] != days[i - 1]]
+    assert len(boundaries) >= 10
+    # The first visit of a day is learned and then trims, so the visit
+    # after it is the first to be predicted from the trimmed graph.
+    for i in sorted({j for b in boundaries for j in (b, b + 1) if j < len(visits)}):
+        repo = _build_repo(Trace(visits=visits[:i]), trim_days)
+        assert predict(repo, visits[i].main.url) == predictions[i], i
+    assert predictions != [prediction for _, prediction in replay(visits)]
+
+    scored = replay_predictor(trace, trim_days=trim_days)
+    assert scored == score_predictions(visits, predictions)
+    simulated = simulate_trace(trace, with_predictor=True, trim_days=trim_days)
+    assert [page.prediction for page in simulated.pages] == predictions

@@ -13,6 +13,7 @@ from specload.trace import (
     load_trace,
     save_trace,
 )
+from specload.urls import normalize_url
 
 
 def test_roundtrip(tmp_path):
@@ -212,3 +213,161 @@ def test_unhashable_cc_values_load_as_before(tmp_path):
     v = load_trace(path).visits[0]
     assert v.main.cache_directives == CacheDirectives.from_json(cc)
     assert v.main.cache_directives is not v.subresources[0].cache_directives
+
+
+# --- one-pass ingest: same errors, same bytes ----------------------------
+
+
+def _res(url="http://a.com/x.js", kind="script", size=1, **extra) -> dict:
+    return {"url": url, "kind": kind, "size": size, **extra}
+
+
+def _vis(main=None, subs=None, **extra) -> dict:
+    return {
+        "user": "u",
+        "ts": 1.0,
+        "main": main or _res("http://a.com/", "html"),
+        "subs": [_res()] if subs is None else subs,
+        **extra,
+    }
+
+
+def _without(obj: dict, *keys) -> dict:
+    return {k: v for k, v in obj.items() if k not in keys}
+
+
+# Each malformed visit with the message ``load_trace`` gave before the
+# record parsers validated inline.  Several break two rules at once, to
+# pin which check comes first.
+_MALFORMED = {
+    "visit_missing_ts": (_without(_vis(), "ts"), "visit missing 'ts'"),
+    "visit_missing_user_and_subs": (_without(_vis(), "user", "subs"), "visit missing 'user'"),
+    "resource_missing_size": (_vis(subs=[_without(_res(), "size")]), "resource missing 'size'"),
+    "resource_missing_kind_and_size": (
+        _vis(subs=[_without(_res(), "kind", "size")]),
+        "resource missing 'kind'",
+    ),
+    "bad_kind": (_vis(subs=[_res(kind="wasm")]), "unknown resource kind 'wasm'"),
+    "bad_kind_and_negative_size": (
+        _vis(subs=[_res(kind="wasm", size=-1)]),
+        "unknown resource kind 'wasm'",
+    ),
+    "unhashable_kind": (_vis(subs=[_res(kind=["script"])]), "unknown resource kind ['script']"),
+    "negative_size": (_vis(subs=[_res(size=-5)]), "size_bytes must be >= 0"),
+    "size_not_a_number": (
+        _vis(subs=[_res(size="big")]),
+        "invalid literal for int() with base 10: 'big'",
+    ),
+    "subs_not_a_list": (_vis(subs={"a": 1}), "subs must be a list"),
+    "offsets_not_a_list": (_vis(offsets=5), "offsets must be a list"),
+    "offsets_length_mismatch": (_vis(offsets=[1.0, 2.0]), "discovery_offsets length mismatch"),
+    "negative_offset": (_vis(offsets=[-1.0]), "discovery offsets must be >= 0"),
+    "offset_not_a_number": (_vis(offsets=["x"]), "could not convert string to float: 'x'"),
+    "relative_url": (_vis(subs=[_res(url="/x.js")]), "not an absolute URL: '/x.js'"),
+    "url_not_a_string": (_vis(subs=[_res(url=5)]), "not a URL: 5"),
+    "url_unhashable": (_vis(subs=[_res(url=["http://a.com/"])]), "not a URL: ['http://a.com/']"),
+    "bad_url_before_bad_kind": (
+        _vis(subs=[_res(url="x", kind="wasm")]),
+        "not an absolute URL: 'x'",
+    ),
+    "urls_collapse": (
+        _vis(subs=[_res(url="http://a.com/x.js"), _res(url="HTTP://A.com:80/x.js#f")]),
+        "duplicate subresource URL within one visit",
+    ),
+    "main_not_html": (_vis(main=_res("http://a.com/")), "main resource must be html"),
+    "main_not_html_and_duplicates": (
+        _vis(main=_res("http://a.com/"), subs=[_res(), _res()]),
+        "main resource must be html",
+    ),
+    "cc_not_an_object": (_vis(subs=[_res(cc=[1])]), "cc must be an object"),
+    "fetched_at_not_a_number": (
+        _vis(subs=[_res(fetched_at="noon")]),
+        "could not convert string to float: 'noon'",
+    ),
+    "resource_not_an_object": (_vis(subs=["http://a.com/x.js"]), "resource must be an object"),
+    "visit_not_an_object": ([1, 2], "visit must be an object"),
+    "ts_not_a_number": (_vis(ts="soon"), "could not convert string to float: 'soon'"),
+    "bad_size_before_bad_cc": (
+        _vis(subs=[_res(size="big", cc=1)]),
+        "invalid literal for int() with base 10: 'big'",
+    ),
+    "bad_cc_before_bad_fetched_at": (
+        _vis(subs=[_res(cc=1, fetched_at="noon")]),
+        "cc must be an object",
+    ),
+    "bad_fetched_at_before_bad_kind": (
+        _vis(subs=[_res(kind="wasm", fetched_at="noon")]),
+        "could not convert string to float: 'noon'",
+    ),
+    "bad_ts_before_bad_main": (
+        _vis(ts="soon", main=_res("/", "wasm")),
+        "could not convert string to float: 'soon'",
+    ),
+    "bad_offsets_before_bad_main": (
+        _vis(offsets={}, main=_res("/", "wasm")),
+        "offsets must be a list",
+    ),
+    "bad_main_before_bad_sub": (
+        _vis(main=_res("http://a.com/", "wasm"), subs=[_res(size=-1)]),
+        "unknown resource kind 'wasm'",
+    ),
+    "bad_sub_before_bad_offset": (
+        _vis(subs=[_res(size=-1)], offsets=["x"]),
+        "size_bytes must be >= 0",
+    ),
+    "duplicates_before_length_mismatch": (
+        _vis(subs=[_res(), _res()], offsets=[1.0]),
+        "duplicate subresource URL within one visit",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_records_raise_the_same_schema_error(tmp_path, case):
+    obj, message = _MALFORMED[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_vis()) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(SchemaError) as err:
+        load_trace(path)
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_save_of_load_gives_the_same_bytes_on_a_synth_trace(tmp_path):
+    from specload.synth import SynthParams, generate_synthetic
+
+    path, out = tmp_path / "t.jsonl", tmp_path / "out.jsonl"
+    save_trace(generate_synthetic(SynthParams(visits=400, seed=11)), path)
+    loaded = load_trace(path)
+    save_trace(loaded, out)
+    assert out.read_bytes() == path.read_bytes()
+    # Records built without __init__ still compare and hash like built ones.
+    first = loaded.visits[0]
+    built = PageVisit(
+        user_id=first.user_id,
+        timestamp=first.timestamp,
+        main=first.main,
+        subresources=first.subresources,
+        discovery_offsets=first.discovery_offsets,
+    )
+    assert first == built and hash(first) == hash(built)
+
+
+def test_equal_raw_urls_are_normalised_once_per_load(tmp_path, monkeypatch):
+    import specload.trace as trace_mod
+
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return normalize_url(raw)
+
+    monkeypatch.setattr(trace_mod, "normalize_url", counting)
+    path = tmp_path / "t.jsonl"
+    lines = [_raw_visit("HTTP://A.COM/", ["http://a.com/x.js"], ts=t) for t in (1.0, 2.0)]
+    path.write_text("\n".join(lines) + "\n")
+    first, second = load_trace(path).visits
+    assert first.main.url == second.main.url == "http://a.com/"
+    assert sorted(calls) == ["HTTP://A.COM/", "http://a.com/x.js"]
+    load_trace(path)
+    assert len(calls) == 4  # nothing is kept between loads
