@@ -25,6 +25,8 @@ from specload.errors import CorruptRepository
 from specload.graph import (
     _MAGIC,
     History,
+    _AgeIndex,
+    _live,
     MetadataRepository,
     NodeType,
     dumps_repo,
@@ -36,8 +38,6 @@ from specload.graph import (
     save_repo,
     trim,
     update,
-    _AgeIndex,
-    _live,
 )
 from specload.synth import SynthParams, generate_synthetic
 from specload.trace import Trace
