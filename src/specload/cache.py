@@ -56,7 +56,7 @@ def freshness_lifetime(
     return None
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     url: str
     size_bytes: int
@@ -126,17 +126,22 @@ def lookup(store: CacheStore, url: str, now: float) -> LookupOutcome:
     Any hit (fresh or expired) refreshes the entry's recency for LRU
     purposes.
     """
-    outcome = store.classify(url, now)
-    if outcome is LookupOutcome.MISS:
-        store.counters.misses += 1
-        return outcome
-    if url not in store.temp:
-        store.entries.move_to_end(url)
-    if outcome is LookupOutcome.FRESH_HIT:
-        store.counters.fresh_hits += 1
-    else:
-        store.counters.revalidations += 1
-    return outcome
+    # ``CacheStore.classify``, inlined: this runs for every request.
+    counters = store.counters
+    if url in store.temp:
+        counters.fresh_hits += 1
+        return LookupOutcome.FRESH_HIT
+    entry = store.entries.get(url)
+    if entry is None:
+        counters.misses += 1
+        return LookupOutcome.MISS
+    store.entries.move_to_end(url)
+    lifetime = entry.lifetime
+    if lifetime is not None and now < entry.stored_at + lifetime:
+        counters.fresh_hits += 1
+        return LookupOutcome.FRESH_HIT
+    counters.revalidations += 1
+    return LookupOutcome.EXPIRED_REVALIDATE
 
 
 def admit(
@@ -155,36 +160,35 @@ def admit(
     one evicts least-recently-accessed entries until it does, and an
     entry larger than the whole cache is simply not kept.
     """
+    url = record.url
     d = record.cache_directives
     size = record.size_bytes
-    entry = CacheEntry(
-        url=record.url,
-        size_bytes=size,
-        stored_at=now,
-        lifetime=freshness_lifetime(d, fetched_at=now),
-        validator=validator,
-        directives=d,
-    )
+    entry = CacheEntry(url, size, now, freshness_lifetime(d, now), validator, d)
+    counters = store.counters
     if d.no_store:
-        store.counters.bytes_fetched += size
-        store.temp[record.url] = entry
+        counters.bytes_fetched += size
+        store.temp[url] = entry
         return
 
-    prior = store.entries.pop(record.url, None)
-    if prior is not None:
-        store._used -= prior.size_bytes
-    if prior is not None and not prior.is_fresh(now):
-        store.counters.bytes_saved_by_304 += size
+    entries = store.entries
+    used = store._used
+    prior = entries.pop(url, None)
+    if prior is None:
+        counters.bytes_fetched += size
     else:
-        store.counters.bytes_fetched += size
+        used -= prior.size_bytes
+        if prior.is_fresh(now):
+            counters.bytes_fetched += size
+        else:
+            counters.bytes_saved_by_304 += size
 
-    if size > store.capacity_bytes:
-        return
-    while store._used + size > store.capacity_bytes and store.entries:
-        _, evicted = store.entries.popitem(last=False)
-        store._used -= evicted.size_bytes
-    store.entries[record.url] = entry
-    store._used += size
+    capacity = store.capacity_bytes
+    if size <= capacity:
+        while used + size > capacity and entries:
+            used -= entries.popitem(last=False)[1].size_bytes
+        entries[url] = entry
+        used += size
+    store._used = used
 
 
 def page_complete(store: CacheStore) -> None:

@@ -62,7 +62,11 @@ class Prediction:
 def _mean_children(graph: ResourceGraph, page_ids) -> float:
     if not page_ids:
         return 0.0
-    return fmean(len(graph.nodes[pid].children) for pid in page_ids)
+    # One exact integer sum, divided once.  Below 2**53 the sum and the
+    # count are exact floats, so this is the correctly rounded quotient
+    # that ``statistics.fmean`` returns, without its ``fsum`` pass.
+    nodes = graph.nodes
+    return sum([len(nodes[pid].children) for pid in page_ids]) / len(page_ids)
 
 
 def predict(repo: MetadataRepository, url: str) -> Prediction:
@@ -102,7 +106,7 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
         return Prediction(urls=tuple(n.url_or_name for n in best), visit_class=visit_class)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlannedLoad:
     url: str
     action: str  # "fetch" | "revalidate"
@@ -290,19 +294,10 @@ def replay(
         history.learn(visit)
 
 
-def replay_predictor(
-    trace: Trace, warmup_fraction: float = 0.0, trim_days: float | None = None
-) -> PredictorReplayResult:
+def replay_predictor(trace: Trace, trim_days: float | None = None) -> PredictorReplayResult:
     """Replay a trace through ``replay`` (trimming with ``trim_days``)
-    and score the predictions with ``score_predictions``.
-
-    The first ``warmup_fraction`` of visits only feed the graph; their
-    predictions are dropped from the evaluation rows.
-    """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise InvalidParams("warmup_fraction must be in [0, 1)")
+    and score the predictions with ``score_predictions``."""
     if not trace.visits:
         raise EmptyTrace("cannot replay an empty trace")
-    warmup = int(len(trace.visits) * warmup_fraction)
     predictions = [prediction for _, prediction in replay(trace.visits, trim_days)]
-    return score_predictions(trace.visits[warmup:], predictions[warmup:])
+    return score_predictions(trace.visits, predictions)

@@ -22,6 +22,18 @@ subresources found by parsing (instant when fresh), and channel grant
 for queued loads.  A URL is loaded at most once per page, so a queued
 speculative load cannot have turned fresh while it waited.
 
+Events are finish, parse and ready, kept in a heap ordered by time and
+then by push order.  Every load issued on a connection pushes exactly
+one finish event; a fresh hit pushes none and completes at its issue
+time.  A load that becomes ready at the current time while no other
+event is due at that time skips the heap: it takes a free connection at
+once, or joins the waiting queue when none is free.  The heap would
+have popped those loads next and in the same order, so every cache
+lookup and admit happens in the same sequence either way
+(``tests/sim_reference.py`` keeps the engine that routes them through
+the heap, and ``tests/test_sim.py`` compares the two).  After each
+event, either the waiting queue is empty or no connection is free.
+
 A cache state is any object with five methods: ``classify(url, now)``
 (pure, what the planner sees), ``lookup(url, now)`` (a request at
 issuance), ``admit(record, now)`` (a response came in),
@@ -124,10 +136,16 @@ class OperationClass(Enum):
     SUBRESOURCE_FETCH = "subresource_fetch"
 
 
-@dataclass
+# Event kinds.  A tie in time is broken by push order, never by kind.
+_FINISH, _PARSE, _READY = range(3)
+
+
+@dataclass(slots=True)
 class _Job:
     url: str
-    priority: tuple
+    # Queue order: speculative loads by plan rank, then discovered loads
+    # by document index (offset by the number of speculative loads).
+    priority: int
     is_main: bool = False
     required: bool = False
     record: ResourceRecord | None = None
@@ -153,7 +171,6 @@ class _Engine:
         self.cache_state = cache_state
         self.net = net
         self.max_connections = max_connections
-        self.scales = scales
         # Read with ``get`` only: copying it per page would make a
         # trace replay quadratic in its length.
         self.known = known_records if known_records is not None else {}
@@ -163,72 +180,125 @@ class _Engine:
         # up as a pure left shift of the subresource schedule.
         self.free = max_connections - 1
         self.now = 0.0
-        self.events: list[tuple[float, int, str, object]] = []
-        self.queue: list[tuple[tuple, int, _Job]] = []
+        self.events: list[tuple[float, int, int, _Job | None]] = []
+        self.queue: list[tuple[int, _Job]] = []
         self.jobs: dict[str, _Job] = {}
         self.canceled: set[str] = set()
         self.ready_at: dict[str, float] = {}
         self._seq = 0
+        self._n_speculative = 0
+        # An unscaled class keeps None: multiplying by 1.0 is exact, so
+        # skipping it changes no duration.
+        self._main_scale = scales.get(OperationClass.MAIN_FETCH)
+        self._sub_scale = scales.get(OperationClass.SUBRESOURCE_FETCH)
+        parse_scale = scales.get(OperationClass.PARSE)
+        self._parse_ms = net.parse_ms if parse_scale is None else net.parse_ms * parse_scale
+        self._main_extra_ms = (net.main_extra_rtts + net.redirect_hops) * net.rtt_ms
 
-    def _next(self) -> int:
+    def _push_event(self, t: float, kind: int, job: _Job | None) -> None:
         self._seq += 1
-        return self._seq
+        heapq.heappush(self.events, (t, self._seq, kind, job))
 
-    def _push_event(self, t: float, kind: str, payload=None) -> None:
-        heapq.heappush(self.events, (t, self._next(), kind, payload))
-
-    def _now_s(self) -> float:
-        return self.visit.timestamp + self.now / 1000.0
-
-    def _scaled(self, op: OperationClass, duration: float) -> float:
-        return duration * self.scales.get(op, 1.0)
-
-    def _duration_ms(self, job: _Job, outcome: LookupOutcome) -> float:
-        rtt = self.net.rtt_ms
-        if outcome is LookupOutcome.EXPIRED_REVALIDATE:
-            base = rtt
-        else:
-            record = job.record
-            size = record.size_bytes if record else 0
-            job.body_bytes = size
-            base = rtt + size * 1000.0 / self.net.bandwidth_bytes_per_s
-        if job.is_main:
-            base += (self.net.main_extra_rtts + self.net.redirect_hops) * rtt
-            return self._scaled(OperationClass.MAIN_FETCH, base)
-        return self._scaled(OperationClass.SUBRESOURCE_FETCH, base)
-
-    def _issue(self, job: _Job) -> bool:
-        """Classify and start a job now; False means it resolved as a
-        fresh hit without consuming a connection.  The main resource
-        rides its reserved connection and never draws on the pool."""
-        outcome = self.cache_state.lookup(job.url, self._now_s())
+    def _issue(self, job: _Job) -> None:
+        """Classify and start a job now.  A fresh hit completes at once
+        without a connection or an event; the main resource rides its
+        reserved connection and never draws on the pool."""
+        now = self.now
+        outcome = self.cache_state.lookup(job.url, self.visit.timestamp + now / 1000.0)
         if outcome is LookupOutcome.FRESH_HIT:
-            job.done_ms = self.now
-            return False
-        duration = self._duration_ms(job, outcome)
-        if not job.is_main:
+            job.done_ms = now
+            return
+        net = self.net
+        duration = net.rtt_ms
+        if outcome is not LookupOutcome.EXPIRED_REVALIDATE:
+            record = job.record
+            size = record.size_bytes if record is not None else 0
+            job.body_bytes = size
+            duration += size * 1000.0 / net.bandwidth_bytes_per_s
+        if job.is_main:
+            duration += self._main_extra_ms
+            scale = self._main_scale
+        else:
             self.free -= 1
-        self._push_event(self.now + duration, "finish", job)
-        return True
+            scale = self._sub_scale
+        if scale is not None:
+            duration *= scale
+        self._push_event(now + duration, _FINISH, job)
 
-    def _dispatch(self) -> None:
-        while self.queue and self.free > 0:
-            _, _, job = heapq.heappop(self.queue)
-            if job.url in self.canceled:
-                continue
+    def _start(self, job: _Job) -> None:
+        """A load is ready: onto a free connection, else into the queue.
+        Whenever an event has been handled, the queue is empty or no
+        connection is free, so a free connection means nothing waits."""
+        if self.free > 0:
             self._issue(job)
+        else:
+            heapq.heappush(self.queue, (job.priority, job))
 
-    def _enqueue(self, job: _Job) -> None:
-        heapq.heappush(self.queue, (job.priority, self._next(), job))
+    def _make_ready(self, jobs_ready: list[tuple[_Job, float]]) -> None:
+        """Schedule new loads, given in the order the heap must see them.
+        If nothing else is due now, the loads due now start at once, in
+        that order: the heap would pop them next, in that order.  The
+        rest are pushed before any of those starts, so every finish event
+        a start pushes stays behind them, as it would."""
+        now = self.now
+        events = self.events
+        due_now = not events or events[0][0] > now
+        due = []
+        for job, ready in jobs_ready:
+            if due_now and ready == now:
+                due.append(job)
+            else:
+                self._push_event(ready, _READY, job)
+        for job in due:
+            self._start(job)
 
-    def _on_main_done(self, main: _Job) -> None:
-        parse_t = (main.done_ms or 0.0) + self._scaled(OperationClass.PARSE, self.net.parse_ms)
-        self._push_event(parse_t, "parse", None)
+    def _plan(self) -> None:
+        visit = self.visit
+        main_url = visit.main.url
+        plan = plan_loads(
+            self.mode.prediction,
+            self.cache_state,
+            visit.timestamp + self.now / 1000.0,
+            self.max_connections,
+        )
+        loads = (*plan.immediate, *plan.waiting)
+        if not loads:
+            return
+        # Speculative loads skip the wait for the main resource but keep
+        # the page's own request cadence: a load that the page would only
+        # discover late in parsing starts that much into the schedule.
+        # This makes the speculative subresource schedule an exact left
+        # shift of the legacy one, so under correct prediction it can
+        # never come out slower.  The visit's own records are
+        # authoritative for anything the page actually transfers this
+        # time around.
+        subs = visit.subresources
+        offsets = visit.discovery_offsets
+        index = {r.url: i for i, r in enumerate(subs)}
+        jobs = self.jobs
+        ready_at = self.ready_at
+        scheduled = []
+        for item in loads:
+            url = item.url
+            if url == main_url or url in jobs:
+                continue
+            i = index.get(url)
+            if i is None:
+                record, ready = self.known.get(url), 0.0
+            else:
+                record, ready = subs[i], offsets[i] if offsets else 0.0
+            job = jobs[url] = _Job(url, len(scheduled), record=record)
+            ready_at[url] = ready
+            scheduled.append((job, ready))
+        self._n_speculative = len(scheduled)
+        self._make_ready(scheduled)
 
     def _on_parse(self, parse_t: float) -> None:
-        actual = {r.url for r in self.visit.subresources}
+        subs = self.visit.subresources
+        jobs = self.jobs
         if isinstance(self.mode, Speculative):
-            for url, job in self.jobs.items():
+            actual = {r.url for r in subs}
+            for url, job in jobs.items():
                 if job.is_main:
                     continue
                 if url in actual:
@@ -237,85 +307,73 @@ class _Engine:
                     # Queued entries get dropped unissued; anything
                     # already on a connection finishes on its own.
                     self.canceled.add(url)
-        offsets = self.visit.offsets
-        # Push ready events in (offset, document index) order.  An
-        # offset too small to survive ``parse_t + offset`` then still
-        # breaks the tie the way it orders speculative loads.
-        for i in sorted(range(len(offsets)), key=offsets.__getitem__):
-            record = self.visit.subresources[i]
+        offsets = self.visit.discovery_offsets
+        # Ready in (offset, document index) order.  An offset too small
+        # to survive ``parse_t + offset`` then still breaks the tie the
+        # way it orders speculative loads.
+        if offsets:
+            order = sorted(range(len(offsets)), key=offsets.__getitem__)
+        else:
+            order = range(len(subs))
+        base = self._n_speculative
+        ready_at = self.ready_at
+        scheduled = []
+        for i in order:
+            record = subs[i]
             url = record.url
-            ready = parse_t + offsets[i]
-            self.ready_at[url] = ready
-            if url in self.jobs:
-                self.jobs[url].required = True
+            ready = parse_t + offsets[i] if offsets else parse_t
+            ready_at[url] = ready
+            job = jobs.get(url)
+            if job is not None:
+                job.required = True
                 continue
-            job = _Job(url=url, priority=(2, i, url), required=True, record=record)
-            self.jobs[url] = job
-            self._push_event(ready, "ready", job)
+            job = jobs[url] = _Job(url, base + i, required=True, record=record)
+            scheduled.append((job, ready))
+        self._make_ready(scheduled)
 
     def run(self) -> float:
         visit = self.visit
-        main_url = visit.main.url
-        main = _Job(
-            url=main_url, priority=(0, 0, ""), is_main=True, required=True, record=visit.main
-        )
-        self.jobs[main_url] = main
-
-        if not self._issue(main):
-            self._on_main_done(main)
+        main = _Job(visit.main.url, 0, is_main=True, required=True, record=visit.main)
+        self.jobs[main.url] = main
+        self._issue(main)
+        if main.done_ms is not None:
+            self._push_event(main.done_ms + self._parse_ms, _PARSE, None)
         if isinstance(self.mode, Speculative):
-            plan = plan_loads(
-                self.mode.prediction, self.cache_state, self._now_s(), self.max_connections
-            )
-            # Speculative loads skip the wait for the main resource but
-            # keep the page's own request cadence: a load that the page
-            # would only discover late in parsing starts that much into
-            # the schedule.  This makes the speculative subresource
-            # schedule an exact left shift of the legacy one, so under
-            # correct prediction it can never come out slower.
-            cadence = {r.url: visit.offsets[i] for i, r in enumerate(visit.subresources)}
-            # The visit's own records are authoritative for anything the
-            # page actually transfers this time around.
-            own = {r.url: r for r in visit.subresources}
-            rank = 0
-            for item in (*plan.immediate, *plan.waiting):
-                if item.url == main_url or item.url in self.jobs:
-                    continue
-                record = own.get(item.url) or self.known.get(item.url)
-                job = _Job(url=item.url, priority=(1, rank, item.url), record=record)
-                self.jobs[item.url] = job
-                ready = cadence.get(item.url, 0.0)
-                self.ready_at[item.url] = ready
-                self._push_event(ready, "ready", job)
-                rank += 1
+            self._plan()
 
-        while self.events:
-            t, _, kind, payload = heapq.heappop(self.events)
+        events = self.events
+        queue = self.queue
+        canceled = self.canceled
+        admit = self.cache_state.admit
+        timestamp = visit.timestamp
+        pop = heapq.heappop
+        while events:
+            t, _, kind, job = pop(events)
             self.now = t
-            if kind == "finish":
-                job = payload
+            if kind == _FINISH:
                 job.done_ms = t
-                if not job.is_main:
-                    self.free += 1
                 if job.record is not None:
-                    self.cache_state.admit(job.record, self._now_s())
+                    admit(job.record, timestamp + t / 1000.0)
                 if job.is_main:
-                    self._on_main_done(job)
-            elif kind == "parse":
+                    self._push_event(t + self._parse_ms, _PARSE, None)
+                    continue
+                self.free += 1
+                # A queued load that turns out fresh takes no connection.
+                while queue and self.free > 0:
+                    _, job = pop(queue)
+                    if job.url not in canceled:
+                        self._issue(job)
+            elif kind == _PARSE:
                 self._on_parse(t)
-            elif kind == "ready":
-                job = payload
-                if job.url not in self.canceled:
-                    self._enqueue(job)
-            self._dispatch()
-        self._dispatch()
+            elif job.url not in canceled:
+                self._start(job)
 
         self.cache_state.page_complete()
 
         # Page delay: when the last required resource is in hand.  A
         # speculative load that lands before the parser would have asked
         # for it counts at its completion time.
-        done_required = [main.done_ms or 0.0]
+        done_required = [main.done_ms]
         for record in visit.subresources:
             url = record.url
             job = self.jobs.get(url)

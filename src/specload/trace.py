@@ -31,6 +31,7 @@ instead of going through ``__init__``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -118,13 +119,20 @@ def _check_record(kind, size: int) -> None:
         raise ValueError("size_bytes must be >= 0")
 
 
-def _check_visit(main, subs: tuple, offsets: tuple) -> None:
+def _check_visit(timestamp, main, subs: tuple, offsets: tuple) -> None:
+    # JSON reads NaN and Infinity: a NaN timestamp leaves the visit
+    # order undefined, and a NaN ready time would sit in the simulator's
+    # event heap.
+    if not math.isfinite(timestamp):
+        raise ValueError("timestamp must be finite")
     if main.kind != "html":
         raise ValueError("main resource must be html")
     if len({r.url for r in subs}) != len(subs):
         raise ValueError("duplicate subresource URL within one visit")
     if offsets and len(offsets) != len(subs):
         raise ValueError("discovery_offsets length mismatch")
+    if not all(map(math.isfinite, offsets)):
+        raise ValueError("discovery offsets must be finite")
     if any(off < 0 for off in offsets):
         raise ValueError("discovery offsets must be >= 0")
 
@@ -207,7 +215,7 @@ class PageVisit:
     discovery_offsets: tuple[float, ...] = ()
 
     def __post_init__(self):
-        _check_visit(self.main, self.subresources, self.discovery_offsets)
+        _check_visit(self.timestamp, self.main, self.subresources, self.discovery_offsets)
 
     @property
     def offsets(self) -> tuple[float, ...]:
@@ -245,7 +253,7 @@ class PageVisit:
         main = parse(main, _memo)
         subs = tuple([parse(s, _memo) for s in subs])
         offsets = tuple(map(float, offsets))
-        _check_visit(main, subs, offsets)
+        _check_visit(ts, main, subs, offsets)
         visit = _new(cls)
         _set_user(visit, user)
         _set_timestamp(visit, ts)

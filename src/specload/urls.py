@@ -67,9 +67,10 @@ def _normalize_split(raw: str) -> str:
         raise MalformedUrl(f"bad host in {raw!r} ({exc})") from exc
     if not host:
         raise MalformedUrl(f"no host in {raw!r}")
-    netloc = host
+    # ``hostname`` drops an IPv6 literal's brackets; the URL needs them.
+    netloc = f"[{host}]" if ":" in host else host
     if port is not None and port != _DEFAULT_PORTS.get(scheme):
-        netloc = f"{host}:{port}"
+        netloc = f"{netloc}:{port}"
     return urlunsplit((scheme, netloc, parts.path, parts.query, ""))
 
 
@@ -90,11 +91,14 @@ def website_key(url: str) -> str:
     single-label hosts (e.g. "localhost") are returned whole.
     """
     host = host_of(normalize_url(url))
-    try:
-        ipaddress.ip_address(host)
-        return host
-    except ValueError:
-        pass
+    # An IP literal ends in a digit (IPv4) or holds a ':' (IPv6), so a
+    # host ending in a letter without a ':' skips the parse.
+    if not ("a" <= host[-1] <= "z" and ":" not in host):
+        try:
+            ipaddress.ip_address(host)
+            return host
+        except ValueError:
+            pass
     labels = host.split(".")
     if len(labels) <= 2:
         return host

@@ -495,17 +495,6 @@ def test_replay_hand_oracle_and_buckets():
     assert [(b.index, b.n_predictions) for b in result.monthly] == [(0, 3)]
 
 
-def test_replay_warmup_excludes_rows():
-    subs = ["http://s.example/a.js"]
-    vs = [visit("http://s.example/p", subs, ts=float(i)) for i in range(4)]
-    result = replay_predictor(trace_of(*vs), warmup_fraction=0.5)
-    assert len(result.per_visit) == 2
-    # graph already knows the page, so both evaluated rows are perfect
-    assert all(r.hit_ratio == 1.0 for r in result.per_visit)
-    with pytest.raises(InvalidParams):
-        replay_predictor(trace_of(*vs), warmup_fraction=1.0)
-
-
 def test_pure_revisit_traces_hit_perfectly():
     # after update(visit), predict must return exactly the visit's sub set
     rng = random.Random(99)

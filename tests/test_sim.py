@@ -25,10 +25,11 @@ from specload.sim import (
     whatif_scale,
 )
 from specload.synth import SynthParams, generate_synthetic
-from specload.trace import PageVisit, Trace, load_trace
+from specload.trace import CacheDirectives, PageVisit, ResourceRecord, Trace, load_trace
 from specload.urls import normalize_url
 
 from conftest import rec, visit, trace_of
+from sim_reference import _Engine as ReferenceEngine
 
 # Default network: 200 ms RTT, 125 kB/s, 100 ms parse, one extra RTT
 # for the main resource's connection setup.
@@ -484,3 +485,165 @@ def test_oracle_speculation_never_loses(case):
     if len(v.subresources) >= connections - 1:
         # parse time plus the main resource's setup RTT always comes off
         assert legacy - spec >= 100.0 + 200.0 - 1e-6
+
+
+# --- the lean engine against the reference engine ---------------------
+
+
+class _Recording:
+    """A cache state that logs every request, response and page end."""
+
+    def __init__(self, inner, log: list):
+        self.inner = inner
+        self.log = log
+
+    def classify(self, url, now):
+        return self.inner.classify(url, now)
+
+    def lookup(self, url, now):
+        outcome = self.inner.lookup(url, now)
+        self.log.append(("lookup", url, now, outcome))
+        return outcome
+
+    def admit(self, record, now):
+        self.log.append(("admit", record.url, now))
+        self.inner.admit(record, now)
+
+    def page_complete(self):
+        self.log.append(("page_complete",))
+        self.inner.page_complete()
+
+
+def _run_both(pages, state, net, connections, scales, known):
+    """Run every page in legacy and speculative mode on each engine,
+    each mode on its own copy of ``state``; per engine, return every
+    page's delay, overhead bytes and ready times, and the call log."""
+    runs = []
+    for engine in (_Engine, ReferenceEngine):
+        log: list = []
+        legacy_state = _Recording(state.fork(), log)
+        spec_state = _Recording(state.fork(), log)
+        results = []
+        for v, prediction in pages:
+            for mode, mode_state in ((LEGACY, legacy_state), (Speculative(prediction), spec_state)):
+                eng = engine(v, mode, mode_state, net, connections, known, scales)
+                delay = eng.run()
+                results.append((delay, eng.overhead_bytes, eng.ready_at))
+        runs.append((results, log))
+    return runs
+
+
+_DIFF_SITE = "http://diff.example"
+_DIFF_POOL = [f"{_DIFF_SITE}/r{i}.js" for i in range(7)]
+_DIFF_SIZES = st.sampled_from([0, 1, 6_250, 25_000, 37_500, 200_000])
+_DIFF_DIRECTIVES = st.sampled_from(
+    [
+        CacheDirectives(),
+        CacheDirectives(max_age=0),
+        CacheDirectives(max_age=3),
+        CacheDirectives(max_age=10_000),
+        CacheDirectives(no_store=True),
+        CacheDirectives(no_cache=True, has_validator=True),
+        CacheDirectives(last_modified=-600.0),
+    ]
+)
+
+
+@st.composite
+def _diff_record(draw, url, kind, ts):
+    return ResourceRecord(url, kind, draw(_DIFF_SIZES), draw(_DIFF_DIRECTIVES), ts)
+
+
+@st.composite
+def _diff_offsets(draw, k):
+    values = st.one_of(
+        # zero and tied, with one too small to survive ``parse_t + offset``
+        st.sampled_from([0.0, 2.2e-16, 50.0, 150.0]),
+        st.floats(0, 1000, allow_nan=False, allow_infinity=False),
+    )
+    return draw(st.one_of(st.just(()), st.lists(values, min_size=k, max_size=k)))
+
+
+@st.composite
+def _diff_cases(draw):
+    ts = 0.0
+    pages = []
+    for _ in range(draw(st.integers(1, 3))):
+        ts += draw(st.sampled_from([0.0, 1.0, 5.0, 30.0]))
+        urls = draw(st.lists(st.sampled_from(_DIFF_POOL), unique=True, max_size=6))
+        main = draw(_diff_record(f"{_DIFF_SITE}/p", "html", ts))
+        subs = tuple(draw(_diff_record(url, "script", ts)) for url in urls)
+        v = PageVisit("u", ts, main, subs, draw(_diff_offsets(len(subs))))
+        predicted = draw(
+            st.one_of(
+                st.permutations(urls),  # correct
+                st.lists(  # partly wrong, may name the main URL
+                    st.sampled_from([*_DIFF_POOL, main.url]), unique=True, max_size=7
+                ),
+                st.just([]),
+            )
+        )
+        pages.append((v, Prediction(tuple(predicted), VisitClass.REVISIT)))
+    capacity = draw(st.sampled_from([30_000, 100_000, float("inf")]))
+    state = draw(st.sampled_from([EMPTY, FRESH, EXPIRED, Realistic(CacheStore(capacity))]))
+    net = NetworkParams(
+        rtt_ms=draw(st.sampled_from([0.0, 17.5, 50.0, 200.0])),
+        bandwidth_bytes_per_s=draw(st.sampled_from([125_000.0, 1e6])),
+        parse_ms=draw(st.sampled_from([0.0, 35.5, 100.0])),
+        main_extra_rtts=draw(st.integers(0, 2)),
+        redirect_hops=draw(st.integers(0, 1)),
+    )
+    scales = draw(
+        st.one_of(
+            st.just({}),
+            st.dictionaries(
+                st.sampled_from(list(OperationClass)),
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                min_size=1,
+                max_size=1,
+            ),
+        )
+    )
+    # Sizes for mispredicted loads; URLs missing here load with size 0.
+    known = {
+        url: draw(_diff_record(url, "script", 0.0))
+        for url in draw(st.lists(st.sampled_from(_DIFF_POOL), unique=True))
+    }
+    return pages, state, net, draw(st.integers(2, 6)), scales, known
+
+
+@settings(max_examples=400, deadline=None)
+@given(_diff_cases())
+def test_engine_matches_the_reference_engine(case):
+    lean, reference = _run_both(*case)
+    assert lean == reference
+
+
+def test_finish_and_parse_at_one_instant_keep_heap_order():
+    # Four subresource connections.  a (100 ms) and f (150 ms) finish
+    # early, b and e hold theirs; d waits, starts when a finishes at 100
+    # and finishes at 200, the instant the parse ends.  The parse event
+    # was pushed first (at 100, by the main resource), so it pops first
+    # with d's finish still due: c, discovered then, must wait behind
+    # that finish although a connection (f's) is free.
+    net = NetworkParams(rtt_ms=50.0, parse_ms=100.0)
+    site = "http://tie.example"
+    a, f, c = (rec(f"{site}/{n}.js", size=size) for n, size in (("a", 6_250), ("f", 12_500), ("c", 0)))
+    known = {
+        f"{site}/{n}.js": rec(f"{site}/{n}.js", size=size)
+        for n, size in (("b", 1_000_000), ("e", 1_000_000), ("d", 6_250))
+    }
+    v = PageVisit("u", 0.0, rec(f"{site}/p", kind="html", size=0), (a, f, c))
+    prediction = Prediction(
+        tuple(f"{site}/{n}.js" for n in "afbed"), VisitClass.REVISIT
+    )
+    log: list = []
+    eng = _Engine(v, Speculative(prediction), _Recording(EMPTY, log), net, 5, known, {})
+    delay = eng.run()
+    d = f"{site}/d.js"
+    assert eng.jobs[d].done_ms == eng.jobs[v.main.url].done_ms + net.parse_ms == 200.0
+    calls = [entry[:2] for entry in log]
+    assert calls.index(("admit", d)) < calls.index(("lookup", c.url))
+    assert delay == 250.0
+    (lean, reference) = _run_both([(v, prediction)], EMPTY, net, 5, {}, known)
+    assert lean == reference

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -78,6 +79,14 @@ def test_visit_validation():
         rec("http://a.com/x", kind="wasm")
     with pytest.raises(ValueError):
         rec("http://a.com/x", size=-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_visit_rejects_non_finite_timestamp_and_offsets(bad):
+    with pytest.raises(ValueError, match="timestamp must be finite"):
+        visit("http://a.com/", ["http://a.com/x"], ts=bad)
+    with pytest.raises(ValueError, match="discovery offsets must be finite"):
+        visit("http://a.com/", ["http://a.com/x"], ts=0.0, offsets=[bad])
 
 
 def test_load_reports_line_numbers(tmp_path):
@@ -319,6 +328,17 @@ _MALFORMED = {
         _vis(subs=[_res(), _res()], offsets=[1.0]),
         "duplicate subresource URL within one visit",
     ),
+    "nan_ts": (_vis(ts=math.nan), "timestamp must be finite"),
+    "infinite_ts": (_vis(ts=math.inf), "timestamp must be finite"),
+    "minus_infinite_ts": (_vis(ts=-math.inf), "timestamp must be finite"),
+    "nan_ts_before_bad_main": (_vis(ts=math.nan, main=_res("http://a.com/")), "timestamp must be finite"),
+    "bad_main_record_before_nan_ts": (
+        _vis(ts=math.nan, main=_res("/", "html")),
+        "not an absolute URL: '/'",
+    ),
+    "nan_offset": (_vis(offsets=[math.nan]), "discovery offsets must be finite"),
+    "infinite_offset": (_vis(offsets=[math.inf]), "discovery offsets must be finite"),
+    "minus_infinite_offset": (_vis(offsets=[-math.inf]), "discovery offsets must be finite"),
 }
 
 

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import ipaddress
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specload.errors import MalformedUrl
-from specload.urls import _CANONICAL, _normalize_split, host_of, normalize_url, website_key
+from specload.urls import (
+    _CANONICAL,
+    _MULTI_LABEL_SUFFIXES,
+    _normalize_split,
+    host_of,
+    normalize_url,
+    website_key,
+)
 
 
 @pytest.mark.parametrize(
@@ -18,6 +27,8 @@ from specload.urls import _CANONICAL, _normalize_split, host_of, normalize_url, 
         ("http://espn.com", "http://espn.com"),
         ("  http://espn.com/a b  ", "http://espn.com/a b"),
         ("http://user:pw@espn.com/x", "http://espn.com/x"),
+        ("http://[2001:DB8::A]:80/x", "http://[2001:db8::a]/x"),
+        ("https://[::1]:8443/", "https://[::1]:8443/"),
     ],
 )
 def test_normalize(raw, expected):
@@ -60,6 +71,47 @@ def test_normalize_is_idempotent(scheme, host, path):
 )
 def test_website_key(url, key):
     assert website_key(url) == key
+
+
+def _website_key_via_ipaddress(url: str) -> str:
+    """``website_key`` with every host going through ``ip_address``."""
+    host = host_of(normalize_url(url))
+    try:
+        ipaddress.ip_address(host)
+        return host
+    except ValueError:
+        pass
+    labels = host.split(".")
+    if len(labels) <= 2:
+        return host
+    if ".".join(labels[-2:]) in _MULTI_LABEL_SUFFIXES:
+        return ".".join(labels[-3:])
+    return ".".join(labels[-2:])
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "http://10.0.0.1/x",  # IPv4
+        "http://192.168.1.254:8080/",
+        "http://1.2.3/",  # digits, not an address
+        "http://[::1]/x",  # bracketed IPv6
+        "http://[2001:db8::a]:8443/",
+        "http://[::ffff:1.2.3.4]/",
+        "http://www.example.com./",  # trailing dot
+        "http://example.com./x",
+        "http://localhost/",  # single label
+        "http://intranet1/",
+        "http://news.bbc.co.uk/",  # multi-label suffix
+        "http://a.b.shop.com.au/",
+        "http://co.uk/",
+        "http://deep.cdn.static.example.org/",
+        "http://cdn1.example.net2/",
+        "http://0x7f.example/",
+    ],
+)
+def test_website_key_fast_path_agrees_with_ipaddress(url):
+    assert website_key(url) == _website_key_via_ipaddress(url)
 
 
 def test_host_of_strips_port():
