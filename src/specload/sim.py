@@ -223,42 +223,37 @@ class _Engine:
             scale = self._sub_scale
         if scale is not None:
             duration *= scale
-        self._push_event(now + duration, _FINISH, job)
+        self._seq += 1
+        heapq.heappush(self.events, (now + duration, self._seq, _FINISH, job))
 
-    def _start(self, job: _Job) -> None:
-        """A load is ready: onto a free connection, else into the queue.
-        Whenever an event has been handled, the queue is empty or no
-        connection is free, so a free connection means nothing waits."""
-        if self.free > 0:
-            self._issue(job)
-        else:
-            heapq.heappush(self.queue, (job.priority, job))
-
-    def _make_ready(self, jobs_ready: list[tuple[_Job, float]]) -> None:
-        """Schedule new loads, given in the order the heap must see them.
-        If nothing else is due now, the loads due now start at once, in
-        that order: the heap would pop them next, in that order.  The
-        rest are pushed before any of those starts, so every finish event
-        a start pushes stays behind them, as it would."""
-        now = self.now
-        events = self.events
-        due_now = not events or events[0][0] > now
-        due = []
-        for job, ready in jobs_ready:
-            if due_now and ready == now:
-                due.append(job)
+    def _start(self, jobs) -> None:
+        """Start loads that are ready now, in heap order: each onto a free
+        connection, else into the queue.  Whenever an event has been
+        handled, the queue is empty or no connection is free, so a free
+        connection means nothing waits."""
+        for job in jobs:
+            if self.free > 0:
+                self._issue(job)
             else:
-                self._push_event(ready, _READY, job)
-        for job in due:
-            self._start(job)
+                heapq.heappush(self.queue, (job.priority, job))
+
+    def _nothing_due(self) -> bool:
+        """Whether loads made ready now may skip the heap: with no other
+        event due now, the heap would pop them next, in the order they
+        were made ready.  Loads made ready for later are pushed before
+        those start, so every finish event a start pushes stays behind
+        them, as it would."""
+        events = self.events
+        return not events or events[0][0] > self.now
 
     def _plan(self) -> None:
         visit = self.visit
         main_url = visit.main.url
+        now = self.now
         plan = plan_loads(
             self.mode.prediction,
             self.cache_state,
-            visit.timestamp + self.now / 1000.0,
+            visit.timestamp + now / 1000.0,
             self.max_connections,
         )
         loads = (*plan.immediate, *plan.waiting)
@@ -277,7 +272,9 @@ class _Engine:
         index = {r.url: i for i, r in enumerate(subs)}
         jobs = self.jobs
         ready_at = self.ready_at
-        scheduled = []
+        skip_heap = self._nothing_due()
+        due = []
+        rank = 0
         for item in loads:
             url = item.url
             if url == main_url or url in jobs:
@@ -287,11 +284,15 @@ class _Engine:
                 record, ready = self.known.get(url), 0.0
             else:
                 record, ready = subs[i], offsets[i] if offsets else 0.0
-            job = jobs[url] = _Job(url, len(scheduled), record=record)
+            job = jobs[url] = _Job(url, rank, record=record)
+            rank += 1
             ready_at[url] = ready
-            scheduled.append((job, ready))
-        self._n_speculative = len(scheduled)
-        self._make_ready(scheduled)
+            if skip_heap and ready == now:
+                due.append(job)
+            else:
+                self._push_event(ready, _READY, job)
+        self._n_speculative = rank
+        self._start(due)
 
     def _on_parse(self, parse_t: float) -> None:
         subs = self.visit.subresources
@@ -317,7 +318,8 @@ class _Engine:
             order = range(len(subs))
         base = self._n_speculative
         ready_at = self.ready_at
-        scheduled = []
+        skip_heap = self._nothing_due()
+        due = []
         for i in order:
             record = subs[i]
             url = record.url
@@ -328,8 +330,11 @@ class _Engine:
                 job.required = True
                 continue
             job = jobs[url] = _Job(url, base + i, required=True, record=record)
-            scheduled.append((job, ready))
-        self._make_ready(scheduled)
+            if skip_heap and ready == parse_t:
+                due.append(job)
+            else:
+                self._push_event(ready, _READY, job)
+        self._start(due)
 
     def run(self) -> float:
         visit = self.visit
@@ -366,7 +371,7 @@ class _Engine:
             elif kind == _PARSE:
                 self._on_parse(t)
             elif job.url not in canceled:
-                self._start(job)
+                self._start((job,))
 
         self.cache_state.page_complete()
 

@@ -525,7 +525,8 @@ def _run_both(pages, state, net, connections, scales, known):
         spec_state = _Recording(state.fork(), log)
         results = []
         for v, prediction in pages:
-            for mode, mode_state in ((LEGACY, legacy_state), (Speculative(prediction), spec_state)):
+            modes = ((LEGACY, legacy_state), (Speculative(prediction), spec_state))
+            for mode, mode_state in modes:
                 eng = engine(v, mode, mode_state, net, connections, known, scales)
                 delay = eng.run()
                 results.append((delay, eng.overhead_bytes, eng.ready_at))
@@ -628,15 +629,15 @@ def test_finish_and_parse_at_one_instant_keep_heap_order():
     # that finish although a connection (f's) is free.
     net = NetworkParams(rtt_ms=50.0, parse_ms=100.0)
     site = "http://tie.example"
-    a, f, c = (rec(f"{site}/{n}.js", size=size) for n, size in (("a", 6_250), ("f", 12_500), ("c", 0)))
+    a, f, c = (
+        rec(f"{site}/{n}.js", size=size) for n, size in (("a", 6_250), ("f", 12_500), ("c", 0))
+    )
     known = {
         f"{site}/{n}.js": rec(f"{site}/{n}.js", size=size)
         for n, size in (("b", 1_000_000), ("e", 1_000_000), ("d", 6_250))
     }
     v = PageVisit("u", 0.0, rec(f"{site}/p", kind="html", size=0), (a, f, c))
-    prediction = Prediction(
-        tuple(f"{site}/{n}.js" for n in "afbed"), VisitClass.REVISIT
-    )
+    prediction = Prediction(tuple(f"{site}/{n}.js" for n in "afbed"), VisitClass.REVISIT)
     log: list = []
     eng = _Engine(v, Speculative(prediction), _Recording(EMPTY, log), net, 5, known, {})
     delay = eng.run()
@@ -645,5 +646,62 @@ def test_finish_and_parse_at_one_instant_keep_heap_order():
     calls = [entry[:2] for entry in log]
     assert calls.index(("admit", d)) < calls.index(("lookup", c.url))
     assert delay == 250.0
-    (lean, reference) = _run_both([(v, prediction)], EMPTY, net, 5, {}, known)
+    lean, reference = _run_both([(v, prediction)], EMPTY, net, 5, {}, known)
+    assert lean == reference
+
+
+def test_finish_and_later_ready_at_one_instant_keep_heap_order():
+    # Both loads are predicted and needed.  a is due at 0 and finishes at
+    # 50; b is due at its offset, 50.  b's ready event was pushed before
+    # a started, so at 50 b is looked up before a's response is admitted.
+    net = NetworkParams(rtt_ms=50.0, parse_ms=100.0)
+    site = "http://tie.example"
+    a, b = rec(f"{site}/a.js", size=0), rec(f"{site}/b.js", size=0)
+    v = PageVisit("u", 0.0, rec(f"{site}/p", kind="html", size=0), (a, b), (0.0, 50.0))
+    prediction = Prediction((a.url, b.url), VisitClass.REVISIT)
+    log: list = []
+    eng = _Engine(v, Speculative(prediction), _Recording(EMPTY, log), net, 4, {}, {})
+    eng.run()
+    calls = [entry[:3] for entry in log]
+    assert calls.index(("lookup", b.url, 0.05)) < calls.index(("admit", a.url, 0.05))
+    lean, reference = _run_both([(v, prediction)], EMPTY, net, 4, {}, {})
+    assert lean == reference
+
+
+def test_misprediction_canceled_while_its_ready_event_waits_never_loads():
+    # A fresh main resource and no parse time put the parse at 0, pushed
+    # before the speculative ready events: the wrong guess is canceled
+    # while its ready event is still in the heap, so it is never issued.
+    store = CacheStore(float("inf"))
+    main = rec("http://c.example/p", kind="html", size=0, max_age=3600)
+    admit(store, main, now=0.0)
+    wrong = "http://c.example/wrong.js"
+    known = {wrong: rec(wrong, size=5_000)}
+    v = PageVisit("u", 1.0, main, (rec("http://c.example/a.js", size=0),))
+    prediction = Prediction((wrong,), VisitClass.REVISIT)
+    net = NetworkParams(parse_ms=0.0)
+    log: list = []
+    state = _Recording(Realistic(store.copy()), log)
+    eng = _Engine(v, Speculative(prediction), state, net, 4, known, {})
+    eng.run()
+    assert ("lookup", wrong) not in [entry[:2] for entry in log]
+    assert eng.jobs[wrong].done_ms is None and eng.overhead_bytes == 0
+    lean, reference = _run_both([(v, prediction)], Realistic(store), net, 4, {}, known)
+    assert lean == reference
+
+
+def test_queued_load_that_turns_out_fresh_leaves_its_connection_free():
+    # One subresource connection: a takes it at the parse (500 ms), x and
+    # b queue.  When a finishes at 700, x is a fresh hit and takes no
+    # connection, so b starts at once.
+    store = CacheStore(float("inf"))
+    x = rec("http://q.example/x.js", size=0, max_age=3600)
+    admit(store, x, now=0.0)
+    a, b = rec("http://q.example/a.js", size=0), rec("http://q.example/b.js", size=0)
+    v = PageVisit("u", 1.0, rec("http://q.example/p", kind="html", size=0), (a, x, b))
+    eng = _Engine(v, LEGACY, Realistic(store.copy()), NetworkParams(), 2, {}, {})
+    assert eng.run() == 900.0
+    assert eng.jobs[x.url].done_ms == 700.0
+    prediction = Prediction((), VisitClass.UNKNOWN)
+    lean, reference = _run_both([(v, prediction)], Realistic(store), NetworkParams(), 2, {}, {})
     assert lean == reference

@@ -331,7 +331,10 @@ _MALFORMED = {
     "nan_ts": (_vis(ts=math.nan), "timestamp must be finite"),
     "infinite_ts": (_vis(ts=math.inf), "timestamp must be finite"),
     "minus_infinite_ts": (_vis(ts=-math.inf), "timestamp must be finite"),
-    "nan_ts_before_bad_main": (_vis(ts=math.nan, main=_res("http://a.com/")), "timestamp must be finite"),
+    "nan_ts_before_bad_main": (
+        _vis(ts=math.nan, main=_res("http://a.com/")),
+        "timestamp must be finite",
+    ),
     "bad_main_record_before_nan_ts": (
         _vis(ts=math.nan, main=_res("/", "html")),
         "not an absolute URL: '/'",
