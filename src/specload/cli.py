@@ -198,8 +198,7 @@ def cmd_graph(args) -> int:
     if args.action == "build":
         trace = load_trace(args.trace)
         repo = _build_repo(trace, args.trim_days)
-        save_repo(repo, args.out)
-        stats = repo_stats(repo)
+        stats = repo_stats(repo, serialized_size_bytes=save_repo(repo, args.out))
         print(
             f"wrote {args.out}: {stats.n_websites} websites, "
             f"{stats.n_webpages} pages, {stats.n_subresources} subresources, "

@@ -125,6 +125,9 @@ class FixtureServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Headers and body go out in separate writes; with Nagle on,
+            # a keep-alive client waits out its delayed ACK on each one.
+            disable_nagle_algorithm = True
 
             def log_message(self, fmt, *args):
                 pass

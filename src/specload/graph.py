@@ -104,10 +104,15 @@ class ResourceGraph:
         # in which the page requested that subresource.
         self.edge_seen: dict[tuple[int, int], float] = {}
         self._next_id = 0
-        self._init_lazy()
+        self._init_derived()
         self.website_id = self._add_node(NodeType.WEBSITE, site, None, 0.0)
 
-    def _init_lazy(self) -> None:
+    def _init_derived(self) -> None:
+        # The number of page-to-subresource edges, in the whole graph and
+        # under each subdomain (kept by ``_link``, ``_unlink`` and
+        # ``_remove_node``), so a scope's mean fan-out costs no scan.
+        self._page_edges = 0
+        self._page_edges_under: dict[int, int] = {}
         # The subresources' priority keys in order, and the ids of the
         # subresources taken out of it because their key may have changed.
         # Both stay None until ``ranked_subresources`` is first called.
@@ -118,6 +123,21 @@ class ResourceGraph:
         # The age index (see the module docstring); None until the
         # graph's first trim.
         self._age: _AgeIndex | None = None
+
+    def page_edges(self, subdomain_id: int | None = None) -> int:
+        """The page-to-subresource edges of the whole graph, or of the
+        pages under ``subdomain_id``."""
+        if subdomain_id is None:
+            return self._page_edges
+        return self._page_edges_under[subdomain_id]
+
+    def _count_page_edges(self, page: GraphNode, delta: int) -> None:
+        """Add ``delta`` edges of ``page`` to the graph's and its
+        subdomains' totals."""
+        self._page_edges += delta
+        under = self._page_edges_under
+        for sid in page.parents:
+            under[sid] += delta
 
     def ranked_subresources(self) -> Iterator[GraphNode]:
         """Every subresource node, in ``priority_key`` order.
@@ -173,6 +193,8 @@ class ResourceGraph:
         index = self._index_of(node_type)
         if index is not None:
             index[key] = nid
+        if node_type is NodeType.SUBDOMAIN:
+            self._page_edges_under[nid] = 0
         if self._unranked is not None and node_type is NodeType.SUBRESOURCE:
             self._unranked.add(nid)
         return nid
@@ -190,19 +212,42 @@ class ResourceGraph:
     def _link(self, parent_id: int, child_id: int) -> None:
         child = self.nodes[child_id]
         self._unrank(child)
-        self.nodes[parent_id].children.add(child_id)
+        parent = self.nodes[parent_id]
+        if child_id in parent.children:
+            return
+        parent.children.add(child_id)
         child.parents.add(parent_id)
+        self._count_edge(parent, child, 1)
 
     def _unlink(self, parent_id: int, child_id: int) -> None:
         child = self.nodes[child_id]
         self._unrank(child)
-        self.nodes[parent_id].children.discard(child_id)
-        child.parents.discard(parent_id)
+        parent = self.nodes[parent_id]
         self.edge_seen.pop((parent_id, child_id), None)
+        if child_id not in parent.children:
+            return
+        parent.children.discard(child_id)
+        child.parents.discard(parent_id)
+        self._count_edge(parent, child, -1)
+
+    def _count_edge(self, parent: GraphNode, child: GraphNode, delta: int) -> None:
+        """Keep the page-edge totals right as one edge comes or goes."""
+        if parent.node_type is NodeType.WEBPAGE:
+            self._count_page_edges(parent, delta)
+        elif parent.node_type is NodeType.SUBDOMAIN:
+            self._page_edges_under[parent.node_id] += delta * len(child.children)
 
     def _remove_node(self, nid: int) -> None:
         node = self.nodes.pop(nid)
         self._unrank(node)
+        node_type = node.node_type
+        if node_type is NodeType.WEBPAGE:
+            self._count_page_edges(node, -len(node.children))
+        elif node_type is NodeType.SUBRESOURCE:
+            for pid in node.parents:
+                self._count_page_edges(self.nodes[pid], -1)
+        elif node_type is NodeType.SUBDOMAIN:
+            del self._page_edges_under[nid]
         for pid in list(node.parents):
             self.nodes[pid].children.discard(nid)
             self.edge_seen.pop((pid, nid), None)
@@ -546,9 +591,12 @@ def dumps_repo(repo: MetadataRepository) -> bytes:
     return out.getvalue()
 
 
-def save_repo(repo: MetadataRepository, path) -> None:
+def save_repo(repo: MetadataRepository, path) -> int:
+    """Write ``dumps_repo(repo)`` to ``path``; returns its size in bytes."""
+    data = dumps_repo(repo)
     with open(path, "wb") as fh:
-        fh.write(dumps_repo(repo))
+        fh.write(data)
+    return len(data)
 
 
 def loads_repo(data: bytes) -> MetadataRepository:
@@ -594,7 +642,7 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
     graph.page_index = {}
     graph.sub_index = {}
     graph.edge_seen = {}
-    graph._init_lazy()
+    graph._init_derived()
     graph.website_id = -1
     websites = 0
     for item in payload.get("nodes", []):
@@ -626,6 +674,8 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
             raise CorruptRepository(f"duplicate {node_type.name} {node.url_or_name}")
         else:
             index[node.url_or_name] = nid
+            if node_type is NodeType.SUBDOMAIN:
+                graph._page_edges_under[nid] = 0
     if websites != 1:
         raise CorruptRepository(f"graph for {site} has {websites} website nodes")
     graph._next_id = max(graph.nodes) + 1 if graph.nodes else 0
@@ -657,17 +707,23 @@ class RepoStats:
     serialized_size_bytes: int
 
 
-def repo_stats(repo: MetadataRepository) -> RepoStats:
+def repo_stats(
+    repo: MetadataRepository, serialized_size_bytes: int | None = None
+) -> RepoStats:
+    """Count the nodes of each type.  The serialized size is measured
+    with ``dumps_repo`` unless the caller already has it, as ``save_repo``
+    returns it."""
     counts = {t: 0 for t in NodeType}
     with repo.lock:
         for graph in repo.graphs.values():
             for node in graph.nodes.values():
                 counts[node.node_type] += 1
-        size = len(dumps_repo(repo))
+        if serialized_size_bytes is None:
+            serialized_size_bytes = len(dumps_repo(repo))
     return RepoStats(
         n_websites=counts[NodeType.WEBSITE],
         n_subdomains=counts[NodeType.SUBDOMAIN],
         n_webpages=counts[NodeType.WEBPAGE],
         n_subresources=counts[NodeType.SUBRESOURCE],
-        serialized_size_bytes=size,
+        serialized_size_bytes=serialized_size_bytes,
     )

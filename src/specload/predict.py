@@ -59,14 +59,16 @@ class Prediction:
             raise ValueError("prediction contains duplicate URLs")
 
 
-def _mean_children(graph: ResourceGraph, page_ids) -> float:
-    if not page_ids:
+def _mean_children(graph: ResourceGraph, subdomain_id: int | None) -> float:
+    """The mean number of subresources of the pages under
+    ``subdomain_id``, or of every page of the graph when it is None."""
+    pages = graph.page_index if subdomain_id is None else graph.nodes[subdomain_id].children
+    if not pages:
         return 0.0
-    # One exact integer sum, divided once.  Below 2**53 the sum and the
-    # count are exact floats, so this is the correctly rounded quotient
-    # that ``statistics.fmean`` returns, without its ``fsum`` pass.
-    nodes = graph.nodes
-    return sum([len(nodes[pid].children) for pid in page_ids]) / len(page_ids)
+    # The graph keeps the exact integer edge total.  Below 2**53 the total
+    # and the count are exact floats, so this is the correctly rounded
+    # quotient that ``statistics.fmean`` returns.
+    return graph.page_edges(subdomain_id) / len(pages)
 
 
 def predict(repo: MetadataRepository, url: str) -> Prediction:
@@ -100,8 +102,7 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
             candidates = (n for n in candidates if not page_ids.isdisjoint(n.parents))
         else:
             visit_class = VisitClass.NEW_VISIT_WEBSITE_KNOWN
-            page_ids = graph.page_index.values()
-        num_predicted = max(1, round_half_up(_mean_children(graph, page_ids)))
+        num_predicted = max(1, round_half_up(_mean_children(graph, subdomain_id)))
         best = islice(candidates, num_predicted)
         return Prediction(urls=tuple(n.url_or_name for n in best), visit_class=visit_class)
 

@@ -42,14 +42,36 @@ in a trace replay).  ``FRESH``, ``EXPIRED`` and ``EMPTY`` answer every
 request with one fixed outcome and store nothing; ``Realistic(store)``
 runs the ``cache`` module's semantics against a store that evolves as
 the simulation runs.
+
+A trace replay (``simulate_trace``) runs on two processes.  A child
+made with ``os.fork`` makes each visit's prediction (``predict.replay``
+or the oracle) and simulates the legacy page against its own fork of
+the cache state; it streams ``(prediction, legacy_ms)`` over a pipe in
+pickled batches.  This process simulates the speculative page from each
+prediction as the batches arrive.  Legacy loading never reads a
+prediction or the known records, and the speculative side never reads
+the graph or the legacy cache, so the two halves share no state and
+the result is what one process computes.  One process it is when
+``os.fork`` is missing, when another thread is alive (forking a
+threaded process can deadlock the child), or when a tracer or profiler
+is set, so that it sees the whole run.  ``_in_worker`` holds all of the
+process handling.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
+import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TypeVar
 
 from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
 from .errors import EmptyTrace, InvalidParams
@@ -153,6 +175,11 @@ class _Job:
     body_bytes: int = 0
 
 
+def _check_connections(max_connections: int) -> None:
+    if max_connections < 2:
+        raise InvalidParams("max_connections must be >= 2 (one is held for the main resource)")
+
+
 class _Engine:
     def __init__(
         self,
@@ -164,8 +191,7 @@ class _Engine:
         known_records: Mapping[str, ResourceRecord] | None,
         scales: dict[OperationClass, float],
     ):
-        if max_connections < 2:
-            raise InvalidParams("max_connections must be >= 2 (one is held for the main resource)")
+        _check_connections(max_connections)
         self.visit = visit
         self.mode = mode
         self.cache_state = cache_state
@@ -502,36 +528,153 @@ def simulate_trace(
     own ``fork`` of the cache state, since the two browsers would
     accumulate different histories.  Mispredicted fetch sizes come from
     each URL's most recent earlier observation.
+
+    The work runs on two processes when it safely can (``_in_worker``):
+    a forked child makes each visit's prediction and simulates its
+    legacy page, and this process simulates the speculative page from
+    that prediction.  The halves share no state, so the result is the
+    same as a run in one process, which is what happens when ``os.fork``
+    is missing, another thread is alive, or a tracer or profiler is set.
     """
     if not trace.visits:
         raise EmptyTrace("cannot simulate an empty trace")
-    legacy_state = cache_state.fork()
+    _check_connections(max_connections)
+
+    def predict_and_load_legacy() -> Iterator[tuple[Prediction, float]]:
+        # Legacy loading never plans, so it needs no known records.
+        legacy_state = cache_state.fork()
+        if with_predictor:
+            visits = replay(trace.visits, trim_days)
+        else:
+            visits = (
+                (v, Prediction(tuple(r.url for r in v.subresources), VisitClass.REVISIT))
+                for v in trace.visits
+            )
+        for visit, prediction in visits:
+            yield prediction, simulate_page(
+                visit, LEGACY, legacy_state, net, max_connections, None
+            )
+
     spec_state = cache_state.fork()
     known_records: dict[str, ResourceRecord] = {}
     result = SimResult()
-    if with_predictor:
-        visits = replay(trace.visits, trim_days)
-    else:
-        visits = (
-            (v, Prediction(tuple(r.url for r in v.subresources), VisitClass.REVISIT))
-            for v in trace.visits
-        )
-    for visit, prediction in visits:
-        main_url = visit.main.url
-        legacy_ms = simulate_page(visit, LEGACY, legacy_state, net, max_connections, known_records)
-        speculative_ms = simulate_page(
-            visit, Speculative(prediction), spec_state, net, max_connections, known_records
-        )
-        known_records[main_url] = visit.main
-        for record in visit.subresources:
-            known_records[record.url] = record
-        result.pages.append(
-            PageResult(
-                url=main_url,
-                timestamp=visit.timestamp,
-                legacy_ms=legacy_ms,
-                speculative_ms=speculative_ms,
-                prediction=prediction if with_predictor else None,
+    with closing(_in_worker(predict_and_load_legacy)) as halves:
+        for visit, (prediction, legacy_ms) in zip(trace.visits, halves, strict=True):
+            main_url = visit.main.url
+            speculative_ms = simulate_page(
+                visit, Speculative(prediction), spec_state, net, max_connections, known_records
             )
-        )
+            known_records[main_url] = visit.main
+            for record in visit.subresources:
+                known_records[record.url] = record
+            result.pages.append(
+                PageResult(
+                    url=main_url,
+                    timestamp=visit.timestamp,
+                    legacy_ms=legacy_ms,
+                    speculative_ms=speculative_ms,
+                    prediction=prediction if with_predictor else None,
+                )
+            )
     return result
+
+
+_T = TypeVar("_T")
+
+# Items per message from the worker.  The pipe holds a few messages, so
+# a worker that runs ahead blocks on its next write.
+_BATCH = 64
+
+
+class _RemoteTraceback(Exception):
+    """The worker's traceback, chained as the cause of its error."""
+
+
+def _can_fork() -> bool:
+    """Forking is only safe with one thread (another may hold a lock the
+    child would need), and a tracer or profiler should see the whole run."""
+    return (
+        hasattr(os, "fork")
+        and threading.active_count() == 1
+        and sys.gettrace() is None
+        and sys.getprofile() is None
+    )
+
+
+def _in_worker(produce: Callable[[], Iterable[_T]]) -> Iterator[_T]:
+    """Yield what ``produce()`` yields, computed in a forked child.
+
+    The child pickles the items to a pipe in batches of ``_BATCH`` and
+    leaves with ``os._exit``, so it runs no atexit handler and flushes
+    no inherited buffer.  An exception in the child is raised here with
+    its type and message, its traceback chained as the cause.  Closing
+    this generator early, or an exception in the consumer that closes
+    it, kills and reaps the child.  When ``_can_fork`` says no, the
+    items are produced here instead.
+    """
+    if not _can_fork():
+        yield from produce()
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+
+                def send(message) -> None:
+                    pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+
+                try:
+                    batch = []
+                    for item in produce():
+                        batch.append(item)
+                        if len(batch) == _BATCH:
+                            send(("items", batch))
+                            batch = []
+                    send(("items", batch))
+                    send(("end", None))
+                except BaseException as exc:
+                    # Whatever stops the child, an interrupt included, is
+                    # raised again in the parent.
+                    tb = traceback.format_exc()
+                    try:
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        exc = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+                    send(("error", (exc, tb)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reaped = False
+    try:
+        with open(read_fd, "rb") as pipe:
+            while True:
+                try:
+                    kind, payload = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    kind = "died"
+                if kind == "items":
+                    yield from payload
+                elif kind == "error":
+                    exc, tb = payload
+                    raise exc from _RemoteTraceback(tb)
+                else:
+                    break
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if kind != "end":
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"the replay worker exited with code {code} before its end")
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import specload.graph as graph_module
 from specload.cli import main, parse_capacity, parse_trim_days
 from specload.predict import replay_predictor
 from specload.report import (
@@ -291,6 +292,24 @@ def test_graph_build_stats_trim(tmp_path, trace_path, capsys):
     )
     assert "removed" in capsys.readouterr().out
     assert trimmed.exists()
+
+
+def test_graph_build_serialises_once_and_reports_the_file_size(
+    tmp_path, trace_path, capsys, monkeypatch
+):
+    calls = []
+    real = graph_module.dumps_repo
+
+    def counting(repo):
+        calls.append(repo)
+        return real(repo)
+
+    monkeypatch.setattr(graph_module, "dumps_repo", counting)
+    repo = tmp_path / "repo.bin"
+    assert run("graph", "build", "--trace", str(trace_path), "--out", str(repo)) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith(f", {repo.stat().st_size} bytes")
 
 
 def test_ingest_har(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 import pytest
@@ -147,3 +148,17 @@ def test_custom_headers_and_content_types():
         assert res.headers["Content-Type"] == "font/woff2"
         assert res.headers["Cache-Control"] == "max-age=77"
         assert len(res.content) == 9
+
+
+def test_keep_alive_requests_do_not_stall():
+    # Headers and body leave in separate writes; with Nagle's algorithm
+    # on, each request on a kept-alive connection waited out the
+    # client's delayed ACK (about 40 ms).
+    with fixture_server(SPEC) as srv, requests.Session() as session:
+        took = []
+        for _ in range(10):
+            t0 = time.perf_counter()
+            response = session.get(srv.url("/app.js"))
+            took.append(time.perf_counter() - t0)
+            assert response.status_code == 200 and len(response.content) == 2048
+    assert statistics.median(took) < 0.020

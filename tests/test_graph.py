@@ -222,6 +222,43 @@ def test_trim_matches_reference(ops):
         assert dumps_repo(repo) == dumps_repo(ref)
 
 
+def assert_page_edges_recounted(repo: MetadataRepository) -> None:
+    """The kept page-edge totals equal a recount from the nodes."""
+    for graph in repo.graphs.values():
+        nodes = graph.nodes
+        assert graph.page_edges() == sum(
+            len(nodes[pid].children) for pid in graph.page_index.values()
+        )
+        for sid in graph.subdomain_index.values():
+            assert graph.page_edges(sid) == sum(
+                len(nodes[pid].children) for pid in nodes[sid].children
+            )
+        assert set(graph._page_edges_under) == set(graph.subdomain_index.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_graph_ops, max_size=40))
+def test_kept_page_edge_totals_equal_a_recount(ops):
+    repo = MetadataRepository()
+    for op in ops:
+        if op[0] == "update":
+            _, site, host, page, subs, half_days = op
+            update(
+                repo,
+                visit(
+                    f"http://{host}.site{site}.com/p{page}",
+                    [f"http://cdn.site{site}.com/r{r}.js" for r in subs],
+                    ts=half_days * DAY / 2,
+                ),
+            )
+        elif op[0] == "trim":
+            _, half_days, max_age_days = op
+            trim(repo, half_days * DAY / 2, max_age_days)
+        else:
+            repo = loads_repo(dumps_repo(repo))
+        assert_page_edges_recounted(repo)
+
+
 # --- the age index -------------------------------------------------------
 
 
@@ -440,7 +477,9 @@ def test_loaded_timestamps_on_other_edges_trim_like_the_reference():
     body = json.dumps(payload).encode()
     data = _MAGIC + struct.pack(">II", 1, len(body)) + body
     repo, ref = loads_repo(data), loads_repo(data)
+    assert_page_edges_recounted(repo)
     _run_against_reference(repo, ref, [("trim", 55 * DAY, 10.0), ("trim", 70 * DAY, 10.0)])
+    assert_page_edges_recounted(repo)
     assert sorted(n.url_or_name for n in repo.graphs["a.com"].nodes.values()
                   if n.node_type is NodeType.SUBDOMAIN) == ["www.a.com"]
 

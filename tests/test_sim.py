@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -705,3 +709,164 @@ def test_queued_load_that_turns_out_fresh_leaves_its_connection_free():
     prediction = Prediction((), VisitClass.UNKNOWN)
     lean, reference = _run_both([(v, prediction)], Realistic(store), NetworkParams(), 2, {}, {})
     assert lean == reference
+
+
+# --- the replay worker ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def worker_trace() -> Trace:
+    # About two weeks of visits, so a 2-day window trims many times.
+    return generate_synthetic(
+        SynthParams(n_sites=4, pages_per_site=30, subresources_per_page=8, visits=400, seed=3)
+    )
+
+
+def _state(name: str):
+    if name == "realistic":
+        return Realistic(CacheStore(capacity_bytes=200_000))
+    return {"empty": EMPTY, "fresh": FRESH, "expired": EXPIRED}[name]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` made during the test."""
+    pids = []
+    real = os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+@pytest.mark.parametrize("connections", [2, 6])
+@pytest.mark.parametrize("state", ["empty", "fresh", "expired", "realistic"])
+@pytest.mark.parametrize(
+    "with_predictor, trim_days", [(False, None), (True, None), (True, 2.0)]
+)
+def test_forked_and_inline_runs_are_equal(
+    worker_trace, state, connections, with_predictor, trim_days, forks, monkeypatch
+):
+    def run():
+        return simulate_trace(
+            worker_trace,
+            cache_state=_state(state),
+            with_predictor=with_predictor,
+            max_connections=connections,
+            trim_days=trim_days,
+        )
+
+    forked = run()
+    assert len(forks) == 1
+    monkeypatch.setattr(sim, "_can_fork", lambda: False)
+    inline = run()
+    assert len(forks) == 1
+    assert forked == inline
+    assert len(forked.pages) == len(worker_trace.visits)
+
+
+def test_a_failure_in_the_worker_is_raised_with_its_type_and_message(
+    worker_trace, forks, monkeypatch
+):
+    def failing(visits, trim_days):
+        for i, v in enumerate(visits):
+            if i == 150:
+                raise InvalidParams(f"no prediction in {os.getpid()}")
+            yield v, Prediction((), VisitClass.UNKNOWN)
+
+    monkeypatch.setattr(sim, "replay", failing)
+    with pytest.raises(InvalidParams, match=r"^no prediction in \d+$") as caught:
+        simulate_trace(worker_trace, with_predictor=True)
+    assert str(forks[0]) in str(caught.value)
+    assert "no prediction in" in str(caught.value.__cause__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_an_exception_that_cannot_be_pickled_still_surfaces(forks):
+    class Local(Exception):
+        pass
+
+    def produce():
+        yield 1
+        raise Local("made here")
+
+    with pytest.raises(RuntimeError, match=r"Local: made here"):
+        list(sim._in_worker(produce))
+    assert len(forks) == 1
+
+
+def test_a_worker_that_dies_is_reported_and_reaped(forks):
+    def produce():
+        yield from range(3 * sim._BATCH)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match=f"exited with code -{int(signal.SIGKILL)} before"):
+        list(sim._in_worker(produce))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_parent_that_fails_mid_stream_leaves_no_child(worker_trace, forks, monkeypatch, error):
+    parent = os.getpid()
+    real = sim.simulate_page
+    speculative_pages = []
+
+    def failing(visit, mode, *args):
+        if os.getpid() == parent and isinstance(mode, Speculative):
+            speculative_pages.append(visit)
+            if len(speculative_pages) == 100:
+                raise error("stop")
+        return real(visit, mode, *args)
+
+    monkeypatch.setattr(sim, "simulate_page", failing)
+    with pytest.raises(error):
+        simulate_trace(worker_trace, cache_state=Realistic(CacheStore()), with_predictor=True)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_closing_the_stream_early_kills_and_reaps_the_worker(forks):
+    stream = sim._in_worker(lambda: iter(range(1_000_000)))
+    assert next(stream) == 0
+    stream.close()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_no_fork_while_another_thread_is_alive(worker_trace, monkeypatch):
+    expected = simulate_trace(worker_trace, with_predictor=True)
+
+    def refuse():
+        raise AssertionError("os.fork called with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert simulate_trace(worker_trace, with_predictor=True) == expected
+    finally:
+        stop.set()
+        other.join(timeout=5)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize(
+    "get, install", [(sys.getprofile, sys.setprofile), (sys.gettrace, sys.settrace)]
+)
+def test_a_tracer_or_profiler_keeps_the_run_in_one_process(get, install):
+    old = get()
+    install(lambda *args: None)
+    try:
+        assert not sim._can_fork()
+    finally:
+        install(old)
