@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -615,6 +614,10 @@ def _in_worker(produce: Callable[[], Iterable[_T]]) -> Iterator[_T]:
     if not _can_fork():
         yield from produce()
         return
+    # Imported here so that commands that never replay a trace do not
+    # carry it.
+    import pickle
+
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
