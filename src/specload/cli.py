@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import statistics
 import sys
@@ -79,6 +80,17 @@ def parse_trim_days(text: str) -> float:
     return days
 
 
+def parse_connections(text: str) -> int:
+    """A connection bound: an integer >= 2, one being held for the main resource."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad connection count: {text!r}")
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"bad connection count: {text!r} (must be >= 2)")
+    return count
+
+
 def _net_from(args) -> NetworkParams:
     return NetworkParams(
         rtt_ms=args.rtt_ms,
@@ -109,15 +121,9 @@ def _emit(args, header, rows) -> None:
         rpt.write_sidecar(args.out, args.command, _flags_of(args))
         print(f"wrote {args.out}")
     else:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([rpt.format_cell(c) for c in row])
-        sys.stdout.write(buf.getvalue())
+        writer.writerows([rpt.format_cell(c) for c in row] for row in rows)
 
 
 def cmd_ingest(args) -> int:
@@ -334,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use perfect predictions instead of the learned graph",
     )
-    p.add_argument("--connections", type=int, default=4, help="connection bound (default: 4)")
+    p.add_argument(
+        "--connections", type=parse_connections, default=4, help="connection bound (default: 4)"
+    )
     _add_net_flags(p)
     p.add_argument("--summary-only", action="store_true", help="omit per-page rows")
     p.add_argument(
@@ -367,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=["legacy", "tempo"], default="legacy", help="default: legacy"
     )
-    p.add_argument("--connections", type=int, default=4, help="connection bound (default: 4)")
+    p.add_argument(
+        "--connections", type=parse_connections, default=4, help="connection bound (default: 4)"
+    )
     p.add_argument("--repeat", type=int, default=1, help="fetch this many times (default: 1)")
     p.add_argument("--out", help="per-resource CSV output path")
     p.set_defaults(func=cmd_fetch)

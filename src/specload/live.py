@@ -1,13 +1,24 @@
 """Live page fetching over real HTTP, legacy or speculative.
 
-The legacy flow fetches the main resource, parses out subresources, and
-fetches them over a bounded connection pool.  The speculative flow asks
-the predictor first and has the pool working on predicted URLs while the
-main resource is still in flight, then reconciles against what the HTML
-really references.  Either way every response passes through the same
-cache semantics as the simulators: fresh entries are served locally,
-expired ones revalidate with a conditional request, and no-store
-responses sit in the temporary cache until the page completes.
+``fetch_page`` drives the simulator's scheduler (``sim.PageScheduler``)
+in real time, so a live page load and a simulated one make the same
+loading decisions.  The main resource has a connection of its own, and
+subresources share the other ``max_connections - 1``.  The legacy flow
+loads subresources as parsing the main resource reveals them.  The
+speculative (tempo) flow asks the predictor first and starts the planned
+loads while the main resource is still in flight; a connection that
+frees up goes to the next queued load at once.  When the HTML parses,
+queued loads the page does not need are dropped, and the ones it needs
+that nobody predicted join the queue; a load already in flight runs to
+completion and is reported ``mispredicted`` if the page did not need it.
+
+Each connection is one ``requests.Session``, opened when first needed
+and reused for the rest of the page; every connection and worker thread
+is closed before ``fetch_page`` returns.  A request is looked up in the
+cache when it is issued, with the same semantics as the simulators: a
+fresh entry is served locally and takes no connection, an expired one
+revalidates with a conditional request, and no-store responses sit in
+the temporary cache until the page completes.
 
 Proxies follow the usual environment variables (HTTP_PROXY and friends,
 honored by requests); the User-Agent comes from SPECLOAD_UA when set.
@@ -18,7 +29,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from urllib.parse import urljoin
@@ -29,12 +41,12 @@ from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
 from .errors import MainResourceFailed, MalformedUrl
 from .graph import MetadataRepository, update
 from .headers import directives_from_mapping, kind_from_mime
-from .predict import plan_loads, predict, revise_queue
+from .predict import predict
+from .sim import PageScheduler, _check_connections, _Job
 from .trace import PageVisit, ResourceRecord
 from .urls import normalize_url
 
 MAX_REDIRECTS = 5
-_TAG_KINDS = {"script": "script", "link": "stylesheet", "img": "image"}
 
 
 class _SubresourceParser(HTMLParser):
@@ -123,6 +135,7 @@ class FetchSession:
     )
 
     def __post_init__(self):
+        _check_connections(self.max_connections)
         self._cache_lock = threading.RLock()
         self._inflight_lock = threading.Lock()
         self._inflight = 0
@@ -140,229 +153,180 @@ class FetchSession:
             self._inflight -= 1
 
 
-def _fetch_one(
-    session: FetchSession,
-    url: str,
-    kind_hint: str,
-    t0: float,
-    is_main: bool = False,
-) -> tuple[ResourceLoad, ResourceRecord | None, tuple[str, bytes] | None]:
-    """Fetch one URL through the cache: returns the report row, the
-    observed record (None on error), and for main resources the page:
-    the URL its body came from after any redirects, and the body."""
-    rel = lambda: (time.perf_counter() - t0) * 1000.0
-    t_start = rel()
-    with session._cache_lock:
-        now = time.time()
-        outcome = lookup(session.cache, url, now)
-        entry = session.cache.temp.get(url) or session.cache.entries.get(url)
-    if outcome is LookupOutcome.FRESH_HIT and entry is not None:
-        page = session._bodies.get(url) if is_main else None
-        if not is_main or page is not None:
-            record = ResourceRecord(
-                url=url,
-                kind=kind_hint,
-                size_bytes=entry.size_bytes,
-                cache_directives=entry.directives,
-                fetched_at=now,
-            )
-            row = ResourceLoad(
-                url=url, outcome="fresh", bytes=0, t_start_ms=t_start, t_end_ms=rel(),
-                kind=kind_hint,
-            )
+class _PageLoad(PageScheduler):
+    """One page fetch: the scheduler's decisions on real connections.
+
+    The calling thread issues every load and handles every completion;
+    the pool's threads run ``_request``, each on a connection of its own.
+    """
+
+    def __init__(self, session: FetchSession, url: str):
+        super().__init__(url, session.max_connections)
+        self.session = session
+        # Entered by ``fetch_page``: the pool joins its threads before
+        # the connections close.
+        self.connections = ExitStack()
+        self.pool = ThreadPoolExecutor(session.max_connections)
+        self.t0 = time.perf_counter()
+        self.kinds = {url: "html"}
+        self.rows: dict[str, ResourceLoad] = {}
+        self.page: tuple[str, bytes] | None = None
+        self.actual: list[str] = []
+        self.predicted: tuple[str, ...] = ()
+        self.inflight: dict[Future, tuple[_Job, requests.Session]] = {}
+        self.idle: list[requests.Session] = []
+
+    def _ms(self) -> float:
+        return (time.perf_counter() - self.t0) * 1000.0
+
+    def run(self, mode: str) -> None:
+        session, main = self.session, self.main
+        self._issue(main)
+        if mode == "tempo":
+            prediction = predict(session.repo, main.url)
+            self.predicted = prediction.urls
+            with session._cache_lock:
+                new = self.plan(prediction, session.cache, time.time())
+            self.start(new)
+        if main.done_ms is not None:
+            self._parse()
+        inflight = self.inflight
+        while inflight:
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for future in [f for f in inflight if f in done]:
+                job, http = inflight.pop(future)
+                self._done(job, *future.result())
+                if job.is_main:
+                    self._parse()
+                else:
+                    self.idle.append(http)
+                    self.finish()
+
+    def _issue(self, job: _Job) -> None:
+        session, url, is_main = self.session, job.url, job.is_main
+        kind = self.kinds.get(url, "other")
+        t_start = self._ms()
+        with session._cache_lock:
+            now = time.time()
+            outcome = lookup(session.cache, url, now)
+            entry = session.cache.temp.get(url) or session.cache.entries.get(url)
+            page = session._bodies.get(url) if is_main else None
+        # A main resource without a kept body (say, first fetched as a
+        # subresource), fresh or not, needs a full response to parse, so
+        # it sends no validator: a 304 would leave nothing to parse.
+        usable = entry is not None and (page is not None or not is_main)
+        if outcome is LookupOutcome.FRESH_HIT and usable:
+            record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, now)
+            self._done(job, ResourceLoad(url, "fresh", 0, t_start, self._ms(), kind), record, page)
+            return
+        revalidate = usable and outcome is LookupOutcome.EXPIRED_REVALIDATE
+        validator = entry.validator if revalidate else None
+        http = None
+        if not is_main:
+            self.free -= 1
+            http = self.idle.pop() if self.idle else None
+        if http is None:
+            http = self.connections.enter_context(requests.Session())
+            http.max_redirects = MAX_REDIRECTS
+        request = (http, url, kind, t_start, is_main, entry, validator)
+        self.inflight[self.pool.submit(self._request, *request)] = (job, http)
+
+    def _request(self, http, url, kind, t_start, is_main, entry, validator):
+        """Send one request on the connection ``http`` and take in the
+        response: returns the report row, the observed record (None on
+        error), and for a main resource the page: the URL its body came
+        from after any redirects, and the body.  ``entry`` is the cache
+        entry a 304 refreshes; ``validator`` makes the request
+        conditional."""
+        session = self.session
+        headers = {"User-Agent": session.user_agent}
+        if validator:
+            headers["If-None-Match"] = validator
+        session._enter_network()
+        try:
+            resp = http.get(url, headers=headers, timeout=session.timeout_s)
+        except requests.RequestException as exc:
+            error = type(exc).__name__
+            row = ResourceLoad(url, "error", 0, t_start, self._ms(), kind, error=error)
+            return row, None, None
+        finally:
+            session._exit_network()
+        redirects = len(resp.history)
+        etag = resp.headers.get("ETag")
+        if resp.status_code == 304 and entry is not None:
+            record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, time.time())
+            with session._cache_lock:
+                admit(session.cache, record, time.time(), validator=etag or entry.validator)
+            page = session._bodies.get(url) if is_main else None
+            row = ResourceLoad(url, "revalidated", 0, t_start, self._ms(), kind, redirects)
             return row, record, page
 
-    headers = {"User-Agent": session.user_agent}
-    # A main resource without a kept body (say, first fetched as a
-    # subresource), fresh or not, needs a full response to parse, so
-    # it sends no validator: a 304 would leave nothing to parse.
-    if (
-        outcome is LookupOutcome.EXPIRED_REVALIDATE
-        and entry is not None
-        and entry.validator
-        and (not is_main or url in session._bodies)
-    ):
-        headers["If-None-Match"] = entry.validator
-
-    session._enter_network()
-    try:
-        with requests.Session() as http:
-            http.max_redirects = MAX_REDIRECTS
-            resp = http.get(
-                url, headers=headers, timeout=session.timeout_s, allow_redirects=True
-            )
-    except requests.RequestException as exc:
-        row = ResourceLoad(
-            url=url, outcome="error", bytes=0, t_start_ms=t_start, t_end_ms=rel(),
-            kind=kind_hint, error=type(exc).__name__,
-        )
-        return row, None, None
-    finally:
-        session._exit_network()
-
-    redirects = len(resp.history)
-    validator = resp.headers.get("ETag")
-    if resp.status_code == 304 and entry is not None:
-        directives = entry.directives
-        record = ResourceRecord(
-            url=url,
-            kind=kind_hint,
-            size_bytes=entry.size_bytes,
-            cache_directives=directives,
-            fetched_at=time.time(),
-        )
+        body = resp.content or b""
+        mime_kind = kind_from_mime(resp.headers.get("Content-Type"))
+        if not is_main and mime_kind != "other":
+            kind = mime_kind
+        directives = directives_from_mapping(resp.headers)
+        record = ResourceRecord(url, kind, len(body), directives, time.time())
+        page = (resp.url, body) if is_main else None
         with session._cache_lock:
-            admit(session.cache, record, time.time(), validator=validator or entry.validator)
-        page = session._bodies.get(url) if is_main else None
-        row = ResourceLoad(
-            url=url, outcome="revalidated", bytes=0, t_start_ms=t_start, t_end_ms=rel(),
-            kind=kind_hint, redirects=redirects,
-        )
+            admit(session.cache, record, time.time(), validator=etag)
+            if is_main:
+                session._bodies[url] = page
+        row = ResourceLoad(url, "fetched", len(body), t_start, self._ms(), kind, redirects)
         return row, record, page
 
-    body = resp.content or b""
-    kind = kind_from_mime(resp.headers.get("Content-Type"))
-    if kind == "other":
-        kind = kind_hint
-    record = ResourceRecord(
-        url=url,
-        kind=kind if not is_main else "html",
-        size_bytes=len(body),
-        cache_directives=directives_from_mapping(resp.headers),
-        fetched_at=time.time(),
-    )
-    page = (resp.url, body) if is_main else None
-    with session._cache_lock:
-        admit(session.cache, record, time.time(), validator=validator)
-        if is_main:
-            session._bodies[url] = page
-    row = ResourceLoad(
-        url=url,
-        outcome="fetched",
-        bytes=len(body),
-        t_start_ms=t_start,
-        t_end_ms=rel(),
-        kind=record.kind,
-        redirects=redirects,
-    )
-    return row, record, page
+    def _done(self, job: _Job, row: ResourceLoad, record, page) -> None:
+        job.done_ms = row.t_end_ms
+        job.record = record
+        self.rows[job.url] = row
+        if job.is_main:
+            if row.outcome == "error" or record is None or page is None:
+                raise MainResourceFailed(job.url, row.error or "no body")
+            self.page = page
+
+    def _parse(self) -> None:
+        # Relative references resolve against where the page ended up.
+        final_url, body = self.page
+        main_url = self.main.url
+        found = [(u, k) for u, k in extract_subresources(body, final_url) if u != main_url]
+        self.kinds.update(found)
+        self.actual = [u for u, _ in found]
+        self.start(job for job in self.parse(self.actual) if job is not None)
 
 
 def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadReport:
     """Fetch one page and everything it needs; returns the load report.
 
     ``mode`` is "legacy" or "tempo".  Page delay is the end of the last
-    required response (main resource plus actual subresources); requests
-    for mispredicted URLs are joined afterwards and only show up in the
-    byte accounting.  The cache and the resource graph see the observed
-    visit exactly as the replay tooling would.
+    required response (main resource plus actual subresources); loads of
+    mispredicted URLs still in flight at the parse are waited for and
+    only show up in the byte accounting.  The cache and the resource
+    graph see the observed visit exactly as the replay tooling would.
     """
     url = normalize_url(url)
-    t0 = time.perf_counter()
-    rows: dict[str, ResourceLoad] = {}
-    records: dict[str, ResourceRecord] = {}
-    prediction_urls: tuple[str, ...] = ()
+    load = _PageLoad(session, url)
+    with load.connections, load.pool:
+        load.run(mode)
 
-    with ThreadPoolExecutor(max_workers=session.max_connections) as pool:
-        speculative_futures = {}
-        if mode == "tempo":
-            prediction = predict(session.repo, url)
-            prediction_urls = prediction.urls
-            with session._cache_lock:
-                plan = plan_loads(
-                    prediction, session.cache, time.time(), session.max_connections
-                )
-            main_future = pool.submit(_fetch_one, session, url, "html", t0, True)
-            for item in plan.immediate:
-                if item.url == url:
-                    continue
-                speculative_futures[item.url] = pool.submit(
-                    _fetch_one, session, item.url, "other", t0
-                )
-        else:
-            plan = None
-            main_future = pool.submit(_fetch_one, session, url, "html", t0, True)
-
-        main_row, main_record, page = main_future.result()
-        if main_row.outcome == "error" or main_record is None or page is None:
-            raise MainResourceFailed(url, main_row.error or "no body")
-        rows[url] = main_row
-        records[url] = main_record
-
-        # Relative references resolve against where the page ended up.
-        final_url, body = page
-        found = extract_subresources(body, base_url=final_url)
-        found = [(u, k) for u, k in found if u != url]
-        actual_urls = [u for u, _ in found]
-        kinds = dict(found)
-
-        pending = {}
-        if mode == "tempo":
-            revised = revise_queue(plan, actual_urls)
-            for item in revised.waiting:
-                if item.url in speculative_futures or item.url == url:
-                    continue
-                pending[item.url] = pool.submit(
-                    _fetch_one, session, item.url, kinds.get(item.url, "other"), t0
-                )
-        else:
-            for u, kind in found:
-                pending[u] = pool.submit(_fetch_one, session, u, kind, t0)
-
-        required = set(actual_urls)
-        required_futures = [
-            f
-            for u, f in list(speculative_futures.items()) + list(pending.items())
-            if u in required
-        ]
-        wait(required_futures)
-        for u, future in {**speculative_futures, **pending}.items():
-            if u in required:
-                row, record, _ = future.result()
-                rows[u] = row
-                if record is not None:
-                    records[u] = record
-
-        delay_candidates = [main_row.t_end_ms] + [
-            rows[u].t_end_ms for u in required if u in rows
-        ]
-        delay_ms = max(delay_candidates)
-
-        # Mispredicted loads: let them finish, then account for them.
-        for u, future in speculative_futures.items():
-            if u in required:
-                continue
-            row, record, _ = future.result()
-            if row.outcome in ("fetched", "revalidated"):
-                row.outcome = "mispredicted"
-            rows[u] = row
-
-    overhead = sum(r.bytes for r in rows.values() if r.outcome == "mispredicted")
+    rows, jobs = load.rows, load.jobs
+    wasted = [rows[u] for u, job in jobs.items() if not job.required and u in rows]
+    for row in wasted:
+        if row.outcome in ("fetched", "revalidated"):
+            row.outcome = "mispredicted"
+    overhead = sum(r.bytes for r in wasted if r.outcome == "mispredicted")
 
     with session._cache_lock:
         page_complete(session.cache)
         # A body is only read back for a hit on a cached entry.
-        session._bodies = {
-            u: b for u, b in session._bodies.items() if u in session.cache.entries
-        }
-    observed_subs = tuple(
-        records[u] for u in actual_urls if records.get(u) is not None
-    )
-    visit = PageVisit(
-        user_id="live",
-        timestamp=time.time(),
-        main=main_record,
-        subresources=observed_subs,
-    )
-    update(session.repo, visit)
+        session._bodies = {u: b for u, b in session._bodies.items() if u in session.cache.entries}
+    observed = tuple(jobs[u].record for u in load.actual if jobs[u].record is not None)
+    update(session.repo, PageVisit("live", time.time(), load.main.record, observed))
 
-    ordered = [rows[url]] + [rows[u] for u in actual_urls if u in rows]
-    ordered += [r for u, r in rows.items() if u != url and u not in required]
     return LoadReport(
         url=url,
         mode=mode,
-        delay_ms=delay_ms,
-        resources=ordered,
+        delay_ms=load.delay_ms(),
+        resources=[rows[url], *(rows[u] for u in load.actual), *wasted],
         overhead_bytes=overhead,
-        predicted=prediction_urls,
+        predicted=load.predicted,
     )

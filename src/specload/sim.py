@@ -10,7 +10,9 @@ planned loads at t=0 on every connection except the one reserved for
 the main resource, then revises the waiting queue the moment parsing
 reveals what the page really needs; mispredicted loads that are already
 in flight run to completion and occupy their connection, while queued
-mispredictions are dropped unissued.
+mispredictions are dropped unissued.  These decisions are
+``PageScheduler``'s, and ``live.fetch_page`` drives the same ones over
+real connections.
 
 Page delay is the end of the last *required* response: the main
 resource and the visit's actual subresources.  Speculative extras never
@@ -66,7 +68,7 @@ import signal
 import sys
 import threading
 import traceback
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -179,7 +181,105 @@ def _check_connections(max_connections: int) -> None:
         raise InvalidParams("max_connections must be >= 2 (one is held for the main resource)")
 
 
-class _Engine:
+class PageScheduler:
+    """The loading decisions for one page: the simulator (``_Engine``)
+    drives them in virtual time, ``live.fetch_page`` in real time.
+
+    One connection belongs to the main resource for the whole page
+    load; subresources contend for the other ``max_connections - 1``.
+    Keeping the pools separate is what makes the speculative head start
+    show up as a pure left shift of the subresource schedule.  A driver implements ``_issue``: look the job up in the cache now,
+    and complete it as a fresh hit (``done_ms`` set) or put it on a
+    connection, taking one from ``free`` unless it is the main resource.
+    It calls ``plan``, then ``start`` with loads that are ready,
+    ``finish`` when a subresource load ends and ``parse`` when the main
+    resource has parsed; ``delay_ms`` once nothing is in flight.
+    """
+
+    def __init__(self, main_url: str, max_connections: int):
+        _check_connections(max_connections)
+        self.max_connections = max_connections
+        self.free = max_connections - 1
+        self.main = _Job(main_url, 0, is_main=True, required=True)
+        self.jobs: dict[str, _Job] = {main_url: self.main}
+        self.queue: list[tuple[int, _Job]] = []
+        self.canceled: set[str] = set()
+        self._n_speculative = 0
+
+    def _issue(self, job: _Job) -> None:
+        raise NotImplementedError
+
+    def start(self, jobs: Iterable[_Job]) -> None:
+        """Start loads that are ready now, in order: each onto a free
+        connection, else into the queue."""
+        for job in jobs:
+            if self.free > 0:
+                self._issue(job)
+            else:
+                heapq.heappush(self.queue, (job.priority, job))
+
+    def finish(self) -> None:
+        """A subresource load has ended: its connection goes to the
+        queued loads in priority order.  A canceled load is dropped, and
+        one that turns out fresh takes no connection."""
+        self.free += 1
+        while self.queue and self.free > 0:
+            _, job = heapq.heappop(self.queue)
+            if job.url not in self.canceled:
+                self._issue(job)
+
+    def plan(self, prediction: Prediction, cache, now: float) -> list[_Job]:
+        """New jobs for the speculative loads ``plan_loads`` makes of
+        ``prediction``, in plan order, for the driver to start."""
+        plan = plan_loads(prediction, cache, now, self.max_connections)
+        jobs = self.jobs
+        new = []
+        for item in (*plan.immediate, *plan.waiting):
+            url = item.url
+            if url not in jobs:
+                jobs[url] = job = _Job(url, len(new))
+                new.append(job)
+        self._n_speculative = len(new)
+        return new
+
+    def parse(self, urls: Sequence[str]) -> list[_Job | None]:
+        """The parsed page needs ``urls``, in document order: mark them
+        required and cancel every speculative load it does not need.  A
+        queued one is dropped unissued; one already on a connection
+        finishes on its own.  Returns, per URL, the new job that loads
+        it, or None when a job exists, for the driver to start."""
+        jobs = self.jobs
+        if self._n_speculative:
+            actual = set(urls)
+            self.canceled.update(
+                url for url, job in jobs.items() if job.done_ms is None and url not in actual
+            )
+        base = self._n_speculative
+        new: list[_Job | None] = []
+        for i, url in enumerate(urls):
+            job = jobs.get(url)
+            if job is None:
+                jobs[url] = job = _Job(url, base + i, required=True)
+                new.append(job)
+            else:
+                job.required = True
+                new.append(None)
+        return new
+
+    def delay_ms(self) -> float:
+        """Page delay: when the last required resource is in hand.  A
+        speculative load that lands before the parser would have asked
+        for it counts at its completion time."""
+        done = [job.done_ms for job in self.jobs.values() if job.required]
+        if None in done:
+            raise RuntimeError("a required resource never completed")
+        return max(done)
+
+
+class _Engine(PageScheduler):
+    """The simulator's driver: an event heap in virtual time, and the
+    durations of ``net``, scaled per operation class by ``scales``."""
+
     def __init__(
         self,
         visit: PageVisit,
@@ -190,28 +290,19 @@ class _Engine:
         known_records: Mapping[str, ResourceRecord] | None,
         scales: dict[OperationClass, float],
     ):
-        _check_connections(max_connections)
+        super().__init__(visit.main.url, max_connections)
+        self.main.record = visit.main
         self.visit = visit
         self.mode = mode
         self.cache_state = cache_state
         self.net = net
-        self.max_connections = max_connections
         # Read with ``get`` only: copying it per page would make a
         # trace replay quadratic in its length.
         self.known = known_records if known_records is not None else {}
-        # One connection belongs to the main resource for the whole
-        # page load; subresources contend for the rest.  Keeping the
-        # pools separate is what makes the speculative head start show
-        # up as a pure left shift of the subresource schedule.
-        self.free = max_connections - 1
         self.now = 0.0
         self.events: list[tuple[float, int, int, _Job | None]] = []
-        self.queue: list[tuple[int, _Job]] = []
-        self.jobs: dict[str, _Job] = {}
-        self.canceled: set[str] = set()
         self.ready_at: dict[str, float] = {}
         self._seq = 0
-        self._n_speculative = 0
         # An unscaled class keeps None: multiplying by 1.0 is exact, so
         # skipping it changes no duration.
         self._main_scale = scales.get(OperationClass.MAIN_FETCH)
@@ -225,9 +316,6 @@ class _Engine:
         heapq.heappush(self.events, (t, self._seq, kind, job))
 
     def _issue(self, job: _Job) -> None:
-        """Classify and start a job now.  A fresh hit completes at once
-        without a connection or an event; the main resource rides its
-        reserved connection and never draws on the pool."""
         now = self.now
         outcome = self.cache_state.lookup(job.url, self.visit.timestamp + now / 1000.0)
         if outcome is LookupOutcome.FRESH_HIT:
@@ -251,38 +339,26 @@ class _Engine:
         self._seq += 1
         heapq.heappush(self.events, (now + duration, self._seq, _FINISH, job))
 
-    def _start(self, jobs) -> None:
-        """Start loads that are ready now, in heap order: each onto a free
-        connection, else into the queue.  Whenever an event has been
-        handled, the queue is empty or no connection is free, so a free
-        connection means nothing waits."""
-        for job in jobs:
-            if self.free > 0:
-                self._issue(job)
+    def _ready(self, loads: list[tuple[_Job, float]]) -> None:
+        """Make each job ready at its time.  With no other event due now,
+        the ones ready now skip the heap, which would pop them next and
+        in this order.  The others are pushed before those start, so
+        every finish event a start pushes stays behind them, as it
+        would."""
+        events, now = self.events, self.now
+        skip_heap = not events or events[0][0] > now
+        due = []
+        for job, ready in loads:
+            if skip_heap and ready == now:
+                due.append(job)
             else:
-                heapq.heappush(self.queue, (job.priority, job))
+                self._push_event(ready, _READY, job)
+        self.start(due)
 
-    def _nothing_due(self) -> bool:
-        """Whether loads made ready now may skip the heap: with no other
-        event due now, the heap would pop them next, in the order they
-        were made ready.  Loads made ready for later are pushed before
-        those start, so every finish event a start pushes stays behind
-        them, as it would."""
-        events = self.events
-        return not events or events[0][0] > self.now
-
-    def _plan(self) -> None:
+    def _speculate(self) -> None:
         visit = self.visit
-        main_url = visit.main.url
-        now = self.now
-        plan = plan_loads(
-            self.mode.prediction,
-            self.cache_state,
-            visit.timestamp + now / 1000.0,
-            self.max_connections,
-        )
-        loads = (*plan.immediate, *plan.waiting)
-        if not loads:
+        new = self.plan(self.mode.prediction, self.cache_state, visit.timestamp)
+        if not new:
             return
         # Speculative loads skip the wait for the main resource but keep
         # the page's own request cadence: a load that the page would only
@@ -295,44 +371,23 @@ class _Engine:
         subs = visit.subresources
         offsets = visit.discovery_offsets
         index = {r.url: i for i, r in enumerate(subs)}
-        jobs = self.jobs
+        known = self.known
         ready_at = self.ready_at
-        skip_heap = self._nothing_due()
-        due = []
-        rank = 0
-        for item in loads:
-            url = item.url
-            if url == main_url or url in jobs:
-                continue
+        loads = []
+        for job in new:
+            url = job.url
             i = index.get(url)
             if i is None:
-                record, ready = self.known.get(url), 0.0
+                job.record, ready = known.get(url), 0.0
             else:
-                record, ready = subs[i], offsets[i] if offsets else 0.0
-            job = jobs[url] = _Job(url, rank, record=record)
-            rank += 1
+                job.record, ready = subs[i], offsets[i] if offsets else 0.0
             ready_at[url] = ready
-            if skip_heap and ready == now:
-                due.append(job)
-            else:
-                self._push_event(ready, _READY, job)
-        self._n_speculative = rank
-        self._start(due)
+            loads.append((job, ready))
+        self._ready(loads)
 
     def _on_parse(self, parse_t: float) -> None:
         subs = self.visit.subresources
-        jobs = self.jobs
-        if isinstance(self.mode, Speculative):
-            actual = {r.url for r in subs}
-            for url, job in jobs.items():
-                if job.is_main:
-                    continue
-                if url in actual:
-                    job.required = True
-                elif job.done_ms is None:
-                    # Queued entries get dropped unissued; anything
-                    # already on a connection finishes on its own.
-                    self.canceled.add(url)
+        new = self.parse([r.url for r in subs])
         offsets = self.visit.discovery_offsets
         # Ready in (offset, document index) order.  An offset too small
         # to survive ``parse_t + offset`` then still breaks the tie the
@@ -341,41 +396,30 @@ class _Engine:
             order = sorted(range(len(offsets)), key=offsets.__getitem__)
         else:
             order = range(len(subs))
-        base = self._n_speculative
         ready_at = self.ready_at
-        skip_heap = self._nothing_due()
-        due = []
+        loads = []
         for i in order:
             record = subs[i]
-            url = record.url
             ready = parse_t + offsets[i] if offsets else parse_t
-            ready_at[url] = ready
-            job = jobs.get(url)
+            ready_at[record.url] = ready
+            job = new[i]
             if job is not None:
-                job.required = True
-                continue
-            job = jobs[url] = _Job(url, base + i, required=True, record=record)
-            if skip_heap and ready == parse_t:
-                due.append(job)
-            else:
-                self._push_event(ready, _READY, job)
-        self._start(due)
+                job.record = record
+                loads.append((job, ready))
+        self._ready(loads)
 
     def run(self) -> float:
-        visit = self.visit
-        main = _Job(visit.main.url, 0, is_main=True, required=True, record=visit.main)
-        self.jobs[main.url] = main
+        main = self.main
         self._issue(main)
         if main.done_ms is not None:
             self._push_event(main.done_ms + self._parse_ms, _PARSE, None)
         if isinstance(self.mode, Speculative):
-            self._plan()
+            self._speculate()
 
         events = self.events
-        queue = self.queue
         canceled = self.canceled
         admit = self.cache_state.admit
-        timestamp = visit.timestamp
+        timestamp = self.visit.timestamp
         pop = heapq.heappop
         while events:
             t, _, kind, job = pop(events)
@@ -386,31 +430,15 @@ class _Engine:
                     admit(job.record, timestamp + t / 1000.0)
                 if job.is_main:
                     self._push_event(t + self._parse_ms, _PARSE, None)
-                    continue
-                self.free += 1
-                # A queued load that turns out fresh takes no connection.
-                while queue and self.free > 0:
-                    _, job = pop(queue)
-                    if job.url not in canceled:
-                        self._issue(job)
+                else:
+                    self.finish()
             elif kind == _PARSE:
                 self._on_parse(t)
             elif job.url not in canceled:
-                self._start((job,))
+                self.start((job,))
 
         self.cache_state.page_complete()
-
-        # Page delay: when the last required resource is in hand.  A
-        # speculative load that lands before the parser would have asked
-        # for it counts at its completion time.
-        done_required = [main.done_ms]
-        for record in visit.subresources:
-            url = record.url
-            job = self.jobs.get(url)
-            if job is None or job.done_ms is None:
-                raise RuntimeError(f"required resource never completed: {url}")
-            done_required.append(job.done_ms)
-        return max(done_required)
+        return self.delay_ms()
 
     @property
     def overhead_bytes(self) -> int:
@@ -432,8 +460,7 @@ def simulate_page(
     records, for sizing speculative loads of URLs this visit does not
     request; it is only read with ``get``.
     """
-    engine = _Engine(visit, mode, cache_state, net, max_connections, known_records, {})
-    return engine.run()
+    return _Engine(visit, mode, cache_state, net, max_connections, known_records, {}).run()
 
 
 def whatif_scale(
@@ -454,10 +481,8 @@ def whatif_scale(
     """
     if scale < 0:
         raise InvalidParams("scale must be >= 0")
-    engine = _Engine(
-        visit, mode, cache_state, net, max_connections, known_records, {operation_class: scale}
-    )
-    return engine.run()
+    scales = {operation_class: scale}
+    return _Engine(visit, mode, cache_state, net, max_connections, known_records, scales).run()
 
 
 @dataclass(frozen=True)
@@ -494,9 +519,7 @@ class SimResult:
 
     @property
     def mean_speculative_ms(self) -> float:
-        return (
-            sum(p.speculative_ms for p in self.pages) / len(self.pages) if self.pages else 0.0
-        )
+        return sum(p.speculative_ms for p in self.pages) / len(self.pages) if self.pages else 0.0
 
     @property
     def mean_reduction_ms(self) -> float:

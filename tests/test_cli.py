@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import specload.graph as graph_module
-from specload.cli import main, parse_capacity, parse_trim_days
+from specload.cli import main, parse_capacity, parse_connections, parse_trim_days
 from specload.predict import replay_predictor
 from specload.report import (
     CACHE_HEADER,
@@ -24,6 +24,11 @@ from specload.trace import load_trace
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_rows(path: Path) -> list[list[str]]:
+    with path.open() as fh:
+        return list(csv.reader(fh))
 
 
 # --- flag parsing ------------------------------------------------------
@@ -66,6 +71,21 @@ def test_bad_trim_days_is_a_usage_error(argv, text, capsys):
         run(*argv, f"--trim-days={text}")
     assert exc.value.code == 2
     assert "bad trim window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1", "0", "-3", "two", "2.5"])
+@pytest.mark.parametrize(
+    "argv", [("fetch", "--url", "/p.html"), ("sim-speculative", "--trace", "t")]
+)
+def test_fewer_than_two_connections_is_a_usage_error(argv, text, capsys):
+    # One connection is held for the main resource, so 2 is the least.
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_connections(text)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, f"--connections={text}")
+    assert exc.value.code == 2
+    assert "bad connection count" in capsys.readouterr().err
+    assert parse_connections("2") == 2
 
 
 def test_zero_and_fractional_trim_days_are_valid(tmp_path, trace_path):
@@ -173,7 +193,7 @@ def test_sim_cache_csv_and_sidecar(tmp_path, trace_path, capsys):
     assert run("sim-cache", "--trace", str(trace_path), "--out", str(out)) == 0
     assert "wrote" in capsys.readouterr().out
 
-    rows = list(csv.reader(out.open()))
+    rows = read_rows(out)
     assert rows[0] == CACHE_HEADER
     assert rows[-1][0] == "TOTAL"
 
@@ -212,10 +232,10 @@ def test_sim_speculative_summary_and_metrics(tmp_path, trace_path):
         )
         == 0
     )
-    rows = list(csv.reader(out.open()))
+    rows = read_rows(out)
     assert len(rows) == 2  # header + MEAN
     assert rows[1][0] == "MEAN"
-    mrows = list(csv.reader(metrics.open()))
+    mrows = read_rows(metrics)
     assert mrows[0] == ["bucket", "index", "n_predictions", "hit_ratio", "usefulness"]
     assert mrows[-1][0] == "overall"
     assert (tmp_path / "pred.csv.meta.json").exists()
@@ -268,7 +288,7 @@ def test_sim_prefetch(tmp_path, trace_path):
         )
         == 0
     )
-    rows = list(csv.reader(out.open()))
+    rows = read_rows(out)
     assert rows[0] == PREFETCH_HEADER
     assert len(rows) == 2
 
@@ -281,7 +301,7 @@ def test_graph_build_stats_trim(tmp_path, trace_path, capsys):
 
     stats_csv = tmp_path / "stats.csv"
     assert run("graph", "stats", "--repo", str(repo), "--out", str(stats_csv)) == 0
-    rows = list(csv.reader(stats_csv.open()))
+    rows = read_rows(stats_csv)
     assert rows[0][0] == "n_websites"
     assert int(rows[1][0]) >= 1
 
@@ -368,7 +388,7 @@ def test_fetch_against_fixture(tmp_path, capsys):
     assert "run 0:" in printed and "run 1:" in printed
     assert "median delay" in printed
 
-    rows = list(csv.reader(out.open()))
+    rows = read_rows(out)
     assert rows[0] == FETCH_HEADER
     assert {r[0] for r in rows[1:]} == {"0", "1"}
     assert all(r[2] == "tempo" for r in rows[1:])

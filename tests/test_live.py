@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import os
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import pytest
 import requests
 
-from specload.cache import CacheStore
-from specload.errors import MainResourceFailed
+from specload import sim
+from specload.cache import CacheStore, LookupOutcome
+from specload.errors import InvalidParams, MainResourceFailed
 from specload.fixture import fixture_server
+from specload.graph import MetadataRepository, update
 from specload.live import FetchSession, extract_subresources, fetch_page
-from specload.predict import VisitClass, predict
+from specload.predict import Prediction, VisitClass, predict
+from specload.sim import LEGACY, NetworkParams, Speculative, simulate_page, simulate_trace
+from specload.trace import PageVisit, ResourceRecord, Trace
 
 # --- HTML subresource extraction ---------------------------------------
 
@@ -147,18 +155,28 @@ def test_tempo_accounts_mispredicted_bytes():
         assert report.overhead_bytes == sum(r.bytes for r in mispredicted) == 3000
 
 
-def test_connection_bound_is_respected():
+@pytest.mark.parametrize("connections", [3, 6])
+def test_connection_bound_is_respected(connections):
     subs = [f"/r{i}.js" for i in range(10)]
     spec = {
         "delay_ms": 20,
         "pages": {"/p.html": {"subresources": subs}},
         "resources": {s: {"size": 500} for s in subs},
     }
-    with fixture_server(spec) as srv:
-        session = FetchSession(max_connections=3)
-        report = fetch_page(session, srv.url("/p.html"), mode="legacy")
-        assert len(report.resources) == 11
-        assert session.max_inflight_seen <= 3
+    # More connections than cores, and threads switched often, so that
+    # a lost update of the shared session state would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with fixture_server(spec) as srv:
+            session = FetchSession(max_connections=connections)
+            report = fetch_page(session, srv.url("/p.html"), mode="legacy")
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.outcome for r in report.resources] == ["fetched"] * 11
+    # The main resource's connection stays its own once it is done.
+    assert session.max_inflight_seen == connections - 1 and session._inflight == 0
+    assert {srv.url(s) for s in subs} <= set(session.cache.entries)
 
 
 def test_session_keeps_bodies_only_for_cached_pages():
@@ -251,3 +269,229 @@ def test_main_resource_failure_raises():
     # server stopped; the port refuses connections now
     with pytest.raises(MainResourceFailed):
         fetch_page(FetchSession(), dead_url, mode="legacy")
+
+
+@pytest.mark.parametrize("connections", [1, 0, -1])
+def test_fewer_than_two_connections_is_invalid(connections):
+    with pytest.raises(InvalidParams):
+        FetchSession(max_connections=connections)
+    session = FetchSession()
+    session.max_connections = connections
+    with pytest.raises(InvalidParams):
+        fetch_page(session, "http://127.0.0.1:9/p.html")
+
+
+# --- connections and threads -------------------------------------------
+
+
+class _PortLoggingHandler(BaseHTTPRequestHandler):
+    """Keep-alive; logs (client port, path).  /p.html loads /a.js, /b.js
+    and /c.js; /dead.html drops the connection unanswered; /slow.js
+    answers after 100 ms."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_GET(self):
+        self.server.log.append((self.client_address[1], self.path))
+        if self.path == "/dead.html":
+            self.close_connection = True
+            return
+        if self.path == "/slow.js":
+            time.sleep(0.1)
+        if self.path == "/p.html":
+            body = b"".join(b'<script src="/%s.js"></script>' % n for n in (b"a", b"b", b"c"))
+            kind = "text/html"
+        else:
+            body, kind = b"var x;", "application/javascript"
+        self.send_response(200)
+        self.send_header("Content-Type", kind)
+        self.send_header("Cache-Control", "no-store")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def port_logging_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _PortLoggingHandler)
+    server.log = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads the test's own thread starts once this is set up."""
+    caller = threading.current_thread()
+    threads = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if threading.current_thread() is caller:
+            threads.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return threads
+
+
+@pytest.mark.parametrize("connections, expected", [(2, 2), (4, 4)])
+def test_each_connection_is_reused_for_the_page(port_logging_server, connections, expected):
+    # The main resource has a connection of its own.  With 2 connections
+    # the three scripts share the other one; with 4, each has its own.
+    server, base = port_logging_server
+    report = fetch_page(FetchSession(max_connections=connections), base + "/p.html")
+    assert [r.outcome for r in report.resources] == ["fetched"] * 4
+    assert len(server.log) == 4
+    assert len({port for port, _ in server.log}) == expected
+
+
+def _wait_for_one_thread(timeout_s: float = 5.0) -> None:
+    """The server's handler threads end once their client hangs up."""
+    deadline = time.monotonic() + timeout_s
+    while threading.active_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == 1, threading.enumerate()
+
+
+def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads, monkeypatch):
+    server, base = port_logging_server
+    fetch_page(FetchSession(max_connections=3), base + "/p.html")
+    assert started_threads
+    assert not any(t.is_alive() for t in started_threads)
+
+    # The main resource fails while a speculative load is in flight.
+    repo = MetadataRepository()
+    main = ResourceRecord(base + "/dead.html", "html", 100)
+    update(repo, PageVisit("u", 0.0, main, (ResourceRecord(base + "/slow.js", "script", 6),)))
+    del started_threads[:]
+    with pytest.raises(MainResourceFailed):
+        fetch_page(FetchSession(repo=repo), base + "/dead.html", mode="tempo")
+    assert started_threads
+    assert not any(t.is_alive() for t in started_threads)
+    assert sorted(path for _, path in server.log[-2:]) == ["/dead.html", "/slow.js"]
+
+    server.shutdown()
+    _wait_for_one_thread()
+    # With no thread left, a trace replay still forks its worker.
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert sim._can_fork()
+    simulate_trace(Trace(visits=[PageVisit("u", 0.0, main, ())]))
+    assert len(forks) == 1
+
+
+# --- the live fetcher against the simulator ----------------------------
+
+DIFF_DELAY_MS = 200.0
+# How far a live time may be from the simulated one.  Every simulated
+# time is a multiple of the delay, and a different decision moves some
+# load by at least one delay.  Half a delay tells the two apart and
+# leaves room for the client and server work each request adds: a few
+# ms on an idle machine, over a chain of up to five requests.
+DIFF_TOLERANCE_MS = DIFF_DELAY_MS / 2
+_NO_STORE = {"Cache-Control": "no-store"}
+_DIFF_PAGES = {
+    "/l.html": ["/l1.js", "/l2.js", "/l3.js", "/l4.js"],
+    "/t.html": ["/p.css", "/q.png", "/n.png"],
+}
+# What tempo's graph knows of /t.html: it starts its prediction with the
+# script /o.js, which the page no longer needs, and lacks /n.png.
+_LEARNED = [("/o.js", "script"), ("/p.css", "stylesheet"), ("/q.png", "image")]
+_DIFF_SPEC = {
+    "delay_ms": DIFF_DELAY_MS,
+    "pages": {p: {"subresources": subs, "headers": _NO_STORE} for p, subs in _DIFF_PAGES.items()},
+    "resources": {
+        path: {"size": 500, "headers": _NO_STORE}
+        for path in ["/l1.js", "/l2.js", "/l3.js", "/l4.js", "/o.js", "/p.css", "/q.png", "/n.png"]
+    },
+}
+
+
+class _Timeline:
+    """A simulator cache state that misses on every request, as no-store
+    resources do, and keeps each load's start and end in milliseconds
+    (the visit is at time 0)."""
+
+    def __init__(self):
+        self.starts: dict[str, float] = {}
+        self.ends: dict[str, float] = {}
+
+    def classify(self, url, now):
+        return LookupOutcome.MISS
+
+    def lookup(self, url, now):
+        self.starts[url] = now * 1000.0
+        return LookupOutcome.MISS
+
+    def admit(self, record, now):
+        self.ends[record.url] = now * 1000.0
+
+    def page_complete(self):
+        pass
+
+
+def _simulate_like(report, subresources: list[str], connections: int):
+    """The simulator's timeline for the page ``report`` loaded, with the
+    fixture's delay as the round trip and nothing else taking time."""
+    main = ResourceRecord(report.url, "html", 0)
+    subs = tuple(ResourceRecord(url, "script", 0) for url in subresources)
+    mode = LEGACY
+    if report.mode == "tempo":
+        mode = Speculative(Prediction(report.predicted, VisitClass.REVISIT))
+    net = NetworkParams(
+        rtt_ms=DIFF_DELAY_MS, bandwidth_bytes_per_s=1e15, parse_ms=0.0, main_extra_rtts=0
+    )
+    known = {url: ResourceRecord(url, "script", 0) for url in report.predicted}
+    timeline = _Timeline()
+    visit = PageVisit("u", 0.0, main, subs)
+    delay = simulate_page(visit, mode, timeline, net, connections, known)
+    return delay, timeline
+
+
+@pytest.mark.parametrize("connections", [2, 4])
+@pytest.mark.parametrize("mode", ["legacy", "tempo"])
+def test_live_loads_are_scheduled_as_simulated(mode, connections):
+    # Every load goes to the network.  Legacy over 4 connections must
+    # hold its fourth script until one of the other three is in.
+    with fixture_server(_DIFF_SPEC) as srv:
+        session = FetchSession(max_connections=connections)
+        if mode == "legacy":
+            url = srv.url("/l.html")
+        else:
+            url = srv.url("/t.html")
+            learned = tuple(ResourceRecord(srv.url(p), kind, 500) for p, kind in _LEARNED)
+            update(session.repo, PageVisit("u", 0.0, ResourceRecord(url, "html", 500), learned))
+        report = fetch_page(session, url, mode=mode)
+    needed = [r.url for r in report.resources[1:] if r.outcome != "mispredicted"]
+    assert needed == [srv.url(p) for p in _DIFF_PAGES[urlsplit(url).path]]
+    delay, timeline = _simulate_like(report, needed, connections)
+
+    issued = sorted(report.resources, key=lambda r: r.t_start_ms)
+    assert [r.url for r in issued] == list(timeline.starts)
+    mispredicted = {r.url for r in report.resources if r.outcome == "mispredicted"}
+    assert mispredicted == set(timeline.starts) - {url, *needed}
+    if mode == "tempo":
+        assert report.predicted[0] == srv.url("/o.js") and mispredicted == {srv.url("/o.js")}
+    for r in report.resources:
+        assert abs(r.t_start_ms - timeline.starts[r.url]) <= DIFF_TOLERANCE_MS, r
+        assert abs(r.t_end_ms - timeline.ends[r.url]) <= DIFF_TOLERANCE_MS, r
+    assert abs(report.delay_ms - delay) <= DIFF_TOLERANCE_MS
