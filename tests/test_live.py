@@ -155,28 +155,28 @@ def test_tempo_accounts_mispredicted_bytes():
         assert report.overhead_bytes == sum(r.bytes for r in mispredicted) == 3000
 
 
-@pytest.mark.parametrize("connections", [3, 6])
-def test_connection_bound_is_respected(connections):
+def test_connection_bound_is_respected():
     subs = [f"/r{i}.js" for i in range(10)]
     spec = {
         "delay_ms": 20,
         "pages": {"/p.html": {"subresources": subs}},
         "resources": {s: {"size": 500} for s in subs},
     }
-    # More connections than cores, and threads switched often, so that
-    # a lost update of the shared session state would show.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with fixture_server(spec) as srv:
-            session = FetchSession(max_connections=connections)
-            report = fetch_page(session, srv.url("/p.html"), mode="legacy")
-    finally:
-        sys.setswitchinterval(interval)
-    assert [r.outcome for r in report.resources] == ["fetched"] * 11
-    # The main resource's connection stays its own once it is done.
-    assert session.max_inflight_seen == connections - 1 and session._inflight == 0
-    assert {srv.url(s) for s in subs} <= set(session.cache.entries)
+    for connections in (3, 6):
+        # More connections than cores, and threads switched often, so that
+        # a lost update of the shared session state would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with fixture_server(spec) as srv:
+                session = FetchSession(max_connections=connections)
+                report = fetch_page(session, srv.url("/p.html"), mode="legacy")
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.outcome for r in report.resources] == ["fetched"] * 11
+        # The main resource's connection stays its own once it is done.
+        assert session.max_inflight_seen == connections - 1 and session._inflight == 0
+        assert {srv.url(s) for s in subs} <= set(session.cache.entries)
 
 
 def test_session_keeps_bodies_only_for_cached_pages():
