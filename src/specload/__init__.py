@@ -44,13 +44,11 @@ from .graph import (
 )
 from .live import FetchSession, LoadReport, extract_subresources, fetch_page
 from .predict import (
-    LoadPlan,
     Prediction,
     VisitClass,
     plan_loads,
     predict,
     replay_predictor,
-    revise_queue,
     score_predictions,
 )
 from .prefetch import PopularityModel, PrefetchReport, evaluate_prefetch
@@ -94,7 +92,6 @@ __all__ = [
     "InsufficientTrace",
     "InvalidParams",
     "LEGACY",
-    "LoadPlan",
     "LoadReport",
     "LookupOutcome",
     "MainResourceFailed",
@@ -134,7 +131,6 @@ __all__ = [
     "repo_stats",
     "replay_cache_sim",
     "replay_predictor",
-    "revise_queue",
     "save_repo",
     "save_trace",
     "score_predictions",

@@ -52,7 +52,7 @@ from heapq import heapify, heappop, heappush
 
 from .errors import CorruptRepository
 from .trace import PageVisit
-from .urls import host_of, normalize_url, website_key
+from .urls import host_of, website_key
 
 DAY_S = 86400.0
 
@@ -534,24 +534,6 @@ class History:
             self._day = day
 
 
-def get_webpage_node(repo: MetadataRepository, url: str) -> GraphNode | None:
-    url = normalize_url(url)
-    graph = repo.graphs.get(website_key(url))
-    if graph is None:
-        return None
-    nid = graph.page_index.get(url)
-    return graph.nodes[nid] if nid is not None else None
-
-
-def get_subdomain_node(repo: MetadataRepository, url: str) -> GraphNode | None:
-    url = normalize_url(url)
-    graph = repo.graphs.get(website_key(url))
-    if graph is None:
-        return None
-    nid = graph.subdomain_index.get(host_of(url))
-    return graph.nodes[nid] if nid is not None else None
-
-
 _MAGIC = b"SLRepo1\n"
 
 
@@ -692,9 +674,12 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
             raise CorruptRepository(
                 f"edge crosses non-adjacent levels {ptype.name}->{ctype.name}"
             )
-        graph._link(pid, cid)
         if ts is not None:
+            # ``dumps_repo`` times page->subresource edges only.
+            if ctype is not NodeType.SUBRESOURCE:
+                raise CorruptRepository(f"timed edge {ptype.name}->{ctype.name}")
             graph.edge_seen[(pid, cid)] = float(ts)
+        graph._link(pid, cid)
     repo.graphs[site] = graph
 
 

@@ -38,7 +38,7 @@ from urllib.parse import urljoin
 import requests
 
 from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
-from .errors import MainResourceFailed, MalformedUrl
+from .errors import InvalidParams, MainResourceFailed, MalformedUrl
 from .graph import MetadataRepository, update
 from .headers import directives_from_mapping, kind_from_mime
 from .predict import predict
@@ -303,6 +303,8 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
     only show up in the byte accounting.  The cache and the resource
     graph see the observed visit exactly as the replay tooling would.
     """
+    if mode not in ("legacy", "tempo"):
+        raise InvalidParams(f"unknown mode {mode!r}: expected 'legacy' or 'tempo'")
     url = normalize_url(url)
     load = _PageLoad(session, url)
     with load.connections, load.pool:

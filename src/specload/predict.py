@@ -20,6 +20,10 @@ it costs the nodes re-placed since the last walk plus the walk, not a
 scan and sort of the whole scope.  For a website scope the walk is the
 fan-out long; for a subdomain scope it also skips the site's other
 subdomains' subresources ranked ahead of the hits.
+
+A speculative plan is the predicted URLs not fresh in the cache
+(``plan_loads``); how they share connections is ``sim.PageScheduler``'s
+decision, for the simulator and the live fetcher alike.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from itertools import islice
 from statistics import fmean
 
 from .cache import LookupOutcome
-from .errors import EmptyTrace, InvalidParams
+from .errors import EmptyTrace
 from .graph import History, MetadataRepository, ResourceGraph, priority_key
 from .trace import PageVisit, Trace
 from .urls import host_of, normalize_url, website_key
@@ -107,84 +111,27 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
         return Prediction(urls=tuple(n.url_or_name for n in best), visit_class=visit_class)
 
 
-@dataclass(frozen=True, slots=True)
-class PlannedLoad:
-    url: str
-    action: str  # "fetch" | "revalidate"
-
-
-@dataclass(frozen=True)
-class LoadPlan:
-    immediate: tuple[PlannedLoad, ...]
-    waiting: tuple[PlannedLoad, ...]
-    max_connections: int
-
-    def all_urls(self) -> list[str]:
-        return [p.url for p in self.immediate + self.waiting]
-
-
-def plan_loads(
-    prediction: Prediction,
-    cache,
-    now: float,
-    max_connections: int = 4,
-) -> LoadPlan:
-    """Turn a prediction into speculative load work.
-
+def plan_loads(prediction: Prediction, cache, now: float) -> tuple[str, ...]:
+    """The predicted URLs not fresh in ``cache``, in prediction order.
     ``cache`` is anything with a pure ``classify(url, now)``: a
-    ``CacheStore`` or a simulator cache state.
-    Fresh-in-cache candidates are dropped entirely.  The first
-    ``max_connections - 1`` survivors load immediately (one connection
-    always stays reserved for the main resource); the rest wait in
-    queue order.
-    """
-    if max_connections < 1:
-        raise InvalidParams("max_connections must be >= 1")
-    immediate: list[PlannedLoad] = []
-    waiting: list[PlannedLoad] = []
-    for url in prediction.urls:
-        outcome = cache.classify(url, now)
-        if outcome is LookupOutcome.FRESH_HIT:
-            continue
-        action = "revalidate" if outcome is LookupOutcome.EXPIRED_REVALIDATE else "fetch"
-        item = PlannedLoad(url=url, action=action)
-        if len(immediate) < max_connections - 1:
-            immediate.append(item)
-        else:
-            waiting.append(item)
-    return LoadPlan(
-        immediate=tuple(immediate),
-        waiting=tuple(waiting),
-        max_connections=max_connections,
-    )
+    ``CacheStore`` or a simulator cache state.  The simulator and the
+    live fetcher look a URL up again when they issue its load."""
+    fresh = LookupOutcome.FRESH_HIT
+    return tuple(url for url in prediction.urls if cache.classify(url, now) is not fresh)
 
 
-def revise_queue(plan: LoadPlan, actual_needed: list[str]) -> LoadPlan:
-    """Rewrite the waiting queue once the real subresource list is known.
-
-    Queued entries that turned out unneeded are dropped; needed URLs that
-    are neither in flight nor queued are appended in document order.
-    In-flight (immediate) loads are past the point of no return and stay
-    untouched.  Appended entries default to full fetches; dispatchers
-    re-check the cache when they actually issue them.
-    """
-    needed: list[str] = []
-    seen: set[str] = set()
-    for url in actual_needed:
-        if url not in seen:
-            seen.add(url)
-            needed.append(url)
-    inflight = {p.url for p in plan.immediate}
-    kept = tuple(w for w in plan.waiting if w.url in seen)
-    already = inflight | {w.url for w in kept}
-    appended = tuple(
-        PlannedLoad(url=url, action="fetch") for url in needed if url not in already
-    )
-    return LoadPlan(
-        immediate=plan.immediate,
-        waiting=kept + appended,
-        max_connections=plan.max_connections,
-    )
+def revise_queue(
+    inflight: Iterable[str], waiting: Iterable[str], needed: Iterable[str]
+) -> tuple[str, ...]:
+    """The waiting queue once the page turns out to need ``needed``, in
+    document order: the waiting URLs still needed, in queue order, then
+    each needed URL neither in flight nor waiting, once.  In-flight loads
+    stay where they are.  ``sim.PageScheduler.parse`` makes this decision,
+    and acceptance check 06 holds it to this rule."""
+    document = dict.fromkeys(needed)
+    kept = tuple(url for url in waiting if url in document)
+    already = {*inflight, *kept}
+    return kept + tuple(url for url in document if url not in already)
 
 
 def evaluate_prediction(predicted, actually_requested) -> dict[str, float]:

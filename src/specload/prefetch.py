@@ -10,10 +10,11 @@ transfer scheme.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyWindow, InsufficientTrace
+from .errors import EmptyWindow, InsufficientTrace, InvalidParams
 from .sim import DEFAULT_NET, EMPTY, LEGACY, NetworkParams, simulate_page
 from .trace import Trace
 
@@ -33,23 +34,11 @@ def train(
     top_k: int = 10,
 ) -> PopularityModel:
     """Count page-URL popularity over [window_end - window, window_end)."""
-    counts: Counter = Counter()
-    start = window_end - training_window_s
-    for visit in trace.visits:
-        if start <= visit.timestamp < window_end:
-            counts[visit.main.url] += 1
-    if not counts:
-        raise EmptyWindow(f"no visits in window ending at {window_end}")
-    return PopularityModel(
-        counts=counts,
-        window_end=window_end,
-        training_window_s=training_window_s,
-        top_k=top_k,
-    )
+    return _SlidingWindow(trace.visits, training_window_s, top_k).model_at(window_end)
 
 
 class _SlidingWindow:
-    """``train``'s models for non-decreasing window ends, in linear time.
+    """Popularity models for non-decreasing window ends, in linear time.
 
     The visits must be in timestamp order (as in a ``Trace``).  Each
     visit is counted once when it enters the window and uncounted once
@@ -65,7 +54,7 @@ class _SlidingWindow:
         self.lo = self.hi = 0
 
     def model_at(self, window_end: float) -> PopularityModel:
-        """Equal to ``train(trace, window_end, training_window_s, top_k)``."""
+        """Page-URL popularity over [window_end - window, window_end)."""
         visits, counts = self.visits, self.counts
         while self.hi < len(visits) and visits[self.hi].timestamp < window_end:
             counts[visits[self.hi].main.url] += 1
@@ -120,7 +109,14 @@ def evaluate_prefetch(
     sizes; bytes for pages not visited in their interval count as
     unnecessary.  The delay upper bound generously assumes a prefetched
     page's entire legacy load (simulated, empty cache) is eliminated.
+    ``top_k`` must be at least 1, and both windows finite and positive.
     """
+    if top_k < 1:
+        raise InvalidParams(f"top_k must be >= 1, not {top_k}")
+    if not (0 < training_window_s < math.inf and 0 < refresh_interval_s < math.inf):
+        raise InvalidParams(
+            f"windows must be finite and > 0: {training_window_s=}, {refresh_interval_s=}"
+        )
     visits = trace.visits
     if not visits:
         raise InsufficientTrace("empty trace")

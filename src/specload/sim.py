@@ -6,13 +6,13 @@ revalidates, and a round trip plus transfer time for a full fetch; the
 main resource additionally pays connection setup and redirect round
 trips.  Legacy loading discovers subresources only after the main
 resource has downloaded and parsed.  Speculative loading starts the
-planned loads at t=0 on every connection except the one reserved for
-the main resource, then revises the waiting queue the moment parsing
-reveals what the page really needs; mispredicted loads that are already
-in flight run to completion and occupy their connection, while queued
-mispredictions are dropped unissued.  These decisions are
-``PageScheduler``'s, and ``live.fetch_page`` drives the same ones over
-real connections.
+plan's URLs (``predict.plan_loads``) without waiting for the main
+resource, on every connection except the one it holds, the rest waiting
+in plan order, then revises the waiting queue the moment parsing reveals
+what the page really needs; mispredicted loads already in flight run to
+completion and occupy their connection, while queued mispredictions are
+dropped unissued.  These decisions are ``PageScheduler``'s alone, and
+``live.fetch_page`` drives the same ones over real connections.
 
 Page delay is the end of the last *required* response: the main
 resource and the visit's actual subresources.  Speculative extras never
@@ -198,7 +198,6 @@ class PageScheduler:
 
     def __init__(self, main_url: str, max_connections: int):
         _check_connections(max_connections)
-        self.max_connections = max_connections
         self.free = max_connections - 1
         self.main = _Job(main_url, 0, is_main=True, required=True)
         self.jobs: dict[str, _Job] = {main_url: self.main}
@@ -229,13 +228,11 @@ class PageScheduler:
                 self._issue(job)
 
     def plan(self, prediction: Prediction, cache, now: float) -> list[_Job]:
-        """New jobs for the speculative loads ``plan_loads`` makes of
-        ``prediction``, in plan order, for the driver to start."""
-        plan = plan_loads(prediction, cache, now, self.max_connections)
+        """New jobs for the URLs ``plan_loads`` keeps of ``prediction``,
+        to be started in plan order, which is their queue order."""
         jobs = self.jobs
         new = []
-        for item in (*plan.immediate, *plan.waiting):
-            url = item.url
+        for url in plan_loads(prediction, cache, now):
             if url not in jobs:
                 jobs[url] = job = _Job(url, len(new))
                 new.append(job)

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import EmptyTrace, SchemaError
+from .errors import SchemaError
 from .urls import normalize_url
 
 RESOURCE_KINDS = ("html", "script", "stylesheet", "image", "other")
@@ -297,11 +297,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.visits)
-
-    def span_seconds(self) -> float:
-        if not self.visits:
-            raise EmptyTrace("trace has no visits")
-        return self.visits[-1].timestamp - self.visits[0].timestamp
 
 
 def save_trace(trace: Trace | Iterable[PageVisit], path) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from specload.sim import PageScheduler
 from specload.trace import CacheDirectives, PageVisit, ResourceRecord, Trace
 
 
@@ -41,3 +42,20 @@ def visit(
 
 def trace_of(*visits) -> Trace:
     return Trace(visits=sorted(visits, key=lambda v: v.timestamp))
+
+
+class IssueRecorder(PageScheduler):
+    """A page scheduler whose every issue takes a connection and is
+    recorded, so the connection arithmetic can be read off."""
+
+    def __init__(self, max_connections: int):
+        super().__init__("http://s/page.html", max_connections)
+        self.issued: list[str] = []
+
+    def _issue(self, job) -> None:
+        self.free -= 1
+        self.issued.append(job.url)
+
+    def queued(self) -> list[str]:
+        """The queued URLs in pop order."""
+        return [job.url for _, job in sorted(self.queue, key=lambda entry: entry[0])]

@@ -5,6 +5,10 @@ the lean engine against: the same delays, ``overhead_bytes`` and
 ``ready_at``, and the same sequence of cache ``lookup``/``admit``/
 ``page_complete`` calls.  Every ready load takes a round trip through
 the event heap here, and every duration goes through ``_scaled``.
+
+It plans with its own copy of the old ``plan_loads``, which split the
+plan into ``immediate`` and ``waiting`` loads by the connection bound;
+``test_sim.py`` also holds the current ``plan_loads`` to its URLs.
 """
 
 from __future__ import annotations
@@ -15,9 +19,61 @@ from dataclasses import dataclass
 
 from specload.cache import LookupOutcome
 from specload.errors import InvalidParams
-from specload.predict import plan_loads
+from specload.predict import Prediction
 from specload.sim import NetworkParams, OperationClass, Speculative
 from specload.trace import PageVisit, ResourceRecord
+
+
+@dataclass(frozen=True, slots=True)
+class PlannedLoad:
+    url: str
+    action: str  # "fetch" | "revalidate"
+
+
+@dataclass(frozen=True)
+class LoadPlan:
+    immediate: tuple[PlannedLoad, ...]
+    waiting: tuple[PlannedLoad, ...]
+    max_connections: int
+
+    def all_urls(self) -> list[str]:
+        return [p.url for p in self.immediate + self.waiting]
+
+
+def plan_loads(
+    prediction: Prediction,
+    cache,
+    now: float,
+    max_connections: int = 4,
+) -> LoadPlan:
+    """Turn a prediction into speculative load work.
+
+    ``cache`` is anything with a pure ``classify(url, now)``: a
+    ``CacheStore`` or a simulator cache state.
+    Fresh-in-cache candidates are dropped entirely.  The first
+    ``max_connections - 1`` survivors load immediately (one connection
+    always stays reserved for the main resource); the rest wait in
+    queue order.
+    """
+    if max_connections < 1:
+        raise InvalidParams("max_connections must be >= 1")
+    immediate: list[PlannedLoad] = []
+    waiting: list[PlannedLoad] = []
+    for url in prediction.urls:
+        outcome = cache.classify(url, now)
+        if outcome is LookupOutcome.FRESH_HIT:
+            continue
+        action = "revalidate" if outcome is LookupOutcome.EXPIRED_REVALIDATE else "fetch"
+        item = PlannedLoad(url=url, action=action)
+        if len(immediate) < max_connections - 1:
+            immediate.append(item)
+        else:
+            waiting.append(item)
+    return LoadPlan(
+        immediate=tuple(immediate),
+        waiting=tuple(waiting),
+        max_connections=max_connections,
+    )
 
 
 @dataclass

@@ -21,12 +21,11 @@ import requests
 
 from specload.cache import CacheStore, admit, replay_cache_sim
 from specload.cli import main as cli_main
+from specload.errors import InvalidParams
 from specload.fixture import fixture_server
 from specload.graph import MetadataRepository, repo_stats, trim, update
 from specload.live import FetchSession, fetch_page
 from specload.predict import (
-    LoadPlan,
-    PlannedLoad,
     Prediction,
     VisitClass,
     plan_loads,
@@ -48,7 +47,7 @@ from specload.synth import SynthParams, generate_synthetic
 from specload.trace import PageVisit, Trace
 from specload.urls import normalize_url
 
-from conftest import rec, visit, trace_of
+from conftest import IssueRecorder, rec, visit, trace_of
 from priority_oracle import PredictionCandidate, candidate_of, sort_candidates
 from test_cache import naive_replay
 from test_graph import build as build_graphs, random_visits
@@ -316,49 +315,48 @@ def test_06_priority_and_queue_conformance():
             if list(prediction.urls) != expected:
                 violations += 1
 
-    for _ in range(1000):  # connection arithmetic and fresh-hit exclusion
+    for _ in range(1000):  # fresh-hit exclusion, plan order, connection arithmetic
         urls = [f"http://s/{i}.js" for i in rng.sample(range(40), rng.randint(0, 20))]
         fresh = set(rng.sample(range(40), rng.randint(0, 20)))
         store = CacheStore(capacity_bytes=float("inf"))
         for i in fresh:
             admit(store, rec(f"http://s/{i}.js", max_age=10_000, fetched_at=0.0), now=0.0)
         connections = rng.randint(1, 6)
-        plan = plan_loads(
-            Prediction(urls=tuple(urls), visit_class=VisitClass.REVISIT),
-            store,
-            now=1.0,
-            max_connections=connections,
-        )
+        prediction = Prediction(urls=tuple(urls), visit_class=VisitClass.REVISIT)
         fresh_urls = {f"http://s/{i}.js" for i in fresh}
-        if len(plan.immediate) > connections - 1:
+        survivors = [u for u in urls if u not in fresh_urls]
+        if list(plan_loads(prediction, store, now=1.0)) != survivors:
             violations += 1
-        if plan.all_urls() != [u for u in urls if u not in fresh_urls]:
+        if connections == 1:
+            try:
+                IssueRecorder(connections)
+            except InvalidParams:
+                continue
+            violations += 1
+            continue
+        scheduler = IssueRecorder(connections)
+        scheduler.start(scheduler.plan(prediction, store, now=1.0))
+        if scheduler.issued != survivors[: connections - 1]:
+            violations += 1
+        if scheduler.queued() != survivors[connections - 1 :]:
             violations += 1
 
-    for _ in range(1000):  # queue revision subset rule
-        immediate = tuple(
-            PlannedLoad(f"http://s/{i}.js", "fetch")
-            for i in rng.sample(range(10), rng.randint(0, 3))
-        )
-        waiting = tuple(
-            PlannedLoad(f"http://s/{i}.js", "fetch")
-            for i in rng.sample(range(10, 30), rng.randint(0, 8))
-        )
-        plan = LoadPlan(immediate=immediate, waiting=waiting, max_connections=4)
+    for _ in range(1000):  # queue revision: the scheduler keeps revise_queue's rule
+        planned = [f"http://s/{i}.js" for i in rng.sample(range(30), rng.randint(0, 11))]
+        connections = rng.randint(2, 6)
         needed = [f"http://s/{i}.js" for i in rng.choices(range(40), k=rng.randint(0, 20))]
-        revised = revise_queue(plan, needed)
-        needed_set = set(needed)
-        kept = [w for w in waiting if w.url in needed_set]
-        if revised.immediate != immediate:
+        scheduler = IssueRecorder(connections)
+        prediction = Prediction(urls=tuple(planned), visit_class=VisitClass.REVISIT)
+        scheduler.start(scheduler.plan(prediction, EMPTY, now=0.0))
+        issued, queued = list(scheduler.issued), scheduler.queued()
+        scheduler.start(job for job in scheduler.parse(needed) if job is not None)
+        # The loads in flight stay as they are.
+        if scheduler.issued[: len(issued)] != issued:
             violations += 1
-        if list(revised.waiting[: len(kept)]) != kept:
-            violations += 1
-        already = {p.url for p in immediate} | {w.url for w in kept}
-        expect: list[str] = []
-        for u in needed:
-            if u not in already and u not in expect:
-                expect.append(u)
-        if [w.url for w in revised.waiting[len(kept) :]] != expect:
+        # A connection still free takes the revised queue's head at once.
+        started = scheduler.issued[len(issued) :]
+        waiting = [u for u in scheduler.queued() if u not in scheduler.canceled]
+        if tuple(started + waiting) != revise_queue(issued, queued, needed):
             violations += 1
 
     assert violations == 0

@@ -293,6 +293,19 @@ def test_sim_prefetch(tmp_path, trace_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--train-days", "nan"), ("--train-days", "-1"), ("--top-k", "-1"), ("--top-k", "0")],
+)
+def test_bad_prefetch_parameters_exit_1(tmp_path, trace_path, flags, capsys):
+    # The trace spans more than a day, so only the flag under test is bad.
+    out = tmp_path / "pf.csv"
+    good = ("--train-days", "1", "--top-k", "3")
+    assert run("sim-prefetch", "--trace", str(trace_path), *good, *flags, "--out", str(out)) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_graph_build_stats_trim(tmp_path, trace_path, capsys):
     repo = tmp_path / "repo.bin"
     assert run("graph", "build", "--trace", str(trace_path), "--out", str(repo)) == 0

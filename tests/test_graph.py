@@ -30,8 +30,6 @@ from specload.graph import (
     MetadataRepository,
     NodeType,
     dumps_repo,
-    get_subdomain_node,
-    get_webpage_node,
     load_repo,
     loads_repo,
     repo_stats,
@@ -77,10 +75,10 @@ def test_update_builds_four_levels():
     graph = repo.graphs["shop.com"]
     kinds = sorted(int(n.node_type) for n in graph.nodes.values())
     assert kinds == [0, 1, 2, 3]
-    page = get_webpage_node(repo, "http://www.shop.com/cart")
-    assert page is not None and page.n_visits == 1 and page.last_visit == 10.0
-    sub = get_subdomain_node(repo, "http://www.shop.com/cart")
-    assert sub is not None and sub.url_or_name == "www.shop.com"
+    page = graph.nodes[graph.page_index["http://www.shop.com/cart"]]
+    assert page.n_visits == 1 and page.last_visit == 10.0
+    sub = graph.nodes[graph.subdomain_index["www.shop.com"]]
+    assert sub.url_or_name == "www.shop.com"
 
 
 def test_update_links_only_adjacent_levels():
@@ -97,7 +95,8 @@ def test_revisit_bumps_counters_once_per_visit():
     v = visit("http://www.shop.com/", ["http://www.shop.com/a.js"], ts=0.0)
     v2 = visit("http://www.shop.com/", ["http://www.shop.com/a.js"], ts=50.0)
     repo = build([v, v2])
-    page = get_webpage_node(repo, "http://www.shop.com/")
+    graph = repo.graphs["shop.com"]
+    page = graph.nodes[graph.page_index["http://www.shop.com/"]]
     assert page.n_visits == 2
     assert page.last_visit == 50.0
 
@@ -449,9 +448,9 @@ def test_stale_edge_orphans_a_fresh_subresource_under_the_index():
 
 
 def test_loaded_timestamps_on_other_edges_trim_like_the_reference():
-    # A repository file may time any edge, and may hold orphans.  Claims
-    # that name a subdomain must not remove it by its own age, and
-    # unlinking its last timed edge must remove it as empty.
+    # ``dumps_repo`` times page->subresource edges only, so a file that
+    # times a subdomain->page edge is corrupt.  A file may hold orphans,
+    # and a subdomain must not be removed by its own age.
     payload = {
         "site": "a.com",
         "nodes": [
@@ -474,14 +473,21 @@ def test_loaded_timestamps_on_other_edges_trim_like_the_reference():
             [2, 3, 100 * DAY], [4, 3, 100 * DAY], [5, 6, 50 * DAY], [0, 8, None],
         ],
     }
-    body = json.dumps(payload).encode()
-    data = _MAGIC + struct.pack(">II", 1, len(body)) + body
-    repo, ref = loads_repo(data), loads_repo(data)
+
+    def data():
+        body = json.dumps(payload).encode()
+        return _MAGIC + struct.pack(">II", 1, len(body)) + body
+
+    with pytest.raises(CorruptRepository, match="timed edge SUBDOMAIN->WEBPAGE"):
+        loads_repo(data())
+    payload["edges"] = [[p, c, None if c in (2, 6) else ts] for p, c, ts in payload["edges"]]
+    repo, ref = loads_repo(data()), loads_repo(data())
     assert_page_edges_recounted(repo)
     _run_against_reference(repo, ref, [("trim", 55 * DAY, 10.0), ("trim", 70 * DAY, 10.0)])
     assert_page_edges_recounted(repo)
-    assert sorted(n.url_or_name for n in repo.graphs["a.com"].nodes.values()
-                  if n.node_type is NodeType.SUBDOMAIN) == ["www.a.com"]
+    graph = repo.graphs["a.com"]
+    assert "http://www.a.com/orphan.js" not in graph.sub_index
+    assert sorted(graph.subdomain_index) == ["m.a.com", "www.a.com"]
 
 
 # --- serialization -------------------------------------------------------

@@ -281,6 +281,19 @@ def test_fewer_than_two_connections_is_invalid(connections):
         fetch_page(session, "http://127.0.0.1:9/p.html")
 
 
+def test_unknown_mode_is_rejected_before_any_request():
+    # Unchecked, "Tempo" would load as legacy and be reported as "Tempo".
+    with fixture_server(CACHING_SPEC) as srv:
+        session = FetchSession()
+        page_url = srv.url("/index.html")
+        fetch_page(session, page_url, mode="legacy")
+        learned = srv.request_counts()
+        for mode in ("Tempo", "speculative", ""):
+            with pytest.raises(InvalidParams, match="unknown mode"):
+                fetch_page(session, page_url, mode=mode)
+        assert srv.request_counts() == learned
+
+
 # --- connections and threads -------------------------------------------
 
 

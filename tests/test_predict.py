@@ -20,8 +20,6 @@ from specload.graph import (
     update,
 )
 from specload.predict import (
-    LoadPlan,
-    PlannedLoad,
     Prediction,
     VisitClass,
     evaluate_prediction,
@@ -40,7 +38,7 @@ from specload.synth import SynthParams, generate_synthetic
 from specload.trace import PageVisit, Trace
 from specload.urls import host_of, website_key
 
-from conftest import rec, visit, trace_of
+from conftest import IssueRecorder, rec, visit, trace_of
 from priority_oracle import candidate_of, sort_candidates
 
 
@@ -129,23 +127,16 @@ def test_plan_respects_connection_budget_and_cache():
     admit(store, rec("http://s/stale.js", max_age=1, fetched_at=0.0), now=0.0)
 
     urls = [f"http://s/{i}.js" for i in range(4)]
-    plan = plan_loads(
-        _prediction(["http://s/fresh.js", "http://s/stale.js", *urls]),
-        store,
-        now=50.0,
-        max_connections=4,
-    )
-    assert len(plan.immediate) == 3
-    assert plan.immediate[0] == PlannedLoad(url="http://s/stale.js", action="revalidate")
-    assert [p.url for p in plan.immediate[1:]] == urls[:2]
-    assert [p.url for p in plan.waiting] == urls[2:]
-    assert all(p.action == "fetch" for p in plan.immediate[1:] + plan.waiting)
-    assert "http://s/fresh.js" not in plan.all_urls()
-
-
-def test_plan_rejects_zero_connections():
-    with pytest.raises(InvalidParams):
-        plan_loads(_prediction([]), CacheStore(capacity_bytes=1), 0.0, max_connections=0)
+    prediction = _prediction(["http://s/fresh.js", "http://s/stale.js", *urls])
+    plan = plan_loads(prediction, store, now=50.0)
+    # Fresh is dropped; stale stays, to be revalidated when it is issued.
+    assert plan == ("http://s/stale.js", *urls)
+    # Of 4 connections one is the main resource's: 3 loads start at
+    # once, the rest queue in plan order.
+    scheduler = IssueRecorder(4)
+    scheduler.start(scheduler.plan(prediction, store, now=50.0))
+    assert scheduler.issued == ["http://s/stale.js", *urls[:2]]
+    assert scheduler.queued() == urls[2:]
 
 
 @settings(max_examples=1000, deadline=None)
@@ -162,72 +153,67 @@ def test_plan_properties(urls, fresh, connections):
     store = CacheStore(capacity_bytes=10**9)
     for i in fresh:
         admit(store, rec(f"http://s/{i}.js", max_age=1000, fetched_at=0.0), now=0.0)
-    plan = plan_loads(_prediction(urls), store, now=1.0, max_connections=connections)
+    plan = plan_loads(_prediction(urls), store, now=1.0)
 
     fresh_urls = {f"http://s/{i}.js" for i in fresh}
     survivors = [u for u in urls if u not in fresh_urls]
-    assert len(plan.immediate) <= connections - 1
-    assert plan.all_urls() == survivors  # order kept, fresh dropped, no dups
-    assert len(set(plan.all_urls())) == len(plan.all_urls())
+    assert list(plan) == survivors  # order kept, fresh dropped, no dups
+    if connections == 1:
+        with pytest.raises(InvalidParams):
+            IssueRecorder(connections)
+        return
+    scheduler = IssueRecorder(connections)
+    scheduler.start(scheduler.plan(_prediction(urls), store, now=1.0))
+    assert scheduler.issued == survivors[: connections - 1]
+    assert scheduler.queued() == survivors[connections - 1 :]
 
 
 # --- revise_queue ----------------------------------------------------
 
 
 def test_revise_drops_kept_and_appends_in_document_order():
-    plan = LoadPlan(
-        immediate=(PlannedLoad("http://s/a.js", "fetch"),),
-        waiting=(
-            PlannedLoad("http://s/b.js", "fetch"),
-            PlannedLoad("http://s/c.js", "revalidate"),
-        ),
-        max_connections=2,
-    )
     revised = revise_queue(
-        plan, ["http://s/z.css", "http://s/c.js", "http://s/z.css", "http://s/y.png"]
+        ["http://s/a.js"],
+        ["http://s/b.js", "http://s/c.js"],
+        ["http://s/z.css", "http://s/c.js", "http://s/z.css", "http://s/y.png"],
     )
-    assert revised.immediate == plan.immediate  # in flight stays
-    assert [w.url for w in revised.waiting] == [
+    assert revised == (
         "http://s/c.js",  # kept (still needed), original position
         "http://s/z.css",  # appended, document order
         "http://s/y.png",
-    ]
+    )
     # in-flight a.js is never re-queued even though it was not needed
-    assert "http://s/a.js" not in [w.url for w in revised.waiting]
+    assert "http://s/a.js" not in revised
 
 
 @settings(max_examples=1000, deadline=None)
 @given(
-    immediate=st.lists(st.integers(0, 20), unique=True, max_size=3),
+    inflight=st.lists(st.integers(0, 20), unique=True, max_size=3),
     waiting=st.lists(st.integers(21, 40), unique=True, max_size=10),
     needed=st.lists(st.integers(0, 60), max_size=25),
 )
-def test_revise_properties(immediate, waiting, needed):
+def test_revise_properties(inflight, waiting, needed):
     def u(i):
         return f"http://s/{i}.js"
 
-    plan = LoadPlan(
-        immediate=tuple(PlannedLoad(u(i), "fetch") for i in immediate),
-        waiting=tuple(PlannedLoad(u(i), "fetch") for i in waiting),
-        max_connections=4,
-    )
+    inflight_urls = [u(i) for i in inflight]
+    waiting_urls = [u(i) for i in waiting]
     needed_urls = [u(i) for i in needed]
-    revised = revise_queue(plan, needed_urls)
+    revised = revise_queue(inflight_urls, waiting_urls, needed_urls)
 
-    assert revised.immediate == plan.immediate
-    kept = [w for w in revised.waiting if w in plan.waiting]
-    appended = [w for w in revised.waiting if w not in plan.waiting]
-    assert revised.waiting == tuple(kept) + tuple(appended)
+    kept = [url for url in revised if url in waiting_urls]
+    appended = [url for url in revised if url not in waiting_urls]
+    assert revised == tuple(kept) + tuple(appended)
     # kept is exactly the still-needed original queue, order preserved
-    assert kept == [w for w in plan.waiting if w.url in set(needed_urls)]
+    assert kept == [url for url in waiting_urls if url in set(needed_urls)]
     # appended is exactly needed - inflight - kept, deduped, document order
-    already = {w.url for w in plan.immediate} | {w.url for w in kept}
+    already = set(inflight_urls) | set(kept)
     expect = []
     for url in needed_urls:
         if url not in already and url not in expect:
             expect.append(url)
-    assert [w.url for w in appended] == expect
-    assert len(set(w.url for w in revised.waiting)) == len(revised.waiting)
+    assert appended == expect
+    assert len(set(revised)) == len(revised)
 
 
 # --- predict ---------------------------------------------------------

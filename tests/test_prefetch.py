@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 
-from specload.errors import EmptyWindow, InsufficientTrace
+from specload.errors import EmptyWindow, InsufficientTrace, InvalidParams
 from specload.prefetch import _SlidingWindow, evaluate_prefetch, predict_pages, train
 from specload.synth import SynthParams, generate_synthetic
 from specload.trace import Trace
@@ -52,6 +55,34 @@ def test_insufficient_trace():
         evaluate_prefetch(short, training_window_s=100.0)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"top_k": 0},
+        {"top_k": -1},
+        {"training_window_s": 0.0},
+        {"training_window_s": -86400.0},
+        {"training_window_s": math.nan},
+        {"training_window_s": math.inf},
+        {"refresh_interval_s": 0.0},
+        {"refresh_interval_s": -1.0},
+        {"refresh_interval_s": math.nan},
+        {"refresh_interval_s": math.inf},
+    ],
+)
+def test_bad_parameters_are_rejected(params):
+    # Unchecked, a non-positive refresh interval loops forever, a NaN
+    # window ends in StopIteration, a negative one gives an all-zero
+    # report, and a negative top_k prefetches every page but one.  The
+    # trace spans more than the one-day window, so only the parameter
+    # under test is bad.
+    trace = generate_synthetic(SynthParams(visits=100, seed=1, n_sites=3))
+    good = {"training_window_s": 86400.0, "top_k": 3, "refresh_interval_s": 86400.0}
+    with pytest.raises(InvalidParams):
+        evaluate_prefetch(trace, **{**good, **params})
+    evaluate_prefetch(trace, **good)
+
+
 def test_hand_traced_report():
     p = "http://pf.example/p"
     q = "http://pf.example/q"
@@ -97,10 +128,8 @@ def test_counters_match_independent_recount():
 
     predictions = []
     for b in boundaries:
-        try:
-            predictions.append(set(predict_pages(train(trace, b, window, k))))
-        except EmptyWindow:
-            predictions.append(set())
+        counts = _window_counts(trace, b, window)
+        predictions.append(set(sorted(counts, key=lambda url: (-counts[url], url))[:k]))
 
     matched = evaluated = 0
     for v in visits:
@@ -120,11 +149,12 @@ def test_mostly_new_visits_cap_usefulness():
     assert rep.usefulness <= 0.25
 
 
-def _train_or_none(trace, window_end, window, k):
-    try:
-        return train(trace, window_end, window, k)
-    except EmptyWindow:
-        return None
+def _window_counts(trace, window_end, window):
+    """Page-URL visit counts over [window_end - window, window_end),
+    counted directly."""
+    return Counter(
+        v.main.url for v in trace.visits if window_end - window <= v.timestamp < window_end
+    )
 
 
 @pytest.mark.parametrize("seed", [1, 4])
@@ -145,15 +175,19 @@ def test_sliding_window_equals_train_at_every_boundary(seed, window_days, refres
     boundary = trace.visits[0].timestamp + window
     empty = 0
     while boundary <= trace.visits[-1].timestamp:
-        expected = _train_or_none(trace, boundary, window, k)
-        if expected is None:
+        expected = _window_counts(trace, boundary, window)
+        if not expected:
             empty += 1
             with pytest.raises(EmptyWindow):
                 sliding.model_at(boundary)
+            with pytest.raises(EmptyWindow):
+                train(trace, boundary, window, k)
         else:
             got = sliding.model_at(boundary)
-            assert got.counts == expected.counts
+            assert got.counts == expected
             assert 0 not in got.counts.values()
-            assert predict_pages(got) == predict_pages(expected)
+            assert train(trace, boundary, window, k).counts == expected
+            ranked = sorted(expected, key=lambda url: (-expected[url], url))
+            assert predict_pages(got) == ranked[:k]
         boundary += refresh
     assert empty > 0

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 import specload.sim as sim
 from specload.cache import CacheStore, admit, replay_cache_sim
 from specload.errors import EmptyTrace, InvalidParams
-from specload.predict import Prediction, VisitClass, replay, replay_predictor, score_predictions
+from specload.predict import (
+    Prediction,
+    VisitClass,
+    plan_loads,
+    replay,
+    replay_predictor,
+    score_predictions,
+)
 from specload.sim import (
     EMPTY,
     EXPIRED,
@@ -34,6 +41,7 @@ from specload.urls import normalize_url
 
 from conftest import rec, visit, trace_of
 from sim_reference import _Engine as ReferenceEngine
+from sim_reference import plan_loads as reference_plan_loads
 
 # Default network: 200 ms RTT, 125 kB/s, 100 ms parse, one extra RTT
 # for the main resource's connection setup.
@@ -622,6 +630,15 @@ def _diff_cases(draw):
 def test_engine_matches_the_reference_engine(case):
     lean, reference = _run_both(*case)
     assert lean == reference
+    # The plan is the old plan's URLs, immediate then waiting, against a
+    # cache state that evolves from page to page.
+    pages, state, net, connections, scales, known = case
+    spec_state = state.fork()
+    for v, prediction in pages:
+        old = reference_plan_loads(prediction, spec_state, v.timestamp, connections)
+        assert plan_loads(prediction, spec_state, v.timestamp) == tuple(old.all_urls())
+        mode = Speculative(prediction)
+        ReferenceEngine(v, mode, spec_state, net, connections, known, scales).run()
 
 
 def test_finish_and_parse_at_one_instant_keep_heap_order():

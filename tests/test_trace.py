@@ -6,7 +6,7 @@ import math
 import pytest
 
 from conftest import rec, visit
-from specload.errors import EmptyTrace, SchemaError
+from specload.errors import SchemaError
 from specload.trace import (
     CacheDirectives,
     PageVisit,
@@ -113,13 +113,6 @@ def test_blank_lines_are_skipped(tmp_path):
     v = visit("http://a.com/", [], ts=0.0)
     path.write_text("\n" + json.dumps(v.to_json()) + "\n\n")
     assert len(load_trace(path)) == 1
-
-
-def test_span_and_empty():
-    t = Trace(visits=[visit("http://a.com/", [], ts=10.0), visit("http://a.com/", [], ts=70.0)])
-    assert t.span_seconds() == 60.0
-    with pytest.raises(EmptyTrace):
-        Trace(visits=[]).span_seconds()
 
 
 def _raw_visit(main_url, sub_urls, ts=0.0) -> str:
