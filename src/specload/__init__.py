@@ -59,7 +59,6 @@ from .sim import (
     LEGACY,
     NetworkParams,
     OperationClass,
-    Realistic,
     SimResult,
     Speculative,
     simulate_page,
@@ -104,7 +103,6 @@ __all__ = [
     "PortInUse",
     "Prediction",
     "PrefetchReport",
-    "Realistic",
     "RepoStats",
     "ResourceRecord",
     "SchemaError",

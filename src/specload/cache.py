@@ -11,16 +11,20 @@ and ``t < stored_at + lifetime``.  Resources marked no-store bypass the
 normal store entirely and live in a temporary per-page cache that is
 cleared when the page completes; while present they serve as fresh,
 which is the whole point of holding them for the page being loaded.
+
+A ``CacheStore`` is also the simulator's realistic cache state (``sim``).
+Its ``lookup``, ``admit`` and ``page_complete`` methods call the module
+functions by name, so a tracer that wraps those bindings sees each call.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
+from copy import deepcopy
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import EmptyTrace
+from .errors import EmptyTrace, InvalidParams
 from .trace import CacheDirectives, ResourceRecord, Trace
 from .urls import website_key
 
@@ -31,11 +35,7 @@ class LookupOutcome(Enum):
     MISS = "miss"
 
 
-def freshness_lifetime(
-    directives: CacheDirectives,
-    fetched_at: float,
-    last_modified: float | None = None,
-) -> float | None:
+def freshness_lifetime(directives: CacheDirectives, fetched_at: float) -> float | None:
     """Seconds the response stays fresh from ``fetched_at``, or None.
 
     Precedence: no-cache forces immediate expiry; then explicit max-age;
@@ -49,8 +49,7 @@ def freshness_lifetime(
         return float(max(0, directives.max_age))
     if directives.expires is not None:
         return max(0.0, directives.expires - fetched_at)
-    if last_modified is None:
-        last_modified = directives.last_modified
+    last_modified = directives.last_modified
     if last_modified is not None:
         return max(0.0, 0.1 * (fetched_at - last_modified))
     return None
@@ -85,13 +84,16 @@ class CacheCounters:
 class CacheStore:
     """LRU-bounded metadata cache with a capacity-exempt temporary side.
 
-    ``capacity_bytes`` may be ``math.inf``.  Counter updates happen in
-    ``lookup`` (request classification) and ``admit`` (byte accounting);
-    ``classify`` is the pure read used by planners that must not count
-    as traffic.
+    ``capacity_bytes`` must be positive and may be ``math.inf``.  Counter
+    updates happen in ``lookup`` (request classification) and ``admit``
+    (byte accounting); ``classify`` is the pure read used by planners
+    that must not count as traffic.
     """
 
     def __init__(self, capacity_bytes: float = 6 * 1024 * 1024):
+        # A NaN capacity would keep nothing, silently.
+        if not capacity_bytes > 0:
+            raise InvalidParams(f"capacity_bytes must be positive or inf, not {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self.entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.temp: dict[str, CacheEntry] = {}
@@ -113,11 +115,18 @@ class CacheStore:
             return LookupOutcome.FRESH_HIT
         return LookupOutcome.EXPIRED_REVALIDATE
 
-    def copy(self) -> "CacheStore":
-        """Independent deep copy (entries, recency order, counters)."""
-        import copy as _copy
+    def lookup(self, url: str, now: float) -> LookupOutcome:
+        return lookup(self, url, now)
 
-        return _copy.deepcopy(self)
+    def admit(self, record: ResourceRecord, now: float) -> None:
+        admit(self, record, now)
+
+    def page_complete(self) -> None:
+        page_complete(self)
+
+    def fork(self) -> "CacheStore":
+        """Independent deep copy (entries, recency order, counters)."""
+        return deepcopy(self)
 
 
 def lookup(store: CacheStore, url: str, now: float) -> LookupOutcome:
@@ -197,27 +206,10 @@ def page_complete(store: CacheStore) -> None:
 
 
 @dataclass
-class SiteCounts:
-    fresh_hits: int = 0
-    revalidations: int = 0
-    misses: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.fresh_hits + self.revalidations + self.misses
-
-    @property
-    def network_activity_fraction(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return (self.revalidations + self.misses) / self.requests
-
-
-@dataclass
 class CacheSimReport:
     capacity_bytes: float
     counters: CacheCounters
-    per_site: dict[str, SiteCounts]
+    per_site: dict[str, CacheCounters]
 
     @property
     def total_requests(self) -> int:
@@ -251,13 +243,11 @@ def replay_cache_sim(trace: Trace, capacity_bytes: float = 6 * 1024 * 1024) -> C
     """
     if not trace.visits:
         raise EmptyTrace("cannot replay an empty trace")
-    if capacity_bytes != math.inf and capacity_bytes <= 0:
-        raise ValueError("capacity_bytes must be positive or math.inf")
     store = CacheStore(capacity_bytes)
-    per_site: dict[str, SiteCounts] = {}
+    per_site: dict[str, CacheCounters] = {}
     for visit in trace.visits:
         site = website_key(visit.main.url)
-        tally = per_site.setdefault(site, SiteCounts())
+        tally = per_site.setdefault(site, CacheCounters())
         for record in (visit.main, *visit.subresources):
             outcome = lookup(store, record.url, visit.timestamp)
             if outcome is LookupOutcome.FRESH_HIT:

@@ -29,7 +29,7 @@ from .har import import_har
 from .live import FetchSession, fetch_page
 from .predict import replay_predictor, score_predictions
 from .prefetch import evaluate_prefetch
-from .sim import EMPTY, EXPIRED, FRESH, NetworkParams, Realistic, simulate_trace
+from .sim import EMPTY, EXPIRED, FRESH, NetworkParams, simulate_trace
 from .synth import SynthParams, generate_synthetic
 from .trace import Trace, load_trace, save_trace
 
@@ -63,32 +63,33 @@ def parse_capacity(text: str) -> float:
     )
 
 
-def parse_trim_days(text: str) -> float:
-    """A history window in days: a finite number >= 0.
+def _bounded(convert, what: str, ok, rule: str):
+    """An argparse type that converts with ``convert`` and keeps only values
+    for which ``ok`` holds; a usage error names ``what`` and the ``rule``."""
 
-    A NaN or infinite window would silently never trim, and a negative
-    one would forget visits from the future.
-    """
-    try:
-        days = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad trim window: {text!r}")
-    if not math.isfinite(days):
-        raise argparse.ArgumentTypeError(f"bad trim window: {text!r} (not finite)")
-    if days < 0:
-        raise argparse.ArgumentTypeError(f"bad trim window: {text!r} (must be >= 0)")
-    return days
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what}: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"bad {what}: {text!r} ({rule})")
+        return value
+
+    return parse
 
 
-def parse_connections(text: str) -> int:
-    """A connection bound: an integer >= 2, one being held for the main resource."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad connection count: {text!r}")
-    if count < 2:
-        raise argparse.ArgumentTypeError(f"bad connection count: {text!r} (must be >= 2)")
-    return count
+# One connection is held for the main resource.  A NaN or infinite
+# window would silently never trim, and a negative one would forget
+# visits from the future.
+parse_connections = _bounded(int, "connection count", lambda n: n >= 2, "must be >= 2")
+parse_top_k = _bounded(int, "top-k", lambda n: n >= 1, "must be >= 1")
+parse_trim_days = _bounded(
+    float, "trim window", lambda d: 0 <= d < math.inf, "must be finite and >= 0"
+)
+parse_train_days = _bounded(
+    float, "training window", lambda d: 0 < d < math.inf, "must be finite and > 0"
+)
 
 
 def _net_from(args) -> NetworkParams:
@@ -106,7 +107,7 @@ def _cache_state_from(args):
         return EXPIRED
     if name == "empty":
         return EMPTY
-    return Realistic(CacheStore(args.capacity))
+    return CacheStore(args.capacity)
 
 
 def _flags_of(args) -> dict:
@@ -315,8 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim-prefetch", help="evaluate most-popular prefetching")
     p.add_argument("--trace", required=True)
-    p.add_argument("--train-days", type=float, default=30.0, help="training window (default: 30)")
-    p.add_argument("--top-k", type=int, default=10, help="pages to prefetch (default: 10)")
+    p.add_argument(
+        "--train-days", type=parse_train_days, default=30.0, help="training window (default: 30)"
+    )
+    p.add_argument("--top-k", type=parse_top_k, default=10, help="pages to prefetch (default: 10)")
     _add_net_flags(p, parse_ms=False)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_sim_prefetch, parse_ms=100.0)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import threading
 from bisect import bisect_left, insort
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import heapify, heappop, heappush
 
-from .errors import CorruptRepository
+from .errors import CorruptRepository, InvalidParams
 from .trace import PageVisit
 from .urls import host_of, website_key
 
@@ -324,12 +325,6 @@ def _live(graph: ResourceGraph) -> int:
     return len(graph.page_index) + len(graph.sub_index) + len(graph.edge_seen)
 
 
-@dataclass
-class UpdateDelta:
-    nodes_added: int
-    nodes_touched: int
-
-
 class MetadataRepository:
     """website key -> ResourceGraph, with a lock for writer/reader safety."""
 
@@ -363,7 +358,7 @@ class MetadataRepository:
         return out
 
 
-def update(repo: MetadataRepository, visit: PageVisit) -> UpdateDelta:
+def update(repo: MetadataRepository, visit: PageVisit) -> None:
     """Fold one visit into the repository.
 
     Creates any missing website/subdomain/webpage/subresource nodes and
@@ -376,42 +371,42 @@ def update(repo: MetadataRepository, visit: PageVisit) -> UpdateDelta:
     site = website_key(main_url)
     host = host_of(main_url)
     ts = visit.timestamp
-    added = 0
     with repo.lock:
         graph = repo.graphs.get(site)
         if graph is None:
             graph = ResourceGraph(site)
             repo.graphs[site] = graph
-            added += 1
         sub_id = graph.subdomain_index.get(host)
         if sub_id is None:
             sub_id = graph._add_node(NodeType.SUBDOMAIN, host, None, ts)
-            added += 1
         graph._link(graph.website_id, sub_id)
         page_id = graph.page_index.get(main_url)
         if page_id is None:
             page_id = graph._add_node(NodeType.WEBPAGE, main_url, "html", ts)
-            added += 1
         graph._link(sub_id, page_id)
         rids = []
         for record in visit.subresources:
             rid = graph.sub_index.get(record.url)
             if rid is None:
                 rid = graph._add_node(NodeType.SUBRESOURCE, record.url, record.kind, ts)
-                added += 1
             graph._link(page_id, rid)
             graph.edge_seen[(page_id, rid)] = ts
             rids.append(rid)
         # ``_link`` took every touched subresource out of the kept order,
         # so bumping ``n_visits`` here leaves that order valid.
-        touched = (graph.website_id, sub_id, page_id, *rids)
-        for nid in touched:
+        for nid in (graph.website_id, sub_id, page_id, *rids):
             node = graph.nodes[nid]
             node.last_visit = ts
             node.n_visits += 1
         if graph._age is not None:
             graph._age.add(graph, ts, page_id, rids)
-    return UpdateDelta(nodes_added=added, nodes_touched=len(touched))
+
+
+def _check_window(days: float) -> None:
+    # A NaN or infinite window would silently never trim, and a negative
+    # one would forget visits from the future.
+    if not 0 <= days < math.inf:
+        raise InvalidParams(f"a history window must be finite and >= 0 days, not {days}")
 
 
 def trim(repo: MetadataRepository, now: float, max_age_days: float = 30.0) -> int:
@@ -425,7 +420,9 @@ def trim(repo: MetadataRepository, now: float, max_age_days: float = 30.0) -> in
 
     A graph's first trim scans all of it and then builds its age index;
     later trims pop only the index entries that crossed the window.
+    Raises ``InvalidParams`` unless ``max_age_days`` is finite and >= 0.
     """
+    _check_window(max_age_days)
     window = max_age_days * DAY_S
     removed = 0
     with repo.lock:
@@ -518,6 +515,8 @@ class History:
     """
 
     def __init__(self, trim_days: float | None = None):
+        if trim_days is not None:
+            _check_window(trim_days)
         self.repo = MetadataRepository()
         self.trim_days = trim_days
         self._day: int | None = None

@@ -113,8 +113,8 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
 
 def plan_loads(prediction: Prediction, cache, now: float) -> tuple[str, ...]:
     """The predicted URLs not fresh in ``cache``, in prediction order.
-    ``cache`` is anything with a pure ``classify(url, now)``: a
-    ``CacheStore`` or a simulator cache state.  The simulator and the
+    ``cache`` is anything with a pure ``classify(url, now)``: any
+    simulator cache state, ``CacheStore`` included.  The simulator and the
     live fetcher look a URL up again when they issue its load."""
     fresh = LookupOutcome.FRESH_HIT
     return tuple(url for url in prediction.urls if cache.classify(url, now) is not fresh)

@@ -46,7 +46,7 @@ def write_sidecar(csv_path: str | Path, command: str, flags: dict) -> Path:
     """Write ``<csv>.meta.json`` next to the CSV.  No timestamps."""
     meta = {
         "command": command,
-        "flags": {k: (None if v is None else v) for k, v in sorted(flags.items())},
+        "flags": flags,
         "version": __version__,
     }
     side = Path(str(csv_path) + ".meta.json")
@@ -84,7 +84,7 @@ def rows_for_cache(report: CacheSimReport) -> list[list]:
                 c.fresh_hits / n if n else 0.0,
                 c.revalidations / n if n else 0.0,
                 c.misses / n if n else 0.0,
-                c.network_activity_fraction,
+                (c.revalidations + c.misses) / n if n else 0.0,
                 None,
                 None,
             ]

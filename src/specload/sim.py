@@ -41,9 +41,9 @@ A cache state is any object with five methods: ``classify(url, now)``
 issuance), ``admit(record, now)`` (a response came in),
 ``page_complete()`` and ``fork()`` (an independent copy, one per mode
 in a trace replay).  ``FRESH``, ``EXPIRED`` and ``EMPTY`` answer every
-request with one fixed outcome and store nothing; ``Realistic(store)``
-runs the ``cache`` module's semantics against a store that evolves as
-the simulation runs.
+request with one fixed outcome and store nothing; a ``cache.CacheStore``
+runs the ``cache`` module's semantics on entries that evolve as the
+simulation runs.
 
 A trace replay (``simulate_trace``) runs on two processes.  A child
 made with ``os.fork`` makes each visit's prediction (``predict.replay``
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TypeVar
 
-from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
+from .cache import LookupOutcome
 from .errors import EmptyTrace, InvalidParams
 from .predict import Prediction, VisitClass, plan_loads, replay
 from .trace import PageVisit, ResourceRecord, Trace
@@ -116,28 +116,6 @@ class Uniform:
 FRESH = Uniform(LookupOutcome.FRESH_HIT)
 EXPIRED = Uniform(LookupOutcome.EXPIRED_REVALIDATE)
 EMPTY = Uniform(LookupOutcome.MISS)
-
-
-@dataclass
-class Realistic:
-    """Classify against a live store, mutated as the simulation runs."""
-
-    store: CacheStore
-
-    def classify(self, url: str, now: float) -> LookupOutcome:
-        return self.store.classify(url, now)
-
-    def lookup(self, url: str, now: float) -> LookupOutcome:
-        return lookup(self.store, url, now)
-
-    def admit(self, record: ResourceRecord, now: float) -> None:
-        admit(self.store, record, now)
-
-    def page_complete(self) -> None:
-        page_complete(self.store)
-
-    def fork(self) -> "Realistic":
-        return Realistic(self.store.copy())
 
 
 @dataclass(frozen=True)

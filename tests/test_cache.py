@@ -25,7 +25,7 @@ from specload.cache import (
     page_complete,
     replay_cache_sim,
 )
-from specload.errors import EmptyTrace
+from specload.errors import EmptyTrace, InvalidParams
 from specload.synth import SynthParams, generate_synthetic
 from specload.trace import CacheDirectives, Trace
 from specload.urls import website_key
@@ -145,6 +145,9 @@ def test_per_site_counts_sum_to_totals():
     trace = generate_synthetic(SynthParams(visits=200, n_sites=3, seed=5))
     report = replay_cache_sim(trace)
     assert sum(c.requests for c in report.per_site.values()) == report.total_requests
+    for name in ("fresh_hits", "revalidations", "misses"):
+        per_site = sum(getattr(c, name) for c in report.per_site.values())
+        assert per_site == getattr(report.counters, name), name
     assert set(report.per_site) == {website_key(v.main.url) for v in trace.visits}
 
 
@@ -261,7 +264,7 @@ def test_lookup_counts_and_touches_recency():
 def test_copy_is_independent():
     store = CacheStore()
     admit(store, rec("http://a.com/a", max_age=600), now=0.0)
-    clone = store.copy()
+    clone = store.fork()
     admit(clone, rec("http://a.com/b", max_age=600), now=1.0)
     lookup(clone, "http://a.com/a", now=2.0)
     assert "http://a.com/b" not in store.entries
@@ -272,8 +275,12 @@ def test_replay_rejects_empty_trace_and_bad_capacity():
     with pytest.raises(EmptyTrace):
         replay_cache_sim(Trace(visits=[]))
     trace = Trace(visits=[visit("http://a.com/", ["http://a.com/s"], ts=0.0)])
-    with pytest.raises(ValueError):
-        replay_cache_sim(trace, capacity_bytes=0)
+    # A NaN capacity would keep nothing and report every request a miss.
+    for capacity in (0, math.nan, -1):
+        with pytest.raises(InvalidParams):
+            replay_cache_sim(trace, capacity_bytes=capacity)
+        with pytest.raises(InvalidParams):
+            CacheStore(capacity)
 
 
 # --- capacity invariant (property) ---------------------------------------

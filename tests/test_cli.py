@@ -295,14 +295,24 @@ def test_sim_prefetch(tmp_path, trace_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--train-days", "nan"), ("--train-days", "-1"), ("--top-k", "-1"), ("--top-k", "0")],
+    [
+        ("--train-days", "nan"),
+        ("--train-days", "-1"),
+        ("--top-k", "-1"),
+        ("--top-k", "0"),
+        ("--train-days", "0"),
+        ("--train-days", "inf"),
+        ("--top-k", "2.5"),
+    ],
 )
-def test_bad_prefetch_parameters_exit_1(tmp_path, trace_path, flags, capsys):
+def test_bad_prefetch_parameters_exit_2(tmp_path, trace_path, flags, capsys):
     # The trace spans more than a day, so only the flag under test is bad.
     out = tmp_path / "pf.csv"
     good = ("--train-days", "1", "--top-k", "3")
-    assert run("sim-prefetch", "--trace", str(trace_path), *good, *flags, "--out", str(out)) == 1
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("sim-prefetch", "--trace", str(trace_path), *good, *flags, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"argument {flags[0]}: bad" in capsys.readouterr().err
     assert not out.exists()
 
 

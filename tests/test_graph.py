@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import specload.cli as cli
 import specload.graph as graph_module
 from conftest import visit
-from specload.errors import CorruptRepository
+from specload.errors import CorruptRepository, InvalidParams
 from specload.graph import (
     _MAGIC,
     History,
@@ -37,6 +37,8 @@ from specload.graph import (
     trim,
     update,
 )
+from specload.predict import replay_predictor
+from specload.sim import simulate_trace
 from specload.synth import SynthParams, generate_synthetic
 from specload.trace import Trace
 from trim_reference import reference_trim
@@ -118,11 +120,12 @@ def test_same_url_can_be_page_and_subresource():
 
 def test_update_delta_counts():
     repo = MetadataRepository()
-    d1 = update(repo, visit("http://a.com/", ["http://a.com/1.js"], ts=0.0))
-    assert d1.nodes_added == 4
-    d2 = update(repo, visit("http://a.com/", ["http://a.com/1.js"], ts=1.0))
-    assert d2.nodes_added == 0
-    assert d2.nodes_touched == 4
+    update(repo, visit("http://a.com/", ["http://a.com/1.js"], ts=0.0))
+    graph = repo.graphs["a.com"]
+    assert len(graph.nodes) == 4
+    update(repo, visit("http://a.com/", ["http://a.com/1.js"], ts=1.0))
+    assert len(graph.nodes) == 4
+    assert all(node.n_visits == 2 for node in graph.nodes.values())
 
 
 # --- trim ----------------------------------------------------------------
@@ -167,6 +170,25 @@ def test_trim_keeps_boundary_visit():
     repo = build([visit("http://a.com/", ["http://a.com/x.js"], ts=0.0)])
     trim(repo, now=30 * DAY, max_age_days=30.0)  # age == window: kept
     assert "a.com" in repo.graphs
+
+
+@pytest.mark.parametrize("days", [math.nan, math.inf, -math.inf, -1.0, -0.5])
+def test_bad_window_is_rejected_on_every_path(days):
+    # Unchecked, a NaN or infinite window never trims, so a replay under
+    # it equals the untrimmed one, and a negative one is accepted.
+    repo = build([visit("http://a.com/", ["http://a.com/x.js"], ts=0.0)])
+    with pytest.raises(InvalidParams):
+        trim(repo, now=DAY, max_age_days=days)
+    assert "a.com" in repo.graphs
+    with pytest.raises(InvalidParams):
+        History(days)
+    trace = generate_synthetic(SynthParams(n_sites=2, pages_per_site=5, visits=20, seed=1))
+    with pytest.raises(InvalidParams):
+        replay_predictor(trace, trim_days=days)
+    with pytest.raises(InvalidParams):
+        simulate_trace(trace, with_predictor=True, trim_days=days)
+    trim(repo, now=DAY, max_age_days=0.0)
+    History(0.0)
 
 
 @pytest.mark.parametrize("seed", range(8))

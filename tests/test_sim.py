@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import specload.cache as cache_module
 import specload.sim as sim
 from specload.cache import CacheStore, admit, replay_cache_sim
 from specload.errors import EmptyTrace, InvalidParams
@@ -28,7 +29,6 @@ from specload.sim import (
     LEGACY,
     NetworkParams,
     OperationClass,
-    Realistic,
     Speculative,
     _Engine,
     simulate_page,
@@ -248,16 +248,14 @@ def test_two_connections_is_the_floor():
 
 def test_realistic_store_evolves_across_visits():
     store = CacheStore(capacity_bytes=float("inf"))
-    state = Realistic(store)
-    assert simulate_page(page(1, size=0, ts=0.0, max_age=10_000), LEGACY, state) == 700.0
-    assert simulate_page(page(1, size=0, ts=10.0, max_age=10_000), LEGACY, state) == 100.0
+    assert simulate_page(page(1, size=0, ts=0.0, max_age=10_000), LEGACY, store) == 700.0
+    assert simulate_page(page(1, size=0, ts=10.0, max_age=10_000), LEGACY, store) == 100.0
     assert store.counters.misses == 2
     assert store.counters.fresh_hits == 2
 
 
 def test_realistic_no_store_expires_with_the_page():
     store = CacheStore(capacity_bytes=float("inf"))
-    state = Realistic(store)
     main = rec("http://r.example/p", kind="html", size=0, max_age=10_000)
     sub = rec("http://r.example/s.js", size=0, no_store=True)
 
@@ -266,14 +264,42 @@ def test_realistic_no_store_expires_with_the_page():
             user_id="u", timestamp=ts, main=main, subresources=(sub,), discovery_offsets=()
         )
 
-    assert simulate_page(pv(0.0), LEGACY, state) == 700.0
+    assert simulate_page(pv(0.0), LEGACY, store) == 700.0
     # main is fresh now, but the no-store sub was dropped at page end
-    assert simulate_page(pv(10.0), LEGACY, state) == 300.0
+    assert simulate_page(pv(10.0), LEGACY, store) == 300.0
     assert store.counters.misses == 3
     assert not store.temp
 
 
-def _prepared(state, urls, now) -> Realistic:
+def test_cache_store_state_goes_through_the_cache_module_bindings(monkeypatch):
+    # A tracer counts cache traffic by wrapping ``specload.cache.lookup``
+    # and ``admit``; a state that bypassed those bindings would leave its
+    # counts at 0.
+    calls = {"lookup": 0, "admit": 0}
+    stores = {}
+
+    def counting(name):
+        real = getattr(cache_module, name)
+
+        def wrapper(store, *args):
+            calls[name] += 1
+            stores[id(store)] = store
+            return real(store, *args)
+
+        monkeypatch.setattr(cache_module, name, wrapper)
+
+    counting("lookup")
+    counting("admit")
+    monkeypatch.setattr(sim, "_can_fork", lambda: False)
+    trace = generate_synthetic(SynthParams(n_sites=2, pages_per_site=10, visits=60, seed=4))
+    simulate_trace(trace, cache_state=CacheStore(), with_predictor=True)
+    assert len(stores) == 2  # one fork per mode
+    assert calls["lookup"] == sum(s.counters.requests for s in stores.values()) > 0
+    network = sum(s.counters.revalidations + s.counters.misses for s in stores.values())
+    assert 0 < calls["admit"] <= network
+
+
+def _prepared(state, urls, now) -> CacheStore:
     """An infinite store that answers ``urls`` at ``now`` the way
     ``state`` does."""
     store = CacheStore(capacity_bytes=float("inf"))
@@ -281,7 +307,7 @@ def _prepared(state, urls, now) -> Realistic:
     if state in directives:
         for url in urls:
             admit(store, rec(url, **directives[state]), now=now)
-    return Realistic(store)
+    return store
 
 
 def test_uniform_states_are_special_cases_of_the_realistic_cache():
@@ -346,7 +372,7 @@ def test_predictions_kept_by_simulate_trace_score_like_replay_predictor():
         n_sites=4, pages_per_site=40, subresources_per_page=8, visits=1200, seed=5
     )
     trace = generate_synthetic(params)
-    result = simulate_trace(trace, cache_state=Realistic(CacheStore()), with_predictor=True)
+    result = simulate_trace(trace, cache_state=CacheStore(), with_predictor=True)
     learned = score_predictions(trace.visits, [p.prediction for p in result.pages])
     replayed = replay_predictor(trace)
     assert learned.per_visit == replayed.per_visit
@@ -395,7 +421,7 @@ def test_simulate_trace_reads_known_records_with_get_only(monkeypatch):
     trace = generate_synthetic(
         SynthParams(n_sites=3, pages_per_site=20, subresources_per_page=6, visits=200, seed=2)
     )
-    state = Realistic(CacheStore())
+    state = CacheStore()
     expected = simulate_trace(trace, cache_state=state, with_predictor=True)
     real = sim.simulate_page
 
@@ -428,17 +454,17 @@ def test_realistic_cache_hits_for_non_canonical_trace_urls(tmp_path):
             fh.write(json.dumps(line) + "\n")
     trace = load_trace(path)
 
-    result = simulate_trace(trace, cache_state=Realistic(CacheStore()), with_predictor=True)
+    result = simulate_trace(trace, cache_state=CacheStore(), with_predictor=True)
     # Second visit: both resources fresh, so only the parse remains.
     assert result.pages[1].legacy_ms == 100.0
     assert result.pages[1].speculative_ms == 100.0
 
-    state = Realistic(CacheStore())
+    state = CacheStore()
     for v in trace.visits:
         simulate_page(v, LEGACY, state)
     replayed = replay_cache_sim(trace)
-    assert state.store.counters.fresh_hits == replayed.counters.fresh_hits == 2
-    assert state.store.counters == replayed.counters
+    assert state.counters.fresh_hits == replayed.counters.fresh_hits == 2
+    assert state.counters == replayed.counters
 
 
 # --- schedule-dominance properties ------------------------------------
@@ -598,7 +624,7 @@ def _diff_cases(draw):
         )
         pages.append((v, Prediction(tuple(predicted), VisitClass.REVISIT)))
     capacity = draw(st.sampled_from([30_000, 100_000, float("inf")]))
-    state = draw(st.sampled_from([EMPTY, FRESH, EXPIRED, Realistic(CacheStore(capacity))]))
+    state = draw(st.sampled_from([EMPTY, FRESH, EXPIRED, CacheStore(capacity)]))
     net = NetworkParams(
         rtt_ms=draw(st.sampled_from([0.0, 17.5, 50.0, 200.0])),
         bandwidth_bytes_per_s=draw(st.sampled_from([125_000.0, 1e6])),
@@ -702,12 +728,12 @@ def test_misprediction_canceled_while_its_ready_event_waits_never_loads():
     prediction = Prediction((wrong,), VisitClass.REVISIT)
     net = NetworkParams(parse_ms=0.0)
     log: list = []
-    state = _Recording(Realistic(store.copy()), log)
+    state = _Recording(store.fork(), log)
     eng = _Engine(v, Speculative(prediction), state, net, 4, known, {})
     eng.run()
     assert ("lookup", wrong) not in [entry[:2] for entry in log]
     assert eng.jobs[wrong].done_ms is None and eng.overhead_bytes == 0
-    lean, reference = _run_both([(v, prediction)], Realistic(store), net, 4, {}, known)
+    lean, reference = _run_both([(v, prediction)], store, net, 4, {}, known)
     assert lean == reference
 
 
@@ -720,11 +746,11 @@ def test_queued_load_that_turns_out_fresh_leaves_its_connection_free():
     admit(store, x, now=0.0)
     a, b = rec("http://q.example/a.js", size=0), rec("http://q.example/b.js", size=0)
     v = PageVisit("u", 1.0, rec("http://q.example/p", kind="html", size=0), (a, x, b))
-    eng = _Engine(v, LEGACY, Realistic(store.copy()), NetworkParams(), 2, {}, {})
+    eng = _Engine(v, LEGACY, store.fork(), NetworkParams(), 2, {}, {})
     assert eng.run() == 900.0
     assert eng.jobs[x.url].done_ms == 700.0
     prediction = Prediction((), VisitClass.UNKNOWN)
-    lean, reference = _run_both([(v, prediction)], Realistic(store), NetworkParams(), 2, {}, {})
+    lean, reference = _run_both([(v, prediction)], store, NetworkParams(), 2, {}, {})
     assert lean == reference
 
 
@@ -741,7 +767,7 @@ def worker_trace() -> Trace:
 
 def _state(name: str):
     if name == "realistic":
-        return Realistic(CacheStore(capacity_bytes=200_000))
+        return CacheStore(capacity_bytes=200_000)
     return {"empty": EMPTY, "fresh": FRESH, "expired": EXPIRED}[name]
 
 
@@ -844,7 +870,7 @@ def test_a_parent_that_fails_mid_stream_leaves_no_child(worker_trace, forks, mon
 
     monkeypatch.setattr(sim, "simulate_page", failing)
     with pytest.raises(error):
-        simulate_trace(worker_trace, cache_state=Realistic(CacheStore()), with_predictor=True)
+        simulate_trace(worker_trace, cache_state=CacheStore(), with_predictor=True)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(forks[0], os.WNOHANG)
