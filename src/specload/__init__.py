@@ -56,11 +56,9 @@ from .sim import (
     EMPTY,
     EXPIRED,
     FRESH,
-    LEGACY,
     NetworkParams,
     OperationClass,
     SimResult,
-    Speculative,
     simulate_page,
     simulate_trace,
     whatif_scale,
@@ -90,7 +88,6 @@ __all__ = [
     "FetchSession",
     "InsufficientTrace",
     "InvalidParams",
-    "LEGACY",
     "LoadReport",
     "LookupOutcome",
     "MainResourceFailed",
@@ -108,7 +105,6 @@ __all__ = [
     "SchemaError",
     "SimResult",
     "SpecloadError",
-    "Speculative",
     "SynthParams",
     "Trace",
     "VisitClass",

@@ -81,7 +81,7 @@ def _bounded(convert, what: str, ok, rule: str):
 
 # One connection is held for the main resource.  A NaN or infinite
 # window would silently never trim, and a negative one would forget
-# visits from the future.
+# visits from the future.  NaN or negative times make nonsense delays.
 parse_connections = _bounded(int, "connection count", lambda n: n >= 2, "must be >= 2")
 parse_top_k = _bounded(int, "top-k", lambda n: n >= 1, "must be >= 1")
 parse_trim_days = _bounded(
@@ -90,6 +90,7 @@ parse_trim_days = _bounded(
 parse_train_days = _bounded(
     float, "training window", lambda d: 0 < d < math.inf, "must be finite and > 0"
 )
+parse_time_ms = _bounded(float, "time", lambda t: 0 <= t < math.inf, "must be finite and >= 0")
 
 
 def _net_from(args) -> NetworkParams:
@@ -271,10 +272,12 @@ def cmd_report(args) -> int:
 
 
 def _add_net_flags(p: argparse.ArgumentParser, parse_ms: bool = True) -> None:
-    p.add_argument("--rtt-ms", type=float, default=200.0, help="round trip time (default: 200)")
+    p.add_argument(
+        "--rtt-ms", type=parse_time_ms, default=200.0, help="round trip time (default: 200)"
+    )
     if parse_ms:
         p.add_argument(
-            "--parse-ms", type=float, default=100.0, help="HTML parse time (default: 100)"
+            "--parse-ms", type=parse_time_ms, default=100.0, help="HTML parse time (default: 100)"
         )
 
 

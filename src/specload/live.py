@@ -10,7 +10,8 @@ loads while the main resource is still in flight; a connection that
 frees up goes to the next queued load at once.  When the HTML parses,
 queued loads the page does not need are dropped, and the ones it needs
 that nobody predicted join the queue; a load already in flight runs to
-completion and is reported ``mispredicted`` if the page did not need it.
+completion and is reported ``mispredicted`` if the page did not need it;
+its bytes are ``overhead_bytes``, by the simulator's rule.
 
 Each connection is one ``requests.Session``, opened when first needed
 and reused for the rest of the page; every connection and worker thread
@@ -278,6 +279,7 @@ class _PageLoad(PageScheduler):
     def _done(self, job: _Job, row: ResourceLoad, record, page) -> None:
         job.done_ms = row.t_end_ms
         job.record = record
+        job.body_bytes = row.bytes
         self.rows[job.url] = row
         if job.is_main:
             if row.outcome == "error" or record is None or page is None:
@@ -315,7 +317,6 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
     for row in wasted:
         if row.outcome in ("fetched", "revalidated"):
             row.outcome = "mispredicted"
-    overhead = sum(r.bytes for r in wasted if r.outcome == "mispredicted")
 
     with session._cache_lock:
         page_complete(session.cache)
@@ -329,6 +330,6 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
         mode=mode,
         delay_ms=load.delay_ms(),
         resources=[rows[url], *(rows[u] for u in load.actual), *wasted],
-        overhead_bytes=overhead,
+        overhead_bytes=load.overhead_bytes,
         predicted=load.predicted,
     )

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyWindow, InsufficientTrace, InvalidParams
-from .sim import DEFAULT_NET, EMPTY, LEGACY, NetworkParams, simulate_page
+from .sim import DEFAULT_NET, EMPTY, NetworkParams, simulate_page
 from .trace import Trace
 
 
@@ -43,7 +43,7 @@ class _SlidingWindow:
     The visits must be in timestamp order (as in a ``Trace``).  Each
     visit is counted once when it enters the window and uncounted once
     when it leaves, so a whole evaluation costs one pass over the trace
-    instead of one per refresh.
+    instead of one per refresh.  Entering, it sets its page's ``page_bytes``.
     """
 
     def __init__(self, visits, training_window_s: float, top_k: int):
@@ -51,13 +51,17 @@ class _SlidingWindow:
         self.training_window_s = training_window_s
         self.top_k = top_k
         self.counts: Counter = Counter()  # main URLs of visits[lo:hi]
+        self.page_bytes: dict[str, int] = {}
         self.lo = self.hi = 0
 
     def model_at(self, window_end: float) -> PopularityModel:
         """Page-URL popularity over [window_end - window, window_end)."""
         visits, counts = self.visits, self.counts
         while self.hi < len(visits) and visits[self.hi].timestamp < window_end:
-            counts[visits[self.hi].main.url] += 1
+            v = visits[self.hi]
+            counts[v.main.url] += 1
+            sizes = (r.size_bytes for r in v.subresources)
+            self.page_bytes[v.main.url] = v.main.size_bytes + sum(sizes)
             self.hi += 1
         start = window_end - self.training_window_s
         while self.lo < self.hi and visits[self.lo].timestamp < start:
@@ -127,16 +131,6 @@ def evaluate_prefetch(
             f"trace spans {t_end - t0:.0f}s, need more than {training_window_s:.0f}s"
         )
 
-    page_bytes: dict[str, int] = {}
-    scan = 0  # visits consumed into page_bytes so far
-
-    def observe_until(ts: float) -> None:
-        nonlocal scan
-        while scan < len(visits) and visits[scan].timestamp < ts:
-            v = visits[scan]
-            page_bytes[v.main.url] = v.main.size_bytes + sum(r.size_bytes for r in v.subresources)
-            scan += 1
-
     predicted_sum = 0
     matched_pages = 0
     matched_visits = 0
@@ -149,21 +143,20 @@ def evaluate_prefetch(
 
     window = _SlidingWindow(visits, training_window_s, top_k)
     boundary = t0 + training_window_s
-    i = next(idx for idx, v in enumerate(visits) if v.timestamp >= boundary)
     while boundary <= t_end:
-        observe_until(boundary)
         try:
             predicted = set(predict_pages(window.model_at(boundary)))
         except EmptyWindow:
             predicted = set()
         interval_end = boundary + refresh_interval_s
         requested: set[str] = set()
+        i = window.hi
         while i < len(visits) and visits[i].timestamp < interval_end:
             visit = visits[i]
             url = visit.main.url
             requested.add(url)
             eval_visits += 1
-            delay = simulate_page(visit, LEGACY, EMPTY, net)
+            delay = simulate_page(visit, None, EMPTY, net)
             delay_total += delay
             if url in predicted:
                 matched_visits += 1
@@ -172,7 +165,7 @@ def evaluate_prefetch(
         predicted_sum += len(predicted)
         matched_pages += len(predicted & requested)
         for url in predicted:
-            size = page_bytes.get(url, 0)
+            size = window.page_bytes.get(url, 0)
             bytes_total += size
             if url not in requested:
                 bytes_unnecessary += size

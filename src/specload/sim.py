@@ -3,10 +3,10 @@
 Connections are fixed-RTT pipes that do not share bandwidth.  A request
 costs nothing when the cache serves it fresh, one round trip when it
 revalidates, and a round trip plus transfer time for a full fetch; the
-main resource additionally pays connection setup and redirect round
-trips.  Legacy loading discovers subresources only after the main
-resource has downloaded and parsed.  Speculative loading starts the
-plan's URLs (``predict.plan_loads``) without waiting for the main
+main resource additionally pays ``main_extra_rtts`` round trips.  A
+legacy load (no prediction) discovers subresources only after the main
+resource has downloaded and parsed.  A speculative one starts its
+prediction's plan (``predict.plan_loads``) without waiting for the main
 resource, on every connection except the one it holds, the rest waiting
 in plan order, then revises the waiting queue the moment parsing reveals
 what the page really needs; mispredicted loads already in flight run to
@@ -16,7 +16,7 @@ dropped unissued.  These decisions are ``PageScheduler``'s alone, and
 
 Page delay is the end of the last *required* response: the main
 resource and the visit's actual subresources.  Speculative extras never
-extend it; they only burn connection time and bytes.
+extend it; they only burn connection time and bytes (``overhead_bytes``).
 
 Requests classify against the cache at issuance: t=0 for the main
 resource and the immediate speculative loads, discovery time for
@@ -63,6 +63,7 @@ process handling.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import signal
 import sys
@@ -86,7 +87,11 @@ class NetworkParams:
     bandwidth_bytes_per_s: float = 125_000.0
     parse_ms: float = 100.0
     main_extra_rtts: int = 1
-    redirect_hops: int = 0
+
+    def __post_init__(self):
+        times = 0 <= self.rtt_ms < math.inf and 0 <= self.parse_ms < math.inf
+        if not (times and self.bandwidth_bytes_per_s > 0 and self.main_extra_rtts >= 0):
+            raise InvalidParams(f"network parameters out of range: {self}")
 
 
 DEFAULT_NET = NetworkParams()
@@ -116,19 +121,6 @@ class Uniform:
 FRESH = Uniform(LookupOutcome.FRESH_HIT)
 EXPIRED = Uniform(LookupOutcome.EXPIRED_REVALIDATE)
 EMPTY = Uniform(LookupOutcome.MISS)
-
-
-@dataclass(frozen=True)
-class Legacy:
-    pass
-
-
-@dataclass(frozen=True)
-class Speculative:
-    prediction: Prediction
-
-
-LEGACY = Legacy()
 
 
 class OperationClass(Enum):
@@ -168,10 +160,11 @@ class PageScheduler:
     Keeping the pools separate is what makes the speculative head start
     show up as a pure left shift of the subresource schedule.  A driver implements ``_issue``: look the job up in the cache now,
     and complete it as a fresh hit (``done_ms`` set) or put it on a
-    connection, taking one from ``free`` unless it is the main resource.
-    It calls ``plan``, then ``start`` with loads that are ready,
-    ``finish`` when a subresource load ends and ``parse`` when the main
-    resource has parsed; ``delay_ms`` once nothing is in flight.
+    connection, taking one from ``free`` unless it is the main resource;
+    ``body_bytes`` is what it transfers.  It calls ``plan``, then
+    ``start`` with loads that are ready, ``finish`` when a subresource
+    load ends and ``parse`` when the main resource has parsed;
+    ``delay_ms`` and ``overhead_bytes`` once nothing is in flight.
     """
 
     def __init__(self, main_url: str, max_connections: int):
@@ -250,6 +243,11 @@ class PageScheduler:
             raise RuntimeError("a required resource never completed")
         return max(done)
 
+    @property
+    def overhead_bytes(self) -> int:
+        """Body bytes transferred for URLs the page never required."""
+        return sum(j.body_bytes for j in self.jobs.values() if not j.required)
+
 
 class _Engine(PageScheduler):
     """The simulator's driver: an event heap in virtual time, and the
@@ -258,7 +256,7 @@ class _Engine(PageScheduler):
     def __init__(
         self,
         visit: PageVisit,
-        mode,
+        prediction: Prediction | None,
         cache_state,
         net: NetworkParams,
         max_connections: int,
@@ -268,7 +266,7 @@ class _Engine(PageScheduler):
         super().__init__(visit.main.url, max_connections)
         self.main.record = visit.main
         self.visit = visit
-        self.mode = mode
+        self.prediction = prediction
         self.cache_state = cache_state
         self.net = net
         # Read with ``get`` only: copying it per page would make a
@@ -284,7 +282,7 @@ class _Engine(PageScheduler):
         self._sub_scale = scales.get(OperationClass.SUBRESOURCE_FETCH)
         parse_scale = scales.get(OperationClass.PARSE)
         self._parse_ms = net.parse_ms if parse_scale is None else net.parse_ms * parse_scale
-        self._main_extra_ms = (net.main_extra_rtts + net.redirect_hops) * net.rtt_ms
+        self._main_extra_ms = net.main_extra_rtts * net.rtt_ms
 
     def _push_event(self, t: float, kind: int, job: _Job | None) -> None:
         self._seq += 1
@@ -332,7 +330,7 @@ class _Engine(PageScheduler):
 
     def _speculate(self) -> None:
         visit = self.visit
-        new = self.plan(self.mode.prediction, self.cache_state, visit.timestamp)
+        new = self.plan(self.prediction, self.cache_state, visit.timestamp)
         if not new:
             return
         # Speculative loads skip the wait for the main resource but keep
@@ -388,7 +386,7 @@ class _Engine(PageScheduler):
         self._issue(main)
         if main.done_ms is not None:
             self._push_event(main.done_ms + self._parse_ms, _PARSE, None)
-        if isinstance(self.mode, Speculative):
+        if self.prediction is not None:
             self._speculate()
 
         events = self.events
@@ -415,27 +413,23 @@ class _Engine(PageScheduler):
         self.cache_state.page_complete()
         return self.delay_ms()
 
-    @property
-    def overhead_bytes(self) -> int:
-        """Body bytes transferred for URLs the page never required."""
-        return sum(j.body_bytes for j in self.jobs.values() if not j.required)
-
 
 def simulate_page(
     visit: PageVisit,
-    mode=LEGACY,
+    prediction: Prediction | None = None,
     cache_state=EMPTY,
     net: NetworkParams = DEFAULT_NET,
     max_connections: int = 4,
     known_records: Mapping[str, ResourceRecord] | None = None,
 ) -> float:
-    """Simulate one page load; returns the page delay in milliseconds.
+    """Simulate one page load, speculative from ``prediction`` or legacy
+    when it is None; returns the page delay in milliseconds.
 
     ``known_records`` maps canonical URLs to their latest observed
     records, for sizing speculative loads of URLs this visit does not
     request; it is only read with ``get``.
     """
-    return _Engine(visit, mode, cache_state, net, max_connections, known_records, {}).run()
+    return _Engine(visit, prediction, cache_state, net, max_connections, known_records, {}).run()
 
 
 def whatif_scale(
@@ -444,20 +438,21 @@ def whatif_scale(
     scale: float,
     net: NetworkParams = DEFAULT_NET,
     cache_state=EMPTY,
-    mode=LEGACY,
+    prediction: Prediction | None = None,
     max_connections: int = 4,
     known_records: Mapping[str, ResourceRecord] | None = None,
 ) -> float:
     """Re-run the page with every duration of one operation class scaled.
 
     Everything that waits on a scaled operation shifts accordingly;
-    nothing else changes.  ``scale`` must be non-negative; 1.0 replays
-    the unmodified page.
+    nothing else changes.  ``scale`` must be finite and non-negative;
+    1.0 replays the unmodified page.
     """
-    if scale < 0:
-        raise InvalidParams("scale must be >= 0")
+    if not 0 <= scale < math.inf:
+        raise InvalidParams(f"scale must be finite and >= 0, not {scale}")
     scales = {operation_class: scale}
-    return _Engine(visit, mode, cache_state, net, max_connections, known_records, scales).run()
+    engine = _Engine(visit, prediction, cache_state, net, max_connections, known_records, scales)
+    return engine.run()
 
 
 @dataclass(frozen=True)
@@ -548,9 +543,7 @@ def simulate_trace(
                 for v in trace.visits
             )
         for visit, prediction in visits:
-            yield prediction, simulate_page(
-                visit, LEGACY, legacy_state, net, max_connections, None
-            )
+            yield prediction, simulate_page(visit, None, legacy_state, net, max_connections, None)
 
     spec_state = cache_state.fork()
     known_records: dict[str, ResourceRecord] = {}
@@ -559,7 +552,7 @@ def simulate_trace(
         for visit, (prediction, legacy_ms) in zip(trace.visits, halves, strict=True):
             main_url = visit.main.url
             speculative_ms = simulate_page(
-                visit, Speculative(prediction), spec_state, net, max_connections, known_records
+                visit, prediction, spec_state, net, max_connections, known_records
             )
             known_records[main_url] = visit.main
             for record in visit.subresources:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from specload.cache import LookupOutcome
 from specload.errors import InvalidParams
 from specload.predict import Prediction
-from specload.sim import NetworkParams, OperationClass, Speculative
+from specload.sim import NetworkParams, OperationClass
 from specload.trace import PageVisit, ResourceRecord
 
 
@@ -145,7 +145,7 @@ class _Engine:
             job.body_bytes = size
             base = rtt + size * 1000.0 / self.net.bandwidth_bytes_per_s
         if job.is_main:
-            base += (self.net.main_extra_rtts + self.net.redirect_hops) * rtt
+            base += self.net.main_extra_rtts * rtt
             return self._scaled(OperationClass.MAIN_FETCH, base)
         return self._scaled(OperationClass.SUBRESOURCE_FETCH, base)
 
@@ -179,7 +179,7 @@ class _Engine:
 
     def _on_parse(self, parse_t: float) -> None:
         actual = {r.url for r in self.visit.subresources}
-        if isinstance(self.mode, Speculative):
+        if self.mode is not None:
             for url, job in self.jobs.items():
                 if job.is_main:
                     continue
@@ -215,9 +215,9 @@ class _Engine:
 
         if not self._issue(main):
             self._on_main_done(main)
-        if isinstance(self.mode, Speculative):
+        if self.mode is not None:
             plan = plan_loads(
-                self.mode.prediction, self.cache_state, self._now_s(), self.max_connections
+                self.mode, self.cache_state, self._now_s(), self.max_connections
             )
             # Speculative loads skip the wait for the main resource but
             # keep the page's own request cadence: a load that the page

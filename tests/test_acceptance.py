@@ -37,9 +37,7 @@ from specload.prefetch import evaluate_prefetch
 from specload.sim import (
     EMPTY,
     FRESH,
-    LEGACY,
     NetworkParams,
-    Speculative,
     simulate_page,
     simulate_trace,
 )
@@ -55,12 +53,10 @@ from test_graph import build as build_graphs, random_visits
 DAY = 86400.0
 
 
-def _oracle(v: PageVisit) -> Speculative:
-    return Speculative(
-        Prediction(
-            urls=tuple(normalize_url(r.url) for r in v.subresources),
-            visit_class=VisitClass.REVISIT,
-        )
+def _oracle(v: PageVisit) -> Prediction:
+    return Prediction(
+        urls=tuple(normalize_url(r.url) for r in v.subresources),
+        visit_class=VisitClass.REVISIT,
     )
 
 
@@ -117,7 +113,7 @@ def test_02_discovery_wait_reduction(trace_1000):
             ),
             discovery_offsets=tuple(rng.uniform(0.0, 1200.0) for _ in range(k)),
         )
-        legacy = simulate_page(v, LEGACY, EMPTY, max_connections=connections)
+        legacy = simulate_page(v, None, EMPTY, max_connections=connections)
         spec = simulate_page(v, _oracle(v), EMPTY, max_connections=connections)
         if spec > legacy + 1e-6:
             violations += 1
@@ -132,7 +128,7 @@ def test_02_discovery_wait_reduction(trace_1000):
     v = visit(
         "http://h.example/p", [f"http://h.example/{i}.js" for i in range(3)], size=0
     )
-    legacy = simulate_page(v, LEGACY, EMPTY, net)
+    legacy = simulate_page(v, None, EMPTY, net)
     spec = simulate_page(v, _oracle(v), EMPTY, net)
     assert (legacy, spec) == (400.0, 200.0)
     _ok(

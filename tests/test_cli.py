@@ -132,6 +132,9 @@ def test_version_flag(capsys):
         ("graph", "build"),  # missing --trace/--out
         ("graph", "stats"),  # missing --repo
         ("sim-cache", "--trace", "t", "--capacity", "9GB"),
+        ("sim-speculative", "--trace", "t", "--rtt-ms", "nan"),
+        ("sim-speculative", "--trace", "t", "--parse-ms", "-100"),
+        ("sim-speculative", "--trace", "t", "--rtt-ms", "inf"),
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -303,6 +306,8 @@ def test_sim_prefetch(tmp_path, trace_path):
         ("--train-days", "0"),
         ("--train-days", "inf"),
         ("--top-k", "2.5"),
+        ("--rtt-ms", "-200"),
+        ("--rtt-ms", "nan"),
     ],
 )
 def test_bad_prefetch_parameters_exit_2(tmp_path, trace_path, flags, capsys):

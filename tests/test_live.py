@@ -17,7 +17,7 @@ from specload.fixture import fixture_server
 from specload.graph import MetadataRepository, update
 from specload.live import FetchSession, extract_subresources, fetch_page
 from specload.predict import Prediction, VisitClass, predict
-from specload.sim import LEGACY, NetworkParams, Speculative, simulate_page, simulate_trace
+from specload.sim import NetworkParams, _Engine, simulate_trace
 from specload.trace import PageVisit, ResourceRecord, Trace
 
 # --- HTML subresource extraction ---------------------------------------
@@ -463,21 +463,22 @@ class _Timeline:
 
 
 def _simulate_like(report, subresources: list[str], connections: int):
-    """The simulator's timeline for the page ``report`` loaded, with the
-    fixture's delay as the round trip and nothing else taking time."""
+    """The simulator's run and timeline for the page ``report`` loaded,
+    with the fixture's delay as the round trip and nothing else taking
+    time: its 500-byte bodies move in no time at 1e15 B/s."""
     main = ResourceRecord(report.url, "html", 0)
-    subs = tuple(ResourceRecord(url, "script", 0) for url in subresources)
-    mode = LEGACY
+    subs = tuple(ResourceRecord(url, "script", 500) for url in subresources)
+    prediction = None
     if report.mode == "tempo":
-        mode = Speculative(Prediction(report.predicted, VisitClass.REVISIT))
+        prediction = Prediction(report.predicted, VisitClass.REVISIT)
     net = NetworkParams(
         rtt_ms=DIFF_DELAY_MS, bandwidth_bytes_per_s=1e15, parse_ms=0.0, main_extra_rtts=0
     )
-    known = {url: ResourceRecord(url, "script", 0) for url in report.predicted}
+    known = {url: ResourceRecord(url, "script", 500) for url in report.predicted}
     timeline = _Timeline()
     visit = PageVisit("u", 0.0, main, subs)
-    delay = simulate_page(visit, mode, timeline, net, connections, known)
-    return delay, timeline
+    engine = _Engine(visit, prediction, timeline, net, connections, known, {})
+    return engine.run(), engine, timeline
 
 
 @pytest.mark.parametrize("connections", [2, 4])
@@ -496,7 +497,7 @@ def test_live_loads_are_scheduled_as_simulated(mode, connections):
         report = fetch_page(session, url, mode=mode)
     needed = [r.url for r in report.resources[1:] if r.outcome != "mispredicted"]
     assert needed == [srv.url(p) for p in _DIFF_PAGES[urlsplit(url).path]]
-    delay, timeline = _simulate_like(report, needed, connections)
+    delay, engine, timeline = _simulate_like(report, needed, connections)
 
     issued = sorted(report.resources, key=lambda r: r.t_start_ms)
     assert [r.url for r in issued] == list(timeline.starts)
@@ -508,3 +509,5 @@ def test_live_loads_are_scheduled_as_simulated(mode, connections):
         assert abs(r.t_start_ms - timeline.starts[r.url]) <= DIFF_TOLERANCE_MS, r
         assert abs(r.t_end_ms - timeline.ends[r.url]) <= DIFF_TOLERANCE_MS, r
     assert abs(report.delay_ms - delay) <= DIFF_TOLERANCE_MS
+    # Both drivers count wasted bytes by the scheduler's one rule.
+    assert report.overhead_bytes == engine.overhead_bytes == (500 if mode == "tempo" else 0)

@@ -132,15 +132,29 @@ def test_counters_match_independent_recount():
         predictions.append(set(sorted(counts, key=lambda url: (-counts[url], url))[:k]))
 
     matched = evaluated = 0
+    requested = [set() for _ in boundaries]
     for v in visits:
         if v.timestamp < boundaries[0]:
             continue
         idx = int((v.timestamp - boundaries[0]) // refresh)
         evaluated += 1
+        requested[idx].add(v.main.url)
         if normalize_url(v.main.url) in predictions[idx]:
             matched += 1
     assert rep.n_eval_visits == evaluated
     assert rep.usefulness == matched / evaluated
+
+    # A prefetched page costs its bytes as last seen before the refresh.
+    charged = unnecessary = 0
+    for b, predicted, seen in zip(boundaries, predictions, requested):
+        last = {}
+        for v in visits:
+            if v.timestamp < b:
+                last[v.main.url] = v.main.size_bytes + sum(r.size_bytes for r in v.subresources)
+        charged += sum(last[url] for url in predicted)
+        unnecessary += sum(last[url] for url in predicted - seen)
+    assert rep.prefetched_bytes == charged
+    assert rep.unnecessary_bytes_fraction == unnecessary / charged
 
 
 def test_mostly_new_visits_cap_usefulness():

@@ -26,10 +26,8 @@ from specload.sim import (
     EMPTY,
     EXPIRED,
     FRESH,
-    LEGACY,
     NetworkParams,
     OperationClass,
-    Speculative,
     _Engine,
     simulate_page,
     simulate_trace,
@@ -47,12 +45,10 @@ from sim_reference import plan_loads as reference_plan_loads
 # for the main resource's connection setup.
 
 
-def oracle(v: PageVisit) -> Speculative:
-    return Speculative(
-        Prediction(
-            urls=tuple(normalize_url(r.url) for r in v.subresources),
-            visit_class=VisitClass.REVISIT,
-        )
+def oracle(v: PageVisit) -> Prediction:
+    return Prediction(
+        urls=tuple(normalize_url(r.url) for r in v.subresources),
+        visit_class=VisitClass.REVISIT,
     )
 
 
@@ -74,7 +70,7 @@ def test_legacy_hand_trace_defaults():
 def test_hand_oracle_three_subs_400_to_200():
     net = NetworkParams(rtt_ms=200.0, parse_ms=0.0, main_extra_rtts=0)
     v = page(3, size=0)
-    legacy = simulate_page(v, LEGACY, EMPTY, net)
+    legacy = simulate_page(v, None, EMPTY, net)
     spec = simulate_page(v, oracle(v), EMPTY, net)
     assert legacy == 400.0
     assert spec == 200.0
@@ -82,7 +78,7 @@ def test_hand_oracle_three_subs_400_to_200():
 
 def test_revalidation_costs_one_rtt_regardless_of_size():
     v = page(2, size=500_000)
-    assert simulate_page(v, LEGACY, EXPIRED) == 700.0
+    assert simulate_page(v, None, EXPIRED) == 700.0
     assert simulate_page(v, oracle(v), EXPIRED) == 400.0
 
 
@@ -97,10 +93,10 @@ def test_transfer_time_follows_size_and_bandwidth():
 
 
 def test_main_extra_rtts_and_redirect_hops():
+    # Redirect hops are extra main-resource round trips like the rest.
     v = page(0, size=0)
     assert simulate_page(v, net=NetworkParams(main_extra_rtts=3)) == 800.0
-    assert simulate_page(v, net=NetworkParams(redirect_hops=2)) == 800.0
-    assert simulate_page(v, net=NetworkParams(main_extra_rtts=3, redirect_hops=2)) == 1200.0
+    assert simulate_page(v, net=NetworkParams(main_extra_rtts=5)) == 1200.0
 
 
 def test_discovery_offsets_delay_legacy_fetches():
@@ -133,7 +129,7 @@ def _engine(v, mode, cache_state=EMPTY, connections=4, known=None):
 def test_inflight_misprediction_runs_to_completion():
     v = page(1, size=0)
     wrong = "http://sim.example/wrong.js"
-    spec = Speculative(Prediction(urls=(wrong,), visit_class=VisitClass.REVISIT))
+    spec = Prediction(urls=(wrong,), visit_class=VisitClass.REVISIT)
     eng = _engine(v, spec, known={wrong: rec(wrong, size=250_000)})
     delay = eng.run()
 
@@ -148,7 +144,7 @@ def test_queued_misprediction_is_dropped_unissued():
     v = page(1, size=0)
     w1 = "http://sim.example/w1.js"
     w2 = "http://sim.example/w2.js"
-    spec = Speculative(Prediction(urls=(w1, w2), visit_class=VisitClass.REVISIT))
+    spec = Prediction(urls=(w1, w2), visit_class=VisitClass.REVISIT)
     eng = _engine(
         v,
         spec,
@@ -178,9 +174,7 @@ def test_predicted_queue_outranks_later_discoveries():
         subresources=(p1, p2, a3),
         discovery_offsets=(0.0, 0.0, 0.0),
     )
-    spec = Speculative(
-        Prediction(urls=(p1.url, p2.url), visit_class=VisitClass.REVISIT)
-    )
+    spec = Prediction(urls=(p1.url, p2.url), visit_class=VisitClass.REVISIT)
     eng = _engine(v, spec, connections=2)
     delay = eng.run()
 
@@ -195,11 +189,9 @@ def test_predicted_queue_outranks_later_discoveries():
 
 def test_predicting_the_main_url_changes_nothing():
     v = page(1, size=0)
-    with_main = Speculative(
-        Prediction(
-            urls=("http://sim.example/p", "http://sim.example/0.js"),
-            visit_class=VisitClass.REVISIT,
-        )
+    with_main = Prediction(
+        urls=("http://sim.example/p", "http://sim.example/0.js"),
+        visit_class=VisitClass.REVISIT,
     )
     assert simulate_page(v, with_main, max_connections=2) == simulate_page(
         v, oracle(v), max_connections=2
@@ -218,8 +210,24 @@ def test_whatif_scale_hand_values():
     assert whatif_scale(v, OperationClass.PARSE, 2.0) == 800.0
     assert whatif_scale(v, OperationClass.MAIN_FETCH, 0.5) == 500.0
     assert whatif_scale(v, OperationClass.SUBRESOURCE_FETCH, 2.0) == 900.0
-    with pytest.raises(InvalidParams):
-        whatif_scale(v, OperationClass.PARSE, -0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidParams):
+            whatif_scale(v, OperationClass.PARSE, bad)
+
+
+def test_network_params_reject_out_of_range_values():
+    nan, inf = float("nan"), float("inf")
+    for field, values in [
+        ("rtt_ms", (nan, -200.0, inf)),
+        ("parse_ms", (nan, -100.0, inf)),
+        ("bandwidth_bytes_per_s", (0.0, -1.0, nan)),
+        ("main_extra_rtts", (-1,)),
+    ]:
+        for value in values:
+            with pytest.raises(InvalidParams):
+                NetworkParams(**{field: value})
+    # A zero time and an unbounded bandwidth are fine.
+    NetworkParams(rtt_ms=0.0, parse_ms=0.0, bandwidth_bytes_per_s=inf)
 
 
 # --- connection pool --------------------------------------------------
@@ -248,8 +256,8 @@ def test_two_connections_is_the_floor():
 
 def test_realistic_store_evolves_across_visits():
     store = CacheStore(capacity_bytes=float("inf"))
-    assert simulate_page(page(1, size=0, ts=0.0, max_age=10_000), LEGACY, store) == 700.0
-    assert simulate_page(page(1, size=0, ts=10.0, max_age=10_000), LEGACY, store) == 100.0
+    assert simulate_page(page(1, size=0, ts=0.0, max_age=10_000), None, store) == 700.0
+    assert simulate_page(page(1, size=0, ts=10.0, max_age=10_000), None, store) == 100.0
     assert store.counters.misses == 2
     assert store.counters.fresh_hits == 2
 
@@ -264,9 +272,9 @@ def test_realistic_no_store_expires_with_the_page():
             user_id="u", timestamp=ts, main=main, subresources=(sub,), discovery_offsets=()
         )
 
-    assert simulate_page(pv(0.0), LEGACY, store) == 700.0
+    assert simulate_page(pv(0.0), None, store) == 700.0
     # main is fresh now, but the no-store sub was dropped at page end
-    assert simulate_page(pv(10.0), LEGACY, store) == 300.0
+    assert simulate_page(pv(10.0), None, store) == 300.0
     assert store.counters.misses == 3
     assert not store.temp
 
@@ -320,7 +328,7 @@ def test_uniform_states_are_special_cases_of_the_realistic_cache():
         actual = {v.main.url, *(r.url for r in v.subresources)}
         mispredicted += not actual.issuperset(prediction.urls)
         urls = actual | set(prediction.urls)
-        for mode in (LEGACY, Speculative(prediction)):
+        for mode in (None, prediction):
             for state in (FRESH, EXPIRED, EMPTY):
                 uniform = simulate_page(v, mode, state, known_records=known)
                 realistic = simulate_page(
@@ -405,9 +413,7 @@ def test_simulate_page_reads_known_records_with_get_only():
     net = NetworkParams()
     v = page(1, size=0)
     ghost = rec("http://sim.example/ghost.js", size=125_000)
-    mode = Speculative(
-        Prediction(urls=(ghost.url, v.subresources[0].url), visit_class=VisitClass.REVISIT)
-    )
+    mode = Prediction(urls=(ghost.url, v.subresources[0].url), visit_class=VisitClass.REVISIT)
     known = {ghost.url: ghost}
     guarded = simulate_page(v, mode, EMPTY, net, 2, GetOnly(known))
     # The mispredicted ghost load is sized from the known record and
@@ -461,7 +467,7 @@ def test_realistic_cache_hits_for_non_canonical_trace_urls(tmp_path):
 
     state = CacheStore()
     for v in trace.visits:
-        simulate_page(v, LEGACY, state)
+        simulate_page(v, None, state)
     replayed = replay_cache_sim(trace)
     assert state.counters.fresh_hits == replayed.counters.fresh_hits == 2
     assert state.counters == replayed.counters
@@ -517,7 +523,7 @@ def _random_pages(draw):
 )
 def test_oracle_speculation_never_loses(case):
     v, connections = case
-    legacy = simulate_page(v, LEGACY, EMPTY, max_connections=connections)
+    legacy = simulate_page(v, None, EMPTY, max_connections=connections)
     spec = simulate_page(v, oracle(v), EMPTY, max_connections=connections)
     assert spec <= legacy + 1e-6
     if len(v.subresources) >= connections - 1:
@@ -563,7 +569,7 @@ def _run_both(pages, state, net, connections, scales, known):
         spec_state = _Recording(state.fork(), log)
         results = []
         for v, prediction in pages:
-            modes = ((LEGACY, legacy_state), (Speculative(prediction), spec_state))
+            modes = ((None, legacy_state), (prediction, spec_state))
             for mode, mode_state in modes:
                 eng = engine(v, mode, mode_state, net, connections, known, scales)
                 delay = eng.run()
@@ -629,8 +635,7 @@ def _diff_cases(draw):
         rtt_ms=draw(st.sampled_from([0.0, 17.5, 50.0, 200.0])),
         bandwidth_bytes_per_s=draw(st.sampled_from([125_000.0, 1e6])),
         parse_ms=draw(st.sampled_from([0.0, 35.5, 100.0])),
-        main_extra_rtts=draw(st.integers(0, 2)),
-        redirect_hops=draw(st.integers(0, 1)),
+        main_extra_rtts=draw(st.integers(0, 3)),
     )
     scales = draw(
         st.one_of(
@@ -663,8 +668,7 @@ def test_engine_matches_the_reference_engine(case):
     for v, prediction in pages:
         old = reference_plan_loads(prediction, spec_state, v.timestamp, connections)
         assert plan_loads(prediction, spec_state, v.timestamp) == tuple(old.all_urls())
-        mode = Speculative(prediction)
-        ReferenceEngine(v, mode, spec_state, net, connections, known, scales).run()
+        ReferenceEngine(v, prediction, spec_state, net, connections, known, scales).run()
 
 
 def test_finish_and_parse_at_one_instant_keep_heap_order():
@@ -686,7 +690,7 @@ def test_finish_and_parse_at_one_instant_keep_heap_order():
     v = PageVisit("u", 0.0, rec(f"{site}/p", kind="html", size=0), (a, f, c))
     prediction = Prediction(tuple(f"{site}/{n}.js" for n in "afbed"), VisitClass.REVISIT)
     log: list = []
-    eng = _Engine(v, Speculative(prediction), _Recording(EMPTY, log), net, 5, known, {})
+    eng = _Engine(v, prediction, _Recording(EMPTY, log), net, 5, known, {})
     delay = eng.run()
     d = f"{site}/d.js"
     assert eng.jobs[d].done_ms == eng.jobs[v.main.url].done_ms + net.parse_ms == 200.0
@@ -707,7 +711,7 @@ def test_finish_and_later_ready_at_one_instant_keep_heap_order():
     v = PageVisit("u", 0.0, rec(f"{site}/p", kind="html", size=0), (a, b), (0.0, 50.0))
     prediction = Prediction((a.url, b.url), VisitClass.REVISIT)
     log: list = []
-    eng = _Engine(v, Speculative(prediction), _Recording(EMPTY, log), net, 4, {}, {})
+    eng = _Engine(v, prediction, _Recording(EMPTY, log), net, 4, {}, {})
     eng.run()
     calls = [entry[:3] for entry in log]
     assert calls.index(("lookup", b.url, 0.05)) < calls.index(("admit", a.url, 0.05))
@@ -729,7 +733,7 @@ def test_misprediction_canceled_while_its_ready_event_waits_never_loads():
     net = NetworkParams(parse_ms=0.0)
     log: list = []
     state = _Recording(store.fork(), log)
-    eng = _Engine(v, Speculative(prediction), state, net, 4, known, {})
+    eng = _Engine(v, prediction, state, net, 4, known, {})
     eng.run()
     assert ("lookup", wrong) not in [entry[:2] for entry in log]
     assert eng.jobs[wrong].done_ms is None and eng.overhead_bytes == 0
@@ -746,7 +750,7 @@ def test_queued_load_that_turns_out_fresh_leaves_its_connection_free():
     admit(store, x, now=0.0)
     a, b = rec("http://q.example/a.js", size=0), rec("http://q.example/b.js", size=0)
     v = PageVisit("u", 1.0, rec("http://q.example/p", kind="html", size=0), (a, x, b))
-    eng = _Engine(v, LEGACY, store.fork(), NetworkParams(), 2, {}, {})
+    eng = _Engine(v, None, store.fork(), NetworkParams(), 2, {}, {})
     assert eng.run() == 900.0
     assert eng.jobs[x.url].done_ms == 700.0
     prediction = Prediction((), VisitClass.UNKNOWN)
@@ -862,7 +866,7 @@ def test_a_parent_that_fails_mid_stream_leaves_no_child(worker_trace, forks, mon
     speculative_pages = []
 
     def failing(visit, mode, *args):
-        if os.getpid() == parent and isinstance(mode, Speculative):
+        if os.getpid() == parent and mode is not None:
             speculative_pages.append(visit)
             if len(speculative_pages) == 100:
                 raise error("stop")
