@@ -84,6 +84,7 @@ def _bounded(convert, what: str, ok, rule: str):
 # visits from the future.  NaN or negative times make nonsense delays.
 parse_connections = _bounded(int, "connection count", lambda n: n >= 2, "must be >= 2")
 parse_top_k = _bounded(int, "top-k", lambda n: n >= 1, "must be >= 1")
+parse_repeat = _bounded(int, "repeat count", lambda n: n >= 1, "must be >= 1")
 parse_trim_days = _bounded(
     float, "trim window", lambda d: 0 <= d < math.inf, "must be finite and >= 0"
 )
@@ -384,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--connections", type=parse_connections, default=4, help="connection bound (default: 4)"
     )
-    p.add_argument("--repeat", type=int, default=1, help="fetch this many times (default: 1)")
+    p.add_argument(
+        "--repeat", type=parse_repeat, default=1, help="fetch this many times (default: 1)"
+    )
     p.add_argument("--out", help="per-resource CSV output path")
     p.set_defaults(func=cmd_fetch)
 

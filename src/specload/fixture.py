@@ -256,10 +256,8 @@ def load_fixture_spec(path: str | Path) -> dict:
 
 
 @contextmanager
-def fixture_server(spec: dict | str | Path, port: int | None = None):
+def fixture_server(spec: dict, port: int | None = None):
     """Context manager: start the fixture server, yield it, stop it."""
-    if not isinstance(spec, dict):
-        spec = load_fixture_spec(spec)
     server = FixtureServer(spec, port=port).start()
     try:
         yield server

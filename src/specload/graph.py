@@ -13,12 +13,10 @@ visits; without edge timestamps, a page that stopped referencing some
 subresource would keep advertising it forever.
 
 A daily trim costs what it removes, not the size of the history.  A
-graph's first trim scans every node and edge, as a repository fresh from
-``loads_repo`` needs, and then builds the graph's age index
-(``_AgeIndex``): a heap of ``(ts, page_id, rids)`` claims.  From then on
-``update`` pushes one claim per visit, and a trim pops only the claims
-with ``now - ts > window``, the same expression the scan uses.  The
-index keeps two invariants:
+graph's first trim builds its age index (``_AgeIndex``): a heap of
+``(ts, page_id, rids)`` claims.  From then on ``update`` pushes one
+claim per visit, and every trim pops only the claims with
+``now - ts > window``.  The index keeps two invariants:
 
 - every page, subresource and page-to-subresource edge whose timestamp
   is not NaN has an unpopped claim at exactly that timestamp, because
@@ -31,11 +29,13 @@ index keeps two invariants:
   live page, subresource and edge (``_live``); past that it is rebuilt
   from the graph.
 
-A trim leaves no parentless subresource and no childless subdomain, and
-``update`` only adds links, so later orphans and empty subdomains can
-only be the children and parents of what a trim removes or unlinks.  A
-graph that never trims (``sim-speculative``, ``predict.replay`` without
-a window) builds no index.
+A graph has no parentless subresource and no childless subdomain:
+``update`` only adds links, a trim removes what it orphans, and
+``loads_repo`` rejects a file that holds either.  So the orphans and
+empty subdomains a trim makes can only be the children and parents of
+what it removes or unlinks.  A graph that never trims
+(``sim-speculative``, ``predict.replay`` without a window) builds no
+index.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class ResourceGraph:
         # in which the page requested that subresource.
         self.edge_seen: dict[tuple[int, int], float] = {}
         self._next_id = 0
-        self._init_derived()
-        self.website_id = self._add_node(NodeType.WEBSITE, site, None, 0.0)
-
-    def _init_derived(self) -> None:
         # The number of page-to-subresource edges, in the whole graph and
         # under each subdomain (kept by ``_link``, ``_unlink`` and
         # ``_remove_node``), so a scope's mean fan-out costs no scan.
@@ -124,6 +120,7 @@ class ResourceGraph:
         # The age index (see the module docstring); None until the
         # graph's first trim.
         self._age: _AgeIndex | None = None
+        self.website_id = self._add_node(NodeType.WEBSITE, site, None, 0.0)
 
     def page_edges(self, subdomain_id: int | None = None) -> int:
         """The page-to-subresource edges of the whole graph, or of the
@@ -181,7 +178,7 @@ class ResourceGraph:
     ) -> int:
         nid = self._next_id
         self._next_id += 1
-        self.nodes[nid] = GraphNode(
+        node = GraphNode(
             node_id=nid,
             node_type=node_type,
             url_or_name=key,
@@ -191,14 +188,20 @@ class ResourceGraph:
             parents=set(),
             children=set(),
         )
+        self._put(node)
+        return nid
+
+    def _put(self, node: GraphNode) -> None:
+        """Register a new, unlinked node under its id and key."""
+        nid, node_type = node.node_id, node.node_type
+        self.nodes[nid] = node
         index = self._index_of(node_type)
         if index is not None:
-            index[key] = nid
+            index[node.url_or_name] = nid
         if node_type is NodeType.SUBDOMAIN:
             self._page_edges_under[nid] = 0
         if self._unranked is not None and node_type is NodeType.SUBRESOURCE:
             self._unranked.add(nid)
-        return nid
 
     def _index_of(self, node_type: NodeType) -> dict[str, int] | None:
         """The key -> node id index for ``node_type``; None for the website."""
@@ -418,8 +421,8 @@ def trim(repo: MetadataRepository, now: float, max_age_days: float = 30.0) -> in
     website graphs.  Returns the number of nodes removed (cascades
     included).  A node exactly at the threshold survives.
 
-    A graph's first trim scans all of it and then builds its age index;
-    later trims pop only the index entries that crossed the window.
+    A graph's first trim builds its age index; every trim pops only the
+    index entries that crossed the window.
     Raises ``InvalidParams`` unless ``max_age_days`` is finite and >= 0.
     """
     _check_window(max_age_days)
@@ -428,37 +431,32 @@ def trim(repo: MetadataRepository, now: float, max_age_days: float = 30.0) -> in
     with repo.lock:
         for site in list(repo.graphs):
             graph = repo.graphs[site]
+            if graph._age is None:
+                graph._age = _AgeIndex(graph)
             removed += _trim_graph(graph, now, window)
             if not graph.nodes[graph.website_id].children:
                 del repo.graphs[site]
                 removed += 1
-            elif graph._age is None:
-                graph._age = _AgeIndex(graph)
     return removed
 
 
 def _trim_graph(graph: ResourceGraph, now: float, window: float) -> int:
-    """Trim one graph; returns the number of nodes removed.
+    """Trim one graph through its age index; returns the number of
+    nodes removed.
 
-    Without an age index every node and edge is a candidate, as a graph
-    fresh from ``loads_repo`` may hold anything.  With one, the
-    candidates are what the popped claims name, and only the children
-    and parents of what goes can become orphans or empty subdomains:
-    the graph had none after its last trim, and ``update`` only adds
-    links.  The removal rule is the same either way.
+    The candidates are what the popped claims name, and only the
+    children and parents of what goes can become orphans or empty
+    subdomains, as the graph has none to begin with.
     """
     webpage, subresource, subdomain = (
         NodeType.WEBPAGE, NodeType.SUBRESOURCE, NodeType.SUBDOMAIN
     )
     nodes, edge_seen, age = graph.nodes, graph.edge_seen, graph._age
-    if age is None:
-        candidates, edges = list(nodes), None
-    else:
-        candidates, edges = set(), []
-        for page_id, rids in age.pop_stale(now, window):
-            candidates.add(page_id)
-            candidates.update(rids)
-            edges.extend((page_id, rid) for rid in rids)
+    candidates, edges = set(), []
+    for page_id, rids in age.pop_stale(now, window):
+        candidates.add(page_id)
+        candidates.update(rids)
+        edges.extend((page_id, rid) for rid in rids)
     stale = [
         nid
         for nid in candidates
@@ -473,14 +471,12 @@ def _trim_graph(graph: ResourceGraph, now: float, window: float) -> int:
         children |= node.children
         parents |= node.parents
         graph._remove_node(nid)
-    for edge in list(edge_seen) if edges is None else edges:
+    for edge in edges:
         ts = edge_seen.get(edge)
         if ts is not None and now - ts > window:
             graph._unlink(*edge)
             children.add(edge[1])
             parents.add(edge[0])
-    if age is None:
-        children = parents = list(nodes)
     orphans = [
         nid
         for nid in children
@@ -499,7 +495,7 @@ def _trim_graph(graph: ResourceGraph, now: float, window: float) -> int:
     ]
     for nid in empty_subdomains:
         graph._remove_node(nid)
-    if age is not None and age.size > 3 * _live(graph):
+    if age.size > 3 * _live(graph):
         age.rebuild(graph)
     return len(stale) + len(orphans) + len(empty_subdomains)
 
@@ -616,23 +612,15 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
         raise CorruptRepository("graph without site key")
     if site in repo.graphs:
         raise CorruptRepository(f"duplicate graph for site {site}")
-    graph = ResourceGraph.__new__(ResourceGraph)
-    graph.site = site
-    graph.nodes = {}
-    graph.subdomain_index = {}
-    graph.page_index = {}
-    graph.sub_index = {}
-    graph.edge_seen = {}
-    graph._init_derived()
-    graph.website_id = -1
+    # The file numbers every node, the website included.
+    graph = ResourceGraph(site)
+    graph.nodes.clear()
     websites = 0
     for item in payload.get("nodes", []):
         try:
-            nid = int(item["i"])
-            node_type = NodeType(int(item["y"]))
             node = GraphNode(
-                node_id=nid,
-                node_type=node_type,
+                node_id=int(item["i"]),
+                node_type=NodeType(int(item["y"])),
                 url_or_name=str(item["u"]),
                 resource_kind=str(item["k"]) or None,
                 last_visit=float(item["t"]),
@@ -642,24 +630,20 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
             raise CorruptRepository(f"bad node record: {exc}") from exc
         if node.n_visits < 0:
             raise CorruptRepository("negative n_visits")
-        if nid in graph.nodes:
+        if node.node_id in graph.nodes:
             raise CorruptRepository("duplicate node id")
-        graph.nodes[nid] = node
-        index = graph._index_of(node_type)
+        index = graph._index_of(node.node_type)
         if index is None:
             websites += 1
-            graph.website_id = nid
+            graph.website_id = node.node_id
         elif node.url_or_name in index:
             # Each key names one node; a second one would be shadowed in
             # the index while still ranked and linked.
-            raise CorruptRepository(f"duplicate {node_type.name} {node.url_or_name}")
-        else:
-            index[node.url_or_name] = nid
-            if node_type is NodeType.SUBDOMAIN:
-                graph._page_edges_under[nid] = 0
+            raise CorruptRepository(f"duplicate {node.node_type.name} {node.url_or_name}")
+        graph._put(node)
     if websites != 1:
         raise CorruptRepository(f"graph for {site} has {websites} website nodes")
-    graph._next_id = max(graph.nodes) + 1 if graph.nodes else 0
+    graph._next_id = max(graph.nodes) + 1
     for edge in payload.get("edges", []):
         try:
             pid, cid, ts = int(edge[0]), int(edge[1]), edge[2]
@@ -679,6 +663,13 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
                 raise CorruptRepository(f"timed edge {ptype.name}->{ctype.name}")
             graph.edge_seen[(pid, cid)] = float(ts)
         graph._link(pid, cid)
+    # No parentless subresource or childless subdomain: ``dumps_repo``
+    # writes none, and ``trim`` looks for them only next to what it removes.
+    for node in graph.nodes.values():
+        if (node.node_type is NodeType.SUBRESOURCE and not node.parents) or (
+            node.node_type is NodeType.SUBDOMAIN and not node.children
+        ):
+            raise CorruptRepository(f"unlinked {node.node_type.name} {node.url_or_name}")
     repo.graphs[site] = graph
 
 

@@ -148,12 +148,9 @@ def evaluate_prediction(predicted, actually_requested) -> dict[str, float]:
 @dataclass(frozen=True)
 class VisitEvaluation:
     timestamp: float
-    url: str
     visit_class: VisitClass
-    n_predicted: int
     hit_ratio: float
     usefulness: float
-    predicted: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -212,12 +209,9 @@ def score_predictions(
         rows.append(
             VisitEvaluation(
                 timestamp=visit.timestamp,
-                url=visit.main.url,
                 visit_class=prediction.visit_class,
-                n_predicted=len(prediction.urls),
                 hit_ratio=scores["hit_ratio"],
                 usefulness=scores["usefulness"],
-                predicted=prediction.urls,
             )
         )
     t0 = rows[0].timestamp if rows else 0.0

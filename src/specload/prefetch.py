@@ -22,8 +22,6 @@ from .trace import Trace
 @dataclass
 class PopularityModel:
     counts: Counter
-    window_end: float
-    training_window_s: float
     top_k: int
 
 
@@ -74,8 +72,6 @@ class _SlidingWindow:
             raise EmptyWindow(f"no visits in window ending at {window_end}")
         return PopularityModel(
             counts=Counter(counts),
-            window_end=window_end,
-            training_window_s=self.training_window_s,
             top_k=self.top_k,
         )
 

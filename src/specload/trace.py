@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import SchemaError
 from .urls import normalize_url
@@ -299,11 +299,10 @@ class Trace:
         return len(self.visits)
 
 
-def save_trace(trace: Trace | Iterable[PageVisit], path) -> None:
+def save_trace(trace: Trace, path) -> None:
     """Write a trace as JSON Lines.  Deterministic byte output."""
-    visits = trace.visits if isinstance(trace, Trace) else list(trace)
     with open(path, "w", encoding="utf-8") as fh:
-        for visit in visits:
+        for visit in trace.visits:
             fh.write(json.dumps(visit.to_json(), sort_keys=True, separators=(",", ":")))
             fh.write("\n")
 

@@ -4,12 +4,14 @@ import argparse
 import csv
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
 
 import specload.graph as graph_module
 from specload.cli import main, parse_capacity, parse_connections, parse_trim_days
+from specload.graph import _MAGIC, NodeType
 from specload.predict import replay_predictor
 from specload.report import (
     CACHE_HEADER,
@@ -135,6 +137,8 @@ def test_version_flag(capsys):
         ("sim-speculative", "--trace", "t", "--rtt-ms", "nan"),
         ("sim-speculative", "--trace", "t", "--parse-ms", "-100"),
         ("sim-speculative", "--trace", "t", "--rtt-ms", "inf"),
+        ("fetch", "--url", "/index.html", "--repeat", "0"),
+        ("fetch", "--url", "/index.html", "--repeat", "-1"),
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -340,6 +344,30 @@ def test_graph_build_stats_trim(tmp_path, trace_path, capsys):
     )
     assert "removed" in capsys.readouterr().out
     assert trimmed.exists()
+
+
+@pytest.mark.parametrize("node_type", ["SUBRESOURCE", "SUBDOMAIN"])
+def test_graph_stats_and_trim_reject_an_unlinked_node(tmp_path, capsys, node_type):
+    # A page with one subresource, and node 4, which has no parent
+    # (a subresource) or no child (a subdomain).
+    nodes = [
+        {"i": 0, "y": 0, "u": "a.com", "k": "", "v": 1, "t": 0.0},
+        {"i": 1, "y": 1, "u": "a.com", "k": "", "v": 1, "t": 0.0},
+        {"i": 2, "y": 2, "u": "http://a.com/", "k": "html", "v": 1, "t": 0.0},
+        {"i": 3, "y": 3, "u": "http://a.com/x.js", "k": "script", "v": 1, "t": 0.0},
+        {"i": 4, "y": int(NodeType[node_type]), "u": "x.test", "k": "", "v": 1, "t": 0.0},
+    ]
+    edges = [[0, 1, None], [1, 2, None], [2, 3, 0.0]]
+    if node_type == "SUBDOMAIN":
+        edges.append([0, 4, None])
+    body = json.dumps({"site": "a.com", "nodes": nodes, "edges": edges}).encode()
+    data = _MAGIC + struct.pack(">II", 1, len(body)) + body
+    repo = tmp_path / "repo.bin"
+    repo.write_bytes(data)
+    for action in ("stats", "trim"):
+        assert run("graph", action, "--repo", str(repo)) == 1
+        assert f"error: unlinked {node_type} x.test" in capsys.readouterr().err
+    assert repo.read_bytes() == data
 
 
 def test_graph_build_serialises_once_and_reports_the_file_size(

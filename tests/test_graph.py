@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import struct
 import threading
 from dataclasses import replace
@@ -471,8 +472,9 @@ def test_stale_edge_orphans_a_fresh_subresource_under_the_index():
 
 def test_loaded_timestamps_on_other_edges_trim_like_the_reference():
     # ``dumps_repo`` times page->subresource edges only, so a file that
-    # times a subdomain->page edge is corrupt.  A file may hold orphans,
-    # and a subdomain must not be removed by its own age.
+    # times a subdomain->page edge is corrupt.  It writes no parentless
+    # subresource and no childless subdomain either, so a file that holds
+    # one is corrupt too.  A subdomain must not be removed by its own age.
     payload = {
         "site": "a.com",
         "nodes": [
@@ -484,8 +486,7 @@ def test_loaded_timestamps_on_other_edges_trim_like_the_reference():
             {"i": 4, "y": 2, "u": "http://www.a.com/b", "k": "html", "v": 1, "t": 100 * DAY},
             {"i": 5, "y": 1, "u": "m.a.com", "k": "", "v": 1, "t": 0.0},
             {"i": 6, "y": 2, "u": "http://m.a.com/", "k": "html", "v": 1, "t": 100 * DAY},
-            # Already parentless and childless on load: the first trim's
-            # scan removes them.
+            # Parentless and childless: each one makes the file corrupt.
             {"i": 7, "y": 3, "u": "http://www.a.com/orphan.js", "k": "script", "v": 1,
              "t": 100 * DAY},
             {"i": 8, "y": 1, "u": "cdn.a.com", "k": "", "v": 1, "t": 100 * DAY},
@@ -502,13 +503,21 @@ def test_loaded_timestamps_on_other_edges_trim_like_the_reference():
 
     with pytest.raises(CorruptRepository, match="timed edge SUBDOMAIN->WEBPAGE"):
         loads_repo(data())
-    payload["edges"] = [[p, c, None if c in (2, 6) else ts] for p, c, ts in payload["edges"]]
+    nodes = payload["nodes"]
+    edges = [[p, c, None if c in (2, 6) else ts] for p, c, ts in payload["edges"]]
+    unlinked = {7: "SUBRESOURCE http://www.a.com/orphan.js", 8: "SUBDOMAIN cdn.a.com"}
+    for nid, name in unlinked.items():
+        payload["nodes"] = [n for n in nodes if n["i"] < 7 or n["i"] == nid]
+        payload["edges"] = [e for e in edges if e[1] < 7 or e[1] == nid]
+        with pytest.raises(CorruptRepository, match=re.escape(f"unlinked {name}")):
+            loads_repo(data())
+    payload["nodes"] = [n for n in nodes if n["i"] < 7]
+    payload["edges"] = [e for e in edges if e[1] < 7]
     repo, ref = loads_repo(data()), loads_repo(data())
     assert_page_edges_recounted(repo)
     _run_against_reference(repo, ref, [("trim", 55 * DAY, 10.0), ("trim", 70 * DAY, 10.0)])
     assert_page_edges_recounted(repo)
     graph = repo.graphs["a.com"]
-    assert "http://www.a.com/orphan.js" not in graph.sub_index
     assert sorted(graph.subdomain_index) == ["m.a.com", "www.a.com"]
 
 

@@ -381,7 +381,9 @@ def test_predictions_kept_by_simulate_trace_score_like_replay_predictor():
     )
     trace = generate_synthetic(params)
     result = simulate_trace(trace, cache_state=CacheStore(), with_predictor=True)
-    learned = score_predictions(trace.visits, [p.prediction for p in result.pages])
+    kept = [p.prediction for p in result.pages]
+    assert kept == [prediction for _, prediction in replay(trace.visits)]
+    learned = score_predictions(trace.visits, kept)
     replayed = replay_predictor(trace)
     assert learned.per_visit == replayed.per_visit
     assert learned.weekly == replayed.weekly
