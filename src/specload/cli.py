@@ -131,7 +131,6 @@ def _emit(args, header, rows) -> None:
 
 def cmd_ingest(args) -> int:
     visits = import_har(args.har)
-    visits.sort(key=lambda v: v.timestamp)
     save_trace(Trace(visits=visits), args.out)
     print(f"wrote {len(visits)} visits to {args.out}")
     return 0

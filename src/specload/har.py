@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from datetime import datetime
 
-from .errors import SchemaError
+from .errors import MalformedUrl, SchemaError
 from .headers import directives_from_pairs, kind_from_mime
 from .trace import PageVisit, ResourceRecord
 from .urls import normalize_url
@@ -17,10 +18,20 @@ log = logging.getLogger(__name__)
 def _parse_iso(value: str | None) -> float | None:
     if not value:
         return None
+    if not isinstance(value, str):
+        raise SchemaError(f"HAR startedDateTime is not a string: {value!r}")
     try:
         return datetime.fromisoformat(value.replace("Z", "+00:00")).timestamp()
     except ValueError:
         return None
+
+
+def _number(value, name: str) -> float:
+    if value is None:
+        return 0.0
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaError(f"HAR {name} is not a finite number: {value!r}")
+    return value
 
 
 def _record_from_entry(entry: dict) -> ResourceRecord | None:
@@ -28,13 +39,13 @@ def _record_from_entry(entry: dict) -> ResourceRecord | None:
     response = entry.get("response", {})
     try:
         url = normalize_url(request.get("url", ""))
-    except Exception:
+    except MalformedUrl:
         return None
     content = response.get("content", {}) or {}
     size = content.get("size")
-    if size is None or size < 0:
-        size = response.get("bodySize", 0)
-    size = max(0, int(size or 0))
+    if size is None or _number(size, "content.size") < 0:
+        size = _number(response.get("bodySize"), "bodySize")
+    size = max(0, int(size))
     return ResourceRecord(
         url=url,
         kind=kind_from_mime(content.get("mimeType", "")),
@@ -57,7 +68,7 @@ def import_har(path) -> list[PageVisit]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not a HAR file: {exc.msg}") from exc
-    logdoc = doc.get("log")
+    logdoc = doc.get("log") if isinstance(doc, dict) else None
     if not isinstance(logdoc, dict):
         raise SchemaError("not a HAR file: missing log object")
     pages = logdoc.get("pages", []) or []
@@ -89,7 +100,7 @@ def import_har(path) -> list[PageVisit]:
             continue
         main_entry, main = records[main_idx]
         main_start = _parse_iso(main_entry.get("startedDateTime")) or 0.0
-        main_end = main_start + float(main_entry.get("time", 0) or 0) / 1000.0
+        main_end = main_start + _number(main_entry.get("time"), "time") / 1000.0
         subs: list[ResourceRecord] = []
         offsets: list[float] = []
         seen = {main.url}

@@ -1,17 +1,17 @@
 """Live page fetching over real HTTP, legacy or speculative.
 
 ``fetch_page`` drives the simulator's scheduler (``sim.PageScheduler``)
-in real time, so a live page load and a simulated one make the same
-loading decisions.  The main resource has a connection of its own, and
-subresources share the other ``max_connections - 1``.  The legacy flow
-loads subresources as parsing the main resource reveals them.  The
-speculative (tempo) flow asks the predictor first and starts the planned
-loads while the main resource is still in flight; a connection that
-frees up goes to the next queued load at once.  When the HTML parses,
-queued loads the page does not need are dropped, and the ones it needs
-that nobody predicted join the queue; a load already in flight runs to
-completion and is reported ``mispredicted`` if the page did not need it;
-its bytes are ``overhead_bytes``, by the simulator's rule.
+in real time and only issues its loads, so a live page load and a
+simulated one make the same decisions.  The main resource has a
+connection of its own, and subresources share the other
+``max_connections - 1``.  The legacy flow loads subresources as parsing
+the main resource reveals them.  The speculative (tempo) flow asks the
+predictor first and starts the planned loads while the main resource is
+still in flight; a connection that frees up goes to the next queued load
+at once.  When the HTML parses, queued loads the page does not need are
+dropped, and the ones it needs that nobody predicted join the queue; a
+load already in flight runs to completion and is reported ``mispredicted``
+if the page did not need it (its bytes are ``overhead_bytes``).
 
 Each connection is one ``requests.Session``, opened when first needed
 and reused for the rest of the page; every connection and worker thread
@@ -105,7 +105,6 @@ class ResourceLoad:
     t_start_ms: float
     t_end_ms: float
     kind: str = "other"
-    redirects: int = 0
     error: str | None = None
 
 
@@ -203,7 +202,7 @@ class _PageLoad(PageScheduler):
                     self.idle.append(http)
                     self.finish()
 
-    def _issue(self, job: _Job) -> None:
+    def _issue(self, job: _Job) -> bool:
         session, url, is_main = self.session, job.url, job.is_main
         kind = self.kinds.get(url, "other")
         t_start = self._ms()
@@ -219,18 +218,16 @@ class _PageLoad(PageScheduler):
         if outcome is LookupOutcome.FRESH_HIT and usable:
             record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, now)
             self._done(job, ResourceLoad(url, "fresh", 0, t_start, self._ms(), kind), record, page)
-            return
+            return False
         revalidate = usable and outcome is LookupOutcome.EXPIRED_REVALIDATE
         validator = entry.validator if revalidate else None
-        http = None
-        if not is_main:
-            self.free -= 1
-            http = self.idle.pop() if self.idle else None
+        http = self.idle.pop() if self.idle and not is_main else None
         if http is None:
             http = self.connections.enter_context(requests.Session())
             http.max_redirects = MAX_REDIRECTS
         request = (http, url, kind, t_start, is_main, entry, validator)
         self.inflight[self.pool.submit(self._request, *request)] = (job, http)
+        return True
 
     def _request(self, http, url, kind, t_start, is_main, entry, validator):
         """Send one request on the connection ``http`` and take in the
@@ -252,14 +249,13 @@ class _PageLoad(PageScheduler):
             return row, None, None
         finally:
             session._exit_network()
-        redirects = len(resp.history)
         etag = resp.headers.get("ETag")
         if resp.status_code == 304 and entry is not None:
             record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, time.time())
             with session._cache_lock:
                 admit(session.cache, record, time.time(), validator=etag or entry.validator)
             page = session._bodies.get(url) if is_main else None
-            row = ResourceLoad(url, "revalidated", 0, t_start, self._ms(), kind, redirects)
+            row = ResourceLoad(url, "revalidated", 0, t_start, self._ms(), kind)
             return row, record, page
 
         body = resp.content or b""
@@ -273,7 +269,7 @@ class _PageLoad(PageScheduler):
             admit(session.cache, record, time.time(), validator=etag)
             if is_main:
                 session._bodies[url] = page
-        row = ResourceLoad(url, "fetched", len(body), t_start, self._ms(), kind, redirects)
+        row = ResourceLoad(url, "fetched", len(body), t_start, self._ms(), kind)
         return row, record, page
 
     def _done(self, job: _Job, row: ResourceLoad, record, page) -> None:

@@ -11,7 +11,7 @@ resource, on every connection except the one it holds, the rest waiting
 in plan order, then revises the waiting queue the moment parsing reveals
 what the page really needs; mispredicted loads already in flight run to
 completion and occupy their connection, while queued mispredictions are
-dropped unissued.  These decisions are ``PageScheduler``'s alone, and
+dropped unissued.  ``PageScheduler`` alone makes these decisions, and
 ``live.fetch_page`` drives the same ones over real connections.
 
 Page delay is the end of the last *required* response: the main
@@ -137,7 +137,7 @@ _FINISH, _PARSE, _READY = range(3)
 class _Job:
     url: str
     # Queue order: speculative loads by plan rank, then discovered loads
-    # by document index (offset by the number of speculative loads).
+    # by document index (offset by the number of jobs before the parse).
     priority: int
     is_main: bool = False
     required: bool = False
@@ -156,15 +156,15 @@ class PageScheduler:
     drives them in virtual time, ``live.fetch_page`` in real time.
 
     One connection belongs to the main resource for the whole page
-    load; subresources contend for the other ``max_connections - 1``.
-    Keeping the pools separate is what makes the speculative head start
-    show up as a pure left shift of the subresource schedule.  A driver implements ``_issue``: look the job up in the cache now,
-    and complete it as a fresh hit (``done_ms`` set) or put it on a
-    connection, taking one from ``free`` unless it is the main resource;
-    ``body_bytes`` is what it transfers.  It calls ``plan``, then
-    ``start`` with loads that are ready, ``finish`` when a subresource
-    load ends and ``parse`` when the main resource has parsed;
-    ``delay_ms`` and ``overhead_bytes`` once nothing is in flight.
+    load; subresources contend for the other ``max_connections - 1``
+    (``free``), which only ``start`` and ``finish`` count.  Keeping the
+    pools separate makes the speculative head start a pure left shift
+    of the subresource schedule.  A driver implements ``_issue``: look
+    the job up in the cache now, and return False for a fresh hit
+    (``done_ms`` set) or True once it is on a connection (``body_bytes``
+    is what it transfers).  It issues the main resource, calls ``plan``,
+    then ``start`` with ready loads, ``finish`` when a subresource load
+    ends and ``parse`` once the main resource has parsed.
     """
 
     def __init__(self, main_url: str, max_connections: int):
@@ -173,30 +173,31 @@ class PageScheduler:
         self.main = _Job(main_url, 0, is_main=True, required=True)
         self.jobs: dict[str, _Job] = {main_url: self.main}
         self.queue: list[tuple[int, _Job]] = []
-        self.canceled: set[str] = set()
-        self._n_speculative = 0
+        self.parsed = False
 
-    def _issue(self, job: _Job) -> None:
+    def _issue(self, job: _Job) -> bool:
         raise NotImplementedError
 
     def start(self, jobs: Iterable[_Job]) -> None:
-        """Start loads that are ready now, in order: each onto a free
-        connection, else into the queue."""
+        """Start ready loads in order, each onto a free connection or else
+        into the queue; once the page has parsed, drop those it does not need."""
         for job in jobs:
-            if self.free > 0:
-                self._issue(job)
-            else:
+            if self.parsed and not job.required:
+                continue
+            if self.free <= 0:
                 heapq.heappush(self.queue, (job.priority, job))
+            elif self._issue(job):
+                self.free -= 1
 
     def finish(self) -> None:
         """A subresource load has ended: its connection goes to the
-        queued loads in priority order.  A canceled load is dropped, and
-        one that turns out fresh takes no connection."""
+        queued loads in priority order, as in ``start``; one that turns
+        out fresh takes no connection."""
         self.free += 1
         while self.queue and self.free > 0:
             _, job = heapq.heappop(self.queue)
-            if job.url not in self.canceled:
-                self._issue(job)
+            if (job.required or not self.parsed) and self._issue(job):
+                self.free -= 1
 
     def plan(self, prediction: Prediction, cache, now: float) -> list[_Job]:
         """New jobs for the URLs ``plan_loads`` keeps of ``prediction``,
@@ -207,22 +208,16 @@ class PageScheduler:
             if url not in jobs:
                 jobs[url] = job = _Job(url, len(new))
                 new.append(job)
-        self._n_speculative = len(new)
         return new
 
     def parse(self, urls: Sequence[str]) -> list[_Job | None]:
         """The parsed page needs ``urls``, in document order: mark them
-        required and cancel every speculative load it does not need.  A
-        queued one is dropped unissued; one already on a connection
-        finishes on its own.  Returns, per URL, the new job that loads
-        it, or None when a job exists, for the driver to start."""
+        required, so that queued loads it does not need are dropped.
+        Returns, per URL, the new job that loads it (ranked after every
+        existing job), or None when a job exists, for the driver to start."""
+        self.parsed = True
         jobs = self.jobs
-        if self._n_speculative:
-            actual = set(urls)
-            self.canceled.update(
-                url for url, job in jobs.items() if job.done_ms is None and url not in actual
-            )
-        base = self._n_speculative
+        base = len(jobs)
         new: list[_Job | None] = []
         for i, url in enumerate(urls):
             job = jobs.get(url)
@@ -288,12 +283,12 @@ class _Engine(PageScheduler):
         self._seq += 1
         heapq.heappush(self.events, (t, self._seq, kind, job))
 
-    def _issue(self, job: _Job) -> None:
+    def _issue(self, job: _Job) -> bool:
         now = self.now
         outcome = self.cache_state.lookup(job.url, self.visit.timestamp + now / 1000.0)
         if outcome is LookupOutcome.FRESH_HIT:
             job.done_ms = now
-            return
+            return False
         net = self.net
         duration = net.rtt_ms
         if outcome is not LookupOutcome.EXPIRED_REVALIDATE:
@@ -305,12 +300,12 @@ class _Engine(PageScheduler):
             duration += self._main_extra_ms
             scale = self._main_scale
         else:
-            self.free -= 1
             scale = self._sub_scale
         if scale is not None:
             duration *= scale
         self._seq += 1
         heapq.heappush(self.events, (now + duration, self._seq, _FINISH, job))
+        return True
 
     def _ready(self, loads: list[tuple[_Job, float]]) -> None:
         """Make each job ready at its time.  With no other event due now,
@@ -390,7 +385,6 @@ class _Engine(PageScheduler):
             self._speculate()
 
         events = self.events
-        canceled = self.canceled
         admit = self.cache_state.admit
         timestamp = self.visit.timestamp
         pop = heapq.heappop
@@ -407,7 +401,7 @@ class _Engine(PageScheduler):
                     self.finish()
             elif kind == _PARSE:
                 self._on_parse(t)
-            elif job.url not in canceled:
+            else:
                 self.start((job,))
 
         self.cache_state.page_complete()

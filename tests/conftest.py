@@ -52,9 +52,9 @@ class IssueRecorder(PageScheduler):
         super().__init__("http://s/page.html", max_connections)
         self.issued: list[str] = []
 
-    def _issue(self, job) -> None:
-        self.free -= 1
+    def _issue(self, job) -> bool:
         self.issued.append(job.url)
+        return True
 
     def queued(self) -> list[str]:
         """The queued URLs in pop order."""

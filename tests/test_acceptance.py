@@ -23,7 +23,7 @@ from specload.cache import CacheStore, admit, replay_cache_sim
 from specload.cli import main as cli_main
 from specload.errors import InvalidParams
 from specload.fixture import fixture_server
-from specload.graph import MetadataRepository, repo_stats, trim, update
+from specload.graph import History, MetadataRepository, repo_stats, trim, update
 from specload.live import FetchSession, fetch_page
 from specload.predict import (
     Prediction,
@@ -351,7 +351,7 @@ def test_06_priority_and_queue_conformance():
             violations += 1
         # A connection still free takes the revised queue's head at once.
         started = scheduler.issued[len(issued) :]
-        waiting = [u for u in scheduler.queued() if u not in scheduler.canceled]
+        waiting = [u for u in scheduler.queued() if scheduler.jobs[u].required]
         if tuple(started + waiting) != revise_queue(issued, queued, needed):
             violations += 1
 
@@ -435,18 +435,13 @@ def test_08_live_fixture_speedup():
 
 
 def test_09_repository_footprint():
+    # Learned with the once-a-day trim that ``graph build --trim-days``
+    # and the replay use.
     trace = generate_synthetic(SynthParams(visits=10_000, seed=0))
-    repo = MetadataRepository()
-    last_day: int | None = None
+    history = History(30.0)
     for v in trace.visits:
-        update(repo, v)
-        day = int(v.timestamp // DAY)
-        if last_day is None:
-            last_day = day
-        elif day > last_day:
-            trim(repo, now=v.timestamp, max_age_days=30.0)
-            last_day = day
-    stats = repo_stats(repo)
+        history.learn(v)
+    stats = repo_stats(history.repo)
     assert stats.n_websites == 10
     assert stats.serialized_size_bytes <= 1_000_000
     _ok(

@@ -417,6 +417,15 @@ def test_ingest_har(tmp_path, capsys):
     assert len(load_trace(out).visits) == 1
 
 
+def test_ingest_of_a_malformed_har_exits_1(tmp_path, capsys):
+    har = tmp_path / "cap.har"
+    har.write_text("[]")
+    out = tmp_path / "har.jsonl"
+    assert run("ingest", str(har), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: not a HAR file")
+    assert not out.exists()
+
+
 def test_fetch_against_fixture(tmp_path, capsys):
     spec = tmp_path / "fixture.json"
     spec.write_text(

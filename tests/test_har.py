@@ -156,3 +156,33 @@ def test_rejects_non_har_files(tmp_path):
     no_log = _write_har(tmp_path, {"notlog": {}})
     with pytest.raises(SchemaError):
         import_har(no_log)
+
+
+def _with_main_entry(**changes):
+    """A one-page HAR document whose HTML entry has ``changes`` applied."""
+    entry = _entry("p", "http://s.test/", "text/html", "2024-03-01T10:00:00.000Z")
+    for path, value in changes.items():
+        *parents, key = path.split("__")
+        target = entry
+        for name in parents:
+            target = target[name]
+        target[key] = value
+    page = {"id": "p", "startedDateTime": "2024-03-01T10:00:00.000Z"}
+    return {"log": {"pages": [page], "entries": [entry]}}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"log": {}}],
+        _with_main_entry(response__content__size="12"),
+        _with_main_entry(response__content__size=float("inf")),
+        _with_main_entry(response__bodySize="12", response__content__size=-1),
+        _with_main_entry(time="fast"),
+        _with_main_entry(startedDateTime=1709287200),
+    ],
+    ids=["array", "string-size", "infinite-size", "string-body-size", "string-time", "numeric-start"],
+)
+def test_malformed_har_is_a_schema_error(tmp_path, doc):
+    with pytest.raises(SchemaError, match="HAR"):
+        import_har(_write_har(tmp_path, doc))

@@ -10,7 +10,7 @@ from urllib.parse import urlsplit
 import pytest
 import requests
 
-from specload import sim
+from specload import live, sim
 from specload.cache import CacheStore, LookupOutcome
 from specload.errors import InvalidParams, MainResourceFailed
 from specload.fixture import fixture_server
@@ -259,7 +259,7 @@ def test_subresources_resolve_against_the_redirected_url():
         (base + "/old", "fetched"),
         (base + "/new/a.js", "fetched"),
     ]
-    assert report.resources[0].redirects == 1
+    assert server.paths[:2] == ["/old", "/new/p.html"]
     assert "/a.js" not in server.paths and "/new/a.js" in server.paths
 
 
@@ -483,9 +483,17 @@ def _simulate_like(report, subresources: list[str], connections: int):
 
 @pytest.mark.parametrize("connections", [2, 4])
 @pytest.mark.parametrize("mode", ["legacy", "tempo"])
-def test_live_loads_are_scheduled_as_simulated(mode, connections):
+def test_live_loads_are_scheduled_as_simulated(mode, connections, monkeypatch):
     # Every load goes to the network.  Legacy over 4 connections must
     # hold its fourth script until one of the other three is in.
+    loads = []
+
+    class KeptPageLoad(live._PageLoad):
+        def __init__(self, *args):
+            super().__init__(*args)
+            loads.append(self)
+
+    monkeypatch.setattr(live, "_PageLoad", KeptPageLoad)
     with fixture_server(_DIFF_SPEC) as srv:
         session = FetchSession(max_connections=connections)
         if mode == "legacy":
@@ -511,3 +519,7 @@ def test_live_loads_are_scheduled_as_simulated(mode, connections):
     assert abs(report.delay_ms - delay) <= DIFF_TOLERANCE_MS
     # Both drivers count wasted bytes by the scheduler's one rule.
     assert report.overhead_bytes == engine.overhead_bytes == (500 if mode == "tempo" else 0)
+    # Every subresource connection came back, and nothing waits.
+    (load,) = loads
+    for scheduler in (load, engine):
+        assert scheduler.free == connections - 1 and not scheduler.queue

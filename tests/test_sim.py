@@ -575,6 +575,8 @@ def _run_both(pages, state, net, connections, scales, known):
             for mode, mode_state in modes:
                 eng = engine(v, mode, mode_state, net, connections, known, scales)
                 delay = eng.run()
+                # Every subresource connection came back, and nothing waits.
+                assert eng.free == connections - 1 and not eng.queue
                 results.append((delay, eng.overhead_bytes, eng.ready_at))
         runs.append((results, log))
     return runs
