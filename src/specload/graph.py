@@ -507,7 +507,7 @@ class History:
     a visit on a later day (``timestamp // 86400``) than the last trim,
     or than the first visit, then trims the repository with ``now`` at
     that visit's timestamp.  ``graph build --trim-days``, ``predict.replay``
-    and everything built on it share this rule.
+    and what is built on it, and ``live.FetchSession`` share this rule.
     """
 
     def __init__(self, trim_days: float | None = None):

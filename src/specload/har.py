@@ -34,14 +34,19 @@ def _number(value, name: str) -> float:
     return value
 
 
+def _objects(items, name: str) -> list[dict]:
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise SchemaError(f"HAR {name} must hold only objects")
+    return items
+
+
 def _record_from_entry(entry: dict) -> ResourceRecord | None:
-    request = entry.get("request", {})
-    response = entry.get("response", {})
+    request, response = _objects([entry.get("request", {}), entry.get("response", {})], "entry")
     try:
         url = normalize_url(request.get("url", ""))
     except MalformedUrl:
         return None
-    content = response.get("content", {}) or {}
+    (content,) = _objects([response.get("content") or {}], "response")
     size = content.get("size")
     if size is None or _number(size, "content.size") < 0:
         size = _number(response.get("bodySize"), "bodySize")
@@ -50,7 +55,7 @@ def _record_from_entry(entry: dict) -> ResourceRecord | None:
         url=url,
         kind=kind_from_mime(content.get("mimeType", "")),
         size_bytes=size,
-        cache_directives=directives_from_pairs(response.get("headers", [])),
+        cache_directives=directives_from_pairs(_objects(response.get("headers") or [], "headers")),
         fetched_at=_parse_iso(entry.get("startedDateTime")) or 0.0,
     )
 
@@ -71,8 +76,8 @@ def import_har(path) -> list[PageVisit]:
     logdoc = doc.get("log") if isinstance(doc, dict) else None
     if not isinstance(logdoc, dict):
         raise SchemaError("not a HAR file: missing log object")
-    pages = logdoc.get("pages", []) or []
-    entries = logdoc.get("entries", []) or []
+    pages = _objects(logdoc.get("pages") or [], "pages")
+    entries = _objects(logdoc.get("entries") or [], "entries")
 
     by_page: dict[str, list[dict]] = {p.get("id"): [] for p in pages if p.get("id")}
     dropped = 0

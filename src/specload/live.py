@@ -15,11 +15,13 @@ if the page did not need it (its bytes are ``overhead_bytes``).
 
 Each connection is one ``requests.Session``, opened when first needed
 and reused for the rest of the page; every connection and worker thread
-is closed before ``fetch_page`` returns.  A request is looked up in the
-cache when it is issued, with the same semantics as the simulators: a
-fresh entry is served locally and takes no connection, an expired one
-revalidates with a conditional request, and no-store responses sit in
-the temporary cache until the page completes.
+is closed before ``fetch_page`` returns.  The pool's threads only send
+requests; the calling thread owns the session's cache, kept bodies and
+history.  It takes in every response, and looks every request up in
+the cache as the simulators do: a fresh entry is served locally, an
+expired one revalidates, and no-store responses sit in the temporary
+cache until the page completes.  The page is then learned through
+``graph.History``, as in the replays.
 
 Proxies follow the usual environment variables (HTTP_PROXY and friends,
 honored by requests); the User-Agent comes from SPECLOAD_UA when set.
@@ -40,7 +42,7 @@ import requests
 
 from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
 from .errors import InvalidParams, MainResourceFailed, MalformedUrl
-from .graph import MetadataRepository, update
+from .graph import History
 from .headers import directives_from_mapping, kind_from_mime
 from .predict import predict
 from .sim import PageScheduler, _check_connections, _Job
@@ -124,19 +126,20 @@ class LoadReport:
 
 @dataclass
 class FetchSession:
-    """Shared state across page fetches: cache, graph, connection bound."""
+    """One client across page fetches: cache, history, connection bound.
 
-    repo: MetadataRepository = field(default_factory=MetadataRepository)
+    Used by one thread at a time, which owns the cache, the kept bodies
+    and the history; each page is learned with ``history.learn``.
+    """
+
+    history: History = field(default_factory=History)
     cache: CacheStore = field(default_factory=CacheStore)
     max_connections: int = 4
     timeout_s: float = 10.0
-    user_agent: str = field(
-        default_factory=lambda: os.environ.get("SPECLOAD_UA", "specload/0.1")
-    )
+    user_agent: str = field(default_factory=lambda: os.environ.get("SPECLOAD_UA", "specload/0.1"))
 
     def __post_init__(self):
         _check_connections(self.max_connections)
-        self._cache_lock = threading.RLock()
         self._inflight_lock = threading.Lock()
         self._inflight = 0
         self.max_inflight_seen = 0
@@ -156,7 +159,7 @@ class FetchSession:
 class _PageLoad(PageScheduler):
     """One page fetch: the scheduler's decisions on real connections.
 
-    The calling thread issues every load and handles every completion;
+    The calling thread issues every load and takes in every response;
     the pool's threads run ``_request``, each on a connection of its own.
     """
 
@@ -170,10 +173,10 @@ class _PageLoad(PageScheduler):
         self.t0 = time.perf_counter()
         self.kinds = {url: "html"}
         self.rows: dict[str, ResourceLoad] = {}
-        self.page: tuple[str, bytes] | None = None
         self.actual: list[str] = []
         self.predicted: tuple[str, ...] = ()
-        self.inflight: dict[Future, tuple[_Job, requests.Session]] = {}
+        # Future -> (job, connection, kind, start ms, cache entry).
+        self.inflight: dict[Future, tuple] = {}
         self.idle: list[requests.Session] = []
 
     def _ms(self) -> float:
@@ -183,19 +186,17 @@ class _PageLoad(PageScheduler):
         session, main = self.session, self.main
         self._issue(main)
         if mode == "tempo":
-            prediction = predict(session.repo, main.url)
+            prediction = predict(session.history.repo, main.url)
             self.predicted = prediction.urls
-            with session._cache_lock:
-                new = self.plan(prediction, session.cache, time.time())
-            self.start(new)
+            self.start(self.plan(prediction, session.cache, time.time()))
         if main.done_ms is not None:
             self._parse()
         inflight = self.inflight
         while inflight:
             done, _ = wait(inflight, return_when=FIRST_COMPLETED)
             for future in [f for f in inflight if f in done]:
-                job, http = inflight.pop(future)
-                self._done(job, *future.result())
+                job, http, *request = inflight.pop(future)
+                self._received(job, *request, *future.result())
                 if job.is_main:
                     self._parse()
                 else:
@@ -206,85 +207,80 @@ class _PageLoad(PageScheduler):
         session, url, is_main = self.session, job.url, job.is_main
         kind = self.kinds.get(url, "other")
         t_start = self._ms()
-        with session._cache_lock:
-            now = time.time()
-            outcome = lookup(session.cache, url, now)
-            entry = session.cache.temp.get(url) or session.cache.entries.get(url)
-            page = session._bodies.get(url) if is_main else None
+        now = time.time()
+        outcome = lookup(session.cache, url, now)
+        entry = session.cache.temp.get(url) or session.cache.entries.get(url)
         # A main resource without a kept body (say, first fetched as a
         # subresource), fresh or not, needs a full response to parse, so
         # it sends no validator: a 304 would leave nothing to parse.
-        usable = entry is not None and (page is not None or not is_main)
+        usable = entry is not None and (url in session._bodies or not is_main)
         if outcome is LookupOutcome.FRESH_HIT and usable:
             record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, now)
-            self._done(job, ResourceLoad(url, "fresh", 0, t_start, self._ms(), kind), record, page)
+            self._done(job, ResourceLoad(url, "fresh", 0, t_start, self._ms(), kind), record)
             return False
         revalidate = usable and outcome is LookupOutcome.EXPIRED_REVALIDATE
-        validator = entry.validator if revalidate else None
+        headers = {"User-Agent": session.user_agent}
+        if revalidate and entry.validator:
+            headers["If-None-Match"] = entry.validator
         http = self.idle.pop() if self.idle and not is_main else None
         if http is None:
             http = self.connections.enter_context(requests.Session())
             http.max_redirects = MAX_REDIRECTS
-        request = (http, url, kind, t_start, is_main, entry, validator)
-        self.inflight[self.pool.submit(self._request, *request)] = (job, http)
+        future = self.pool.submit(self._request, http, url, headers)
+        self.inflight[future] = (job, http, kind, t_start, entry)
         return True
 
-    def _request(self, http, url, kind, t_start, is_main, entry, validator):
-        """Send one request on the connection ``http`` and take in the
-        response: returns the report row, the observed record (None on
-        error), and for a main resource the page: the URL its body came
-        from after any redirects, and the body.  ``entry`` is the cache
-        entry a 304 refreshes; ``validator`` makes the request
-        conditional."""
+    def _request(self, http, url, headers):
+        """Send one request on ``http``, touching nothing of the session
+        but its network counter.  Returns the response as its status,
+        headers, body and final URL (a ``requests.Response`` would hold its
+        connection open), or the ``requests`` exception; and the end time."""
         session = self.session
-        headers = {"User-Agent": session.user_agent}
-        if validator:
-            headers["If-None-Match"] = validator
         session._enter_network()
         try:
             resp = http.get(url, headers=headers, timeout=session.timeout_s)
         except requests.RequestException as exc:
-            error = type(exc).__name__
-            row = ResourceLoad(url, "error", 0, t_start, self._ms(), kind, error=error)
-            return row, None, None
+            return exc, self._ms()
         finally:
             session._exit_network()
-        etag = resp.headers.get("ETag")
-        if resp.status_code == 304 and entry is not None:
-            record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, time.time())
-            with session._cache_lock:
-                admit(session.cache, record, time.time(), validator=etag or entry.validator)
-            page = session._bodies.get(url) if is_main else None
-            row = ResourceLoad(url, "revalidated", 0, t_start, self._ms(), kind)
-            return row, record, page
+        return (resp.status_code, resp.headers, resp.content or b"", resp.url), self._ms()
 
-        body = resp.content or b""
-        mime_kind = kind_from_mime(resp.headers.get("Content-Type"))
+    def _received(self, job: _Job, kind: str, t_start: float, entry, response, t_end: float):
+        """Take in the response to ``job``'s request: the record, its cache
+        admit, the main resource's kept body and the report row.  ``entry``
+        is the cache entry a 304 refreshes."""
+        session, url, is_main = self.session, job.url, job.is_main
+        if isinstance(response, requests.RequestException):
+            row = ResourceLoad(url, "error", 0, t_start, t_end, kind, error=type(response).__name__)
+            return self._done(job, row, None)
+        status, headers, body, final_url = response
+        now, etag = time.time(), headers.get("ETag")
+        if status == 304 and entry is not None:
+            record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, now)
+            admit(session.cache, record, now, validator=etag or entry.validator)
+            row = ResourceLoad(url, "revalidated", 0, t_start, t_end, kind)
+            return self._done(job, row, record)
+        mime_kind = kind_from_mime(headers.get("Content-Type"))
         if not is_main and mime_kind != "other":
             kind = mime_kind
-        directives = directives_from_mapping(resp.headers)
-        record = ResourceRecord(url, kind, len(body), directives, time.time())
-        page = (resp.url, body) if is_main else None
-        with session._cache_lock:
-            admit(session.cache, record, time.time(), validator=etag)
-            if is_main:
-                session._bodies[url] = page
-        row = ResourceLoad(url, "fetched", len(body), t_start, self._ms(), kind)
-        return row, record, page
+        record = ResourceRecord(url, kind, len(body), directives_from_mapping(headers), now)
+        admit(session.cache, record, now, validator=etag)
+        if is_main:
+            session._bodies[url] = (final_url, body)
+        row = ResourceLoad(url, "fetched", len(body), t_start, t_end, kind)
+        self._done(job, row, record)
 
-    def _done(self, job: _Job, row: ResourceLoad, record, page) -> None:
+    def _done(self, job: _Job, row: ResourceLoad, record) -> None:
         job.done_ms = row.t_end_ms
         job.record = record
         job.body_bytes = row.bytes
         self.rows[job.url] = row
-        if job.is_main:
-            if row.outcome == "error" or record is None or page is None:
-                raise MainResourceFailed(job.url, row.error or "no body")
-            self.page = page
+        if job.is_main and (record is None or job.url not in self.session._bodies):
+            raise MainResourceFailed(job.url, row.error or "no body")
 
     def _parse(self) -> None:
         # Relative references resolve against where the page ended up.
-        final_url, body = self.page
+        final_url, body = self.session._bodies[self.main.url]
         main_url = self.main.url
         found = [(u, k) for u, k in extract_subresources(body, final_url) if u != main_url]
         self.kinds.update(found)
@@ -298,8 +294,8 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
     ``mode`` is "legacy" or "tempo".  Page delay is the end of the last
     required response (main resource plus actual subresources); loads of
     mispredicted URLs still in flight at the parse are waited for and
-    only show up in the byte accounting.  The cache and the resource
-    graph see the observed visit exactly as the replay tooling would.
+    only show up in the byte accounting.  The cache and the session's
+    history see the observed visit exactly as the replay tooling would.
     """
     if mode not in ("legacy", "tempo"):
         raise InvalidParams(f"unknown mode {mode!r}: expected 'legacy' or 'tempo'")
@@ -314,12 +310,11 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
         if row.outcome in ("fetched", "revalidated"):
             row.outcome = "mispredicted"
 
-    with session._cache_lock:
-        page_complete(session.cache)
-        # A body is only read back for a hit on a cached entry.
-        session._bodies = {u: b for u, b in session._bodies.items() if u in session.cache.entries}
+    page_complete(session.cache)
+    # A body is only read back for a hit on a cached entry.
+    session._bodies = {u: b for u, b in session._bodies.items() if u in session.cache.entries}
     observed = tuple(jobs[u].record for u in load.actual if jobs[u].record is not None)
-    update(session.repo, PageVisit("live", time.time(), load.main.record, observed))
+    session.history.learn(PageVisit("live", time.time(), load.main.record, observed))
 
     return LoadReport(
         url=url,

@@ -397,7 +397,7 @@ def test_08_live_fixture_speedup():
             cold = FetchSession()  # no graph, no cache
             legacy_delays.append(fetch_page(cold, url, mode="legacy").delay_ms)
         for _ in range(20):
-            warm = FetchSession(repo=learner.repo)  # knows the graph, cold cache
+            warm = FetchSession(history=learner.history)  # knows the graph, cold cache
             tempo_delays.append(fetch_page(warm, url, mode="tempo").delay_ms)
     legacy_median = statistics.median(legacy_delays)
     tempo_median = statistics.median(tempo_delays)
@@ -421,7 +421,7 @@ def test_08_live_fixture_speedup():
             srv.url("/__mutate"),
             json={"pages": {"/p.html": {"subresources": ["/keep.js", "/new.js"]}}},
         )
-        warm = FetchSession(repo=learner.repo)
+        warm = FetchSession(history=learner.history)
         report = fetch_page(warm, url, mode="tempo")
         mispredicted = [r for r in report.resources if r.outcome == "mispredicted"]
         assert [r.url for r in mispredicted] == [srv.url("/old.js")]

@@ -180,8 +180,16 @@ def _with_main_entry(**changes):
         _with_main_entry(response__bodySize="12", response__content__size=-1),
         _with_main_entry(time="fast"),
         _with_main_entry(startedDateTime=1709287200),
+        {"log": {"pages": [1], "entries": []}},
+        {"log": {"pages": [], "entries": [1]}},
+        _with_main_entry(request=[]),
+        _with_main_entry(response__headers=[1]),
+        _with_main_entry(response__content=5),
     ],
-    ids=["array", "string-size", "infinite-size", "string-body-size", "string-time", "numeric-start"],
+    ids=[
+        "array", "string-size", "infinite-size", "string-body-size", "string-time", "numeric-start",
+        "number-page", "number-entry", "array-request", "number-header", "number-content",
+    ],
 )
 def test_malformed_har_is_a_schema_error(tmp_path, doc):
     with pytest.raises(SchemaError, match="HAR"):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 from urllib.parse import urlsplit
 
 import pytest
@@ -14,7 +15,7 @@ from specload import live, sim
 from specload.cache import CacheStore, LookupOutcome
 from specload.errors import InvalidParams, MainResourceFailed
 from specload.fixture import fixture_server
-from specload.graph import MetadataRepository, update
+from specload.graph import History
 from specload.live import FetchSession, extract_subresources, fetch_page
 from specload.predict import Prediction, VisitClass, predict
 from specload.sim import NetworkParams, _Engine, simulate_trace
@@ -86,7 +87,7 @@ def test_legacy_fetch_learns_and_caches():
         assert first.delay_ms >= max(r.t_end_ms for r in first.resources) - 1e-6
 
         # the graph saw the visit
-        pred = predict(session.repo, page_url)
+        pred = predict(session.history.repo, page_url)
         assert pred.visit_class is VisitClass.REVISIT
         assert set(pred.urls) == {srv.url("/a.js"), srv.url("/b.css"), srv.url("/c.png")}
 
@@ -114,7 +115,7 @@ def test_tempo_overlaps_subresources_with_main():
         page_url = srv.url("/p.html")
         fetch_page(learner, page_url, mode="legacy")
 
-        warm = FetchSession(repo=learner.repo)  # knows the graph, cold cache
+        warm = FetchSession(history=learner.history)  # knows the graph, cold cache
         report = fetch_page(warm, page_url, mode="tempo")
         assert set(report.predicted) == {srv.url("/a.js"), srv.url("/b.js")}
         by_url = {r.url: r for r in report.resources}
@@ -144,7 +145,7 @@ def test_tempo_accounts_mispredicted_bytes():
             srv.url("/__mutate"),
             json={"pages": {"/p.html": {"subresources": ["/a.js", "/c.js"]}}},
         )
-        warm = FetchSession(repo=learner.repo)
+        warm = FetchSession(history=learner.history)
         report = fetch_page(warm, page_url, mode="tempo")
 
         by_url = {r.url: r for r in report.resources}
@@ -153,6 +154,34 @@ def test_tempo_accounts_mispredicted_bytes():
         assert by_url[srv.url("/c.js")].outcome == "fetched"
         mispredicted = [r for r in report.resources if r.outcome == "mispredicted"]
         assert report.overhead_bytes == sum(r.bytes for r in mispredicted) == 3000
+
+
+@pytest.mark.parametrize("trim_days, kept", [(1, False), (None, True)])
+def test_session_history_window_forgets_what_the_page_dropped(monkeypatch, trim_days, kept):
+    # The page drops /old.js, and the session's next visits come two days
+    # later by its clock: a one-day window no longer predicts /old.js, an
+    # unbounded history still does.
+    clock = [time.time()]
+    monkeypatch.setattr(
+        live, "time", SimpleNamespace(time=lambda: clock[0], perf_counter=time.perf_counter)
+    )
+    spec = {
+        "delay_ms": 0,
+        "pages": {"/p.html": {"subresources": ["/keep.js", "/old.js"]}},
+        "resources": {"/keep.js": {"size": 100}, "/old.js": {"size": 100}},
+    }
+    with fixture_server(spec) as srv:
+        session = FetchSession(history=History(trim_days))
+        page_url = srv.url("/p.html")
+        fetch_page(session, page_url, mode="legacy")
+        requests.post(
+            srv.url("/__mutate"), json={"pages": {"/p.html": {"subresources": ["/keep.js"]}}}
+        )
+        clock[0] += 2 * 86400
+        fetch_page(session, page_url, mode="legacy")
+        report = fetch_page(session, page_url, mode="tempo")
+    assert srv.url("/keep.js") in report.predicted
+    assert (srv.url("/old.js") in report.predicted) is kept
 
 
 def test_connection_bound_is_respected():
@@ -297,6 +326,38 @@ def test_unknown_mode_is_rejected_before_any_request():
 # --- connections and threads -------------------------------------------
 
 
+def test_the_calling_thread_owns_the_session(monkeypatch):
+    # The pool's threads only send requests: the cache, the prediction and
+    # the learning all happen on the thread that calls fetch_page.
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("lookup", "admit", "page_complete", "predict"):
+        monkeypatch.setattr(live, name, recorded(name, getattr(live, name)))
+    monkeypatch.setattr(History, "learn", recorded("learn", History.learn))
+    with fixture_server(CACHING_SPEC) as srv:
+        session = FetchSession()
+        page_url = srv.url("/index.html")
+        first = fetch_page(session, page_url, mode="legacy")
+        second = fetch_page(session, page_url, mode="tempo")
+    assert {r.outcome for r in first.resources} == {"fetched"}
+    by_url = {r.url: r.outcome for r in second.resources}
+    assert by_url == {
+        page_url: "revalidated",
+        srv.url("/a.js"): "fresh",
+        srv.url("/b.css"): "revalidated",
+        srv.url("/c.png"): "fetched",  # no-store
+    }
+    assert [name for name, thread in calls if thread is not threading.current_thread()] == []
+    assert {name for name, _ in calls} == {"lookup", "admit", "page_complete", "predict", "learn"}
+
+
 class _PortLoggingHandler(BaseHTTPRequestHandler):
     """Keep-alive; logs (client port, path).  /p.html loads /a.js, /b.js
     and /c.js; /dead.html drops the connection unanswered; /slow.js
@@ -384,12 +445,12 @@ def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads,
     assert not any(t.is_alive() for t in started_threads)
 
     # The main resource fails while a speculative load is in flight.
-    repo = MetadataRepository()
+    history = History()
     main = ResourceRecord(base + "/dead.html", "html", 100)
-    update(repo, PageVisit("u", 0.0, main, (ResourceRecord(base + "/slow.js", "script", 6),)))
+    history.learn(PageVisit("u", 0.0, main, (ResourceRecord(base + "/slow.js", "script", 6),)))
     del started_threads[:]
     with pytest.raises(MainResourceFailed):
-        fetch_page(FetchSession(repo=repo), base + "/dead.html", mode="tempo")
+        fetch_page(FetchSession(history=history), base + "/dead.html", mode="tempo")
     assert started_threads
     assert not any(t.is_alive() for t in started_threads)
     assert sorted(path for _, path in server.log[-2:]) == ["/dead.html", "/slow.js"]
@@ -501,7 +562,7 @@ def test_live_loads_are_scheduled_as_simulated(mode, connections, monkeypatch):
         else:
             url = srv.url("/t.html")
             learned = tuple(ResourceRecord(srv.url(p), kind, 500) for p, kind in _LEARNED)
-            update(session.repo, PageVisit("u", 0.0, ResourceRecord(url, "html", 500), learned))
+            session.history.learn(PageVisit("u", 0.0, ResourceRecord(url, "html", 500), learned))
         report = fetch_page(session, url, mode=mode)
     needed = [r.url for r in report.resources[1:] if r.outcome != "mispredicted"]
     assert needed == [srv.url(p) for p in _DIFF_PAGES[urlsplit(url).path]]
