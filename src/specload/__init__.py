@@ -57,11 +57,9 @@ from .sim import (
     EXPIRED,
     FRESH,
     NetworkParams,
-    OperationClass,
     SimResult,
     simulate_page,
     simulate_trace,
-    whatif_scale,
 )
 from .synth import SynthParams, generate_synthetic
 from .trace import (
@@ -94,7 +92,6 @@ __all__ = [
     "MalformedUrl",
     "MetadataRepository",
     "NetworkParams",
-    "OperationClass",
     "PageVisit",
     "PopularityModel",
     "PortInUse",
@@ -132,5 +129,4 @@ __all__ = [
     "simulate_trace",
     "trim",
     "update",
-    "whatif_scale",
 ]

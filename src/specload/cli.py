@@ -97,7 +97,7 @@ parse_time_ms = _bounded(float, "time", lambda t: 0 <= t < math.inf, "must be fi
 def _net_from(args) -> NetworkParams:
     return NetworkParams(
         rtt_ms=args.rtt_ms,
-        parse_ms=getattr(args, "parse_ms", 100.0),
+        parse_ms=args.parse_ms,
     )
 
 

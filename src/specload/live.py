@@ -156,6 +156,16 @@ class FetchSession:
             self._inflight -= 1
 
 
+def _close_pools(http: requests.Session) -> None:
+    """Close every connection pool of ``http`` and its sockets.
+    ``Session.close`` only drops the pools, which leaves their sockets to
+    the garbage collector."""
+    for adapter in http.adapters.values():
+        for manager in (adapter.poolmanager, *adapter.proxy_manager.values()):
+            for key in manager.pools.keys():
+                manager.pools[key].close()
+
+
 class _PageLoad(PageScheduler):
     """One page fetch: the scheduler's decisions on real connections.
 
@@ -226,6 +236,7 @@ class _PageLoad(PageScheduler):
         if http is None:
             http = self.connections.enter_context(requests.Session())
             http.max_redirects = MAX_REDIRECTS
+            self.connections.callback(_close_pools, http)
         future = self.pool.submit(self._request, http, url, headers)
         self.inflight[future] = (job, http, kind, t_start, entry)
         return True

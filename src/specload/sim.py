@@ -72,7 +72,6 @@ import traceback
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import closing
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TypeVar
 
 from .cache import LookupOutcome
@@ -121,12 +120,6 @@ class Uniform:
 FRESH = Uniform(LookupOutcome.FRESH_HIT)
 EXPIRED = Uniform(LookupOutcome.EXPIRED_REVALIDATE)
 EMPTY = Uniform(LookupOutcome.MISS)
-
-
-class OperationClass(Enum):
-    MAIN_FETCH = "main_fetch"
-    PARSE = "parse"
-    SUBRESOURCE_FETCH = "subresource_fetch"
 
 
 # Event kinds.  A tie in time is broken by push order, never by kind.
@@ -245,8 +238,8 @@ class PageScheduler:
 
 
 class _Engine(PageScheduler):
-    """The simulator's driver: an event heap in virtual time, and the
-    durations of ``net``, scaled per operation class by ``scales``."""
+    """The simulator's driver: an event heap in virtual time, with every
+    duration taken from ``net`` (round trips, transfer and parse time)."""
 
     def __init__(
         self,
@@ -256,7 +249,6 @@ class _Engine(PageScheduler):
         net: NetworkParams,
         max_connections: int,
         known_records: Mapping[str, ResourceRecord] | None,
-        scales: dict[OperationClass, float],
     ):
         super().__init__(visit.main.url, max_connections)
         self.main.record = visit.main
@@ -271,12 +263,6 @@ class _Engine(PageScheduler):
         self.events: list[tuple[float, int, int, _Job | None]] = []
         self.ready_at: dict[str, float] = {}
         self._seq = 0
-        # An unscaled class keeps None: multiplying by 1.0 is exact, so
-        # skipping it changes no duration.
-        self._main_scale = scales.get(OperationClass.MAIN_FETCH)
-        self._sub_scale = scales.get(OperationClass.SUBRESOURCE_FETCH)
-        parse_scale = scales.get(OperationClass.PARSE)
-        self._parse_ms = net.parse_ms if parse_scale is None else net.parse_ms * parse_scale
         self._main_extra_ms = net.main_extra_rtts * net.rtt_ms
 
     def _push_event(self, t: float, kind: int, job: _Job | None) -> None:
@@ -298,11 +284,6 @@ class _Engine(PageScheduler):
             duration += size * 1000.0 / net.bandwidth_bytes_per_s
         if job.is_main:
             duration += self._main_extra_ms
-            scale = self._main_scale
-        else:
-            scale = self._sub_scale
-        if scale is not None:
-            duration *= scale
         self._seq += 1
         heapq.heappush(self.events, (now + duration, self._seq, _FINISH, job))
         return True
@@ -380,7 +361,7 @@ class _Engine(PageScheduler):
         main = self.main
         self._issue(main)
         if main.done_ms is not None:
-            self._push_event(main.done_ms + self._parse_ms, _PARSE, None)
+            self._push_event(main.done_ms + self.net.parse_ms, _PARSE, None)
         if self.prediction is not None:
             self._speculate()
 
@@ -396,7 +377,7 @@ class _Engine(PageScheduler):
                 if job.record is not None:
                     admit(job.record, timestamp + t / 1000.0)
                 if job.is_main:
-                    self._push_event(t + self._parse_ms, _PARSE, None)
+                    self._push_event(t + self.net.parse_ms, _PARSE, None)
                 else:
                     self.finish()
             elif kind == _PARSE:
@@ -423,30 +404,7 @@ def simulate_page(
     records, for sizing speculative loads of URLs this visit does not
     request; it is only read with ``get``.
     """
-    return _Engine(visit, prediction, cache_state, net, max_connections, known_records, {}).run()
-
-
-def whatif_scale(
-    visit: PageVisit,
-    operation_class: OperationClass,
-    scale: float,
-    net: NetworkParams = DEFAULT_NET,
-    cache_state=EMPTY,
-    prediction: Prediction | None = None,
-    max_connections: int = 4,
-    known_records: Mapping[str, ResourceRecord] | None = None,
-) -> float:
-    """Re-run the page with every duration of one operation class scaled.
-
-    Everything that waits on a scaled operation shifts accordingly;
-    nothing else changes.  ``scale`` must be finite and non-negative;
-    1.0 replays the unmodified page.
-    """
-    if not 0 <= scale < math.inf:
-        raise InvalidParams(f"scale must be finite and >= 0, not {scale}")
-    scales = {operation_class: scale}
-    engine = _Engine(visit, prediction, cache_state, net, max_connections, known_records, scales)
-    return engine.run()
+    return _Engine(visit, prediction, cache_state, net, max_connections, known_records).run()
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Kept as the reference the differential test in ``test_sim.py`` compares
 the lean engine against: the same delays, ``overhead_bytes`` and
 ``ready_at``, and the same sequence of cache ``lookup``/``admit``/
 ``page_complete`` calls.  Every ready load takes a round trip through
-the event heap here, and every duration goes through ``_scaled``.
+the event heap here, and every duration is computed from ``net`` in
+``_duration_ms``.
 
 It plans with its own copy of the old ``plan_loads``, which split the
 plan into ``immediate`` and ``waiting`` loads by the connection bound;
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from specload.cache import LookupOutcome
 from specload.errors import InvalidParams
 from specload.predict import Prediction
-from specload.sim import NetworkParams, OperationClass
+from specload.sim import NetworkParams
 from specload.trace import PageVisit, ResourceRecord
 
 
@@ -96,7 +97,6 @@ class _Engine:
         net: NetworkParams,
         max_connections: int,
         known_records: Mapping[str, ResourceRecord] | None,
-        scales: dict[OperationClass, float],
     ):
         if max_connections < 2:
             raise InvalidParams("max_connections must be >= 2 (one is held for the main resource)")
@@ -105,7 +105,6 @@ class _Engine:
         self.cache_state = cache_state
         self.net = net
         self.max_connections = max_connections
-        self.scales = scales
         # Read with ``get`` only: copying it per page would make a
         # trace replay quadratic in its length.
         self.known = known_records if known_records is not None else {}
@@ -132,9 +131,6 @@ class _Engine:
     def _now_s(self) -> float:
         return self.visit.timestamp + self.now / 1000.0
 
-    def _scaled(self, op: OperationClass, duration: float) -> float:
-        return duration * self.scales.get(op, 1.0)
-
     def _duration_ms(self, job: _Job, outcome: LookupOutcome) -> float:
         rtt = self.net.rtt_ms
         if outcome is LookupOutcome.EXPIRED_REVALIDATE:
@@ -146,8 +142,7 @@ class _Engine:
             base = rtt + size * 1000.0 / self.net.bandwidth_bytes_per_s
         if job.is_main:
             base += self.net.main_extra_rtts * rtt
-            return self._scaled(OperationClass.MAIN_FETCH, base)
-        return self._scaled(OperationClass.SUBRESOURCE_FETCH, base)
+        return base
 
     def _issue(self, job: _Job) -> bool:
         """Classify and start a job now; False means it resolved as a
@@ -174,7 +169,7 @@ class _Engine:
         heapq.heappush(self.queue, (job.priority, self._next(), job))
 
     def _on_main_done(self, main: _Job) -> None:
-        parse_t = (main.done_ms or 0.0) + self._scaled(OperationClass.PARSE, self.net.parse_ms)
+        parse_t = (main.done_ms or 0.0) + self.net.parse_ms
         self._push_event(parse_t, "parse", None)
 
     def _on_parse(self, parse_t: float) -> None:

@@ -10,6 +10,7 @@ from urllib.parse import urlsplit
 
 import pytest
 import requests
+import urllib3
 
 from specload import live, sim
 from specload.cache import CacheStore, LookupOutcome
@@ -440,6 +441,17 @@ def _wait_for_one_thread(timeout_s: float = 5.0) -> None:
 
 def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads, monkeypatch):
     server, base = port_logging_server
+    # Every connection pool, so that each can be seen closed without
+    # the garbage collector's help.
+    pools = []
+    new_pool = urllib3.PoolManager._new_pool
+
+    def record_pool(self, *args, **kwargs):
+        pool = new_pool(self, *args, **kwargs)
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(urllib3.PoolManager, "_new_pool", record_pool)
     fetch_page(FetchSession(max_connections=3), base + "/p.html")
     assert started_threads
     assert not any(t.is_alive() for t in started_threads)
@@ -454,6 +466,7 @@ def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads,
     assert started_threads
     assert not any(t.is_alive() for t in started_threads)
     assert sorted(path for _, path in server.log[-2:]) == ["/dead.html", "/slow.js"]
+    assert pools and all(pool.pool is None for pool in pools)
 
     server.shutdown()
     _wait_for_one_thread()
@@ -538,7 +551,7 @@ def _simulate_like(report, subresources: list[str], connections: int):
     known = {url: ResourceRecord(url, "script", 500) for url in report.predicted}
     timeline = _Timeline()
     visit = PageVisit("u", 0.0, main, subs)
-    engine = _Engine(visit, prediction, timeline, net, connections, known, {})
+    engine = _Engine(visit, prediction, timeline, net, connections, known)
     return engine.run(), engine, timeline
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specload.graph as graph_module
 from specload.cache import CacheStore, admit
 from specload.errors import InvalidParams
 from specload.graph import (
@@ -541,3 +542,27 @@ def test_trimming_replay_predicts_like_build_then_predict(trim_days):
     assert scored == score_predictions(visits, predictions)
     simulated = simulate_trace(trace, with_predictor=True, trim_days=trim_days)
     assert [page.prediction for page in simulated.pages] == predictions
+
+
+def test_a_window_longer_than_the_trace_trims_nothing(monkeypatch):
+    trace = generate_synthetic(
+        SynthParams(n_sites=3, pages_per_site=20, subresources_per_page=6, visits=300, seed=9)
+    )
+    visits = trace.visits
+    span_days = (visits[-1].timestamp - visits[0].timestamp) / 86400.0
+    assert span_days > 3
+    removed = []
+
+    def counted_trim(repo, now, max_age_days):
+        removed.append(trim(repo, now, max_age_days))
+        return removed[-1]
+
+    monkeypatch.setattr(graph_module, "trim", counted_trim)
+    windowed = list(replay(visits, span_days + 1))
+    # The window's path ran once a day, and removed nothing.
+    assert len(removed) >= 3 and not any(removed)
+    assert windowed == list(replay(visits, None))
+
+    untrimmed = simulate_trace(trace, with_predictor=True)
+    trimmed = simulate_trace(trace, with_predictor=True, trim_days=span_days + 1)
+    assert trimmed.pages == untrimmed.pages

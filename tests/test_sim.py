@@ -27,11 +27,9 @@ from specload.sim import (
     EXPIRED,
     FRESH,
     NetworkParams,
-    OperationClass,
     _Engine,
     simulate_page,
     simulate_trace,
-    whatif_scale,
 )
 from specload.synth import SynthParams, generate_synthetic
 from specload.trace import CacheDirectives, PageVisit, ResourceRecord, Trace, load_trace
@@ -123,7 +121,7 @@ def test_fresh_cache_is_a_wash():
 
 
 def _engine(v, mode, cache_state=EMPTY, connections=4, known=None):
-    return _Engine(v, mode, cache_state, NetworkParams(), connections, known, {})
+    return _Engine(v, mode, cache_state, NetworkParams(), connections, known)
 
 
 def test_inflight_misprediction_runs_to_completion():
@@ -198,21 +196,7 @@ def test_predicting_the_main_url_changes_nothing():
     )
 
 
-# --- what-if scaling --------------------------------------------------
-
-
-def test_whatif_scale_hand_values():
-    v = page(1, size=0)
-    base = simulate_page(v)
-    assert base == 700.0
-    assert whatif_scale(v, OperationClass.PARSE, 1.0) == base
-    assert whatif_scale(v, OperationClass.PARSE, 0.0) == 600.0
-    assert whatif_scale(v, OperationClass.PARSE, 2.0) == 800.0
-    assert whatif_scale(v, OperationClass.MAIN_FETCH, 0.5) == 500.0
-    assert whatif_scale(v, OperationClass.SUBRESOURCE_FETCH, 2.0) == 900.0
-    for bad in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(InvalidParams):
-            whatif_scale(v, OperationClass.PARSE, bad)
+# --- network parameters -----------------------------------------------
 
 
 def test_network_params_reject_out_of_range_values():
@@ -560,7 +544,7 @@ class _Recording:
         self.inner.page_complete()
 
 
-def _run_both(pages, state, net, connections, scales, known):
+def _run_both(pages, state, net, connections, known):
     """Run every page in legacy and speculative mode on each engine,
     each mode on its own copy of ``state``; per engine, return every
     page's delay, overhead bytes and ready times, and the call log."""
@@ -573,7 +557,7 @@ def _run_both(pages, state, net, connections, scales, known):
         for v, prediction in pages:
             modes = ((None, legacy_state), (prediction, spec_state))
             for mode, mode_state in modes:
-                eng = engine(v, mode, mode_state, net, connections, known, scales)
+                eng = engine(v, mode, mode_state, net, connections, known)
                 delay = eng.run()
                 # Every subresource connection came back, and nothing waits.
                 assert eng.free == connections - 1 and not eng.queue
@@ -641,23 +625,12 @@ def _diff_cases(draw):
         parse_ms=draw(st.sampled_from([0.0, 35.5, 100.0])),
         main_extra_rtts=draw(st.integers(0, 3)),
     )
-    scales = draw(
-        st.one_of(
-            st.just({}),
-            st.dictionaries(
-                st.sampled_from(list(OperationClass)),
-                st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-                min_size=1,
-                max_size=1,
-            ),
-        )
-    )
     # Sizes for mispredicted loads; URLs missing here load with size 0.
     known = {
         url: draw(_diff_record(url, "script", 0.0))
         for url in draw(st.lists(st.sampled_from(_DIFF_POOL), unique=True))
     }
-    return pages, state, net, draw(st.integers(2, 6)), scales, known
+    return pages, state, net, draw(st.integers(2, 6)), known
 
 
 @settings(max_examples=400, deadline=None)
@@ -667,12 +640,12 @@ def test_engine_matches_the_reference_engine(case):
     assert lean == reference
     # The plan is the old plan's URLs, immediate then waiting, against a
     # cache state that evolves from page to page.
-    pages, state, net, connections, scales, known = case
+    pages, state, net, connections, known = case
     spec_state = state.fork()
     for v, prediction in pages:
         old = reference_plan_loads(prediction, spec_state, v.timestamp, connections)
         assert plan_loads(prediction, spec_state, v.timestamp) == tuple(old.all_urls())
-        ReferenceEngine(v, prediction, spec_state, net, connections, known, scales).run()
+        ReferenceEngine(v, prediction, spec_state, net, connections, known).run()
 
 
 def test_finish_and_parse_at_one_instant_keep_heap_order():
@@ -694,14 +667,14 @@ def test_finish_and_parse_at_one_instant_keep_heap_order():
     v = PageVisit("u", 0.0, rec(f"{site}/p", kind="html", size=0), (a, f, c))
     prediction = Prediction(tuple(f"{site}/{n}.js" for n in "afbed"), VisitClass.REVISIT)
     log: list = []
-    eng = _Engine(v, prediction, _Recording(EMPTY, log), net, 5, known, {})
+    eng = _Engine(v, prediction, _Recording(EMPTY, log), net, 5, known)
     delay = eng.run()
     d = f"{site}/d.js"
     assert eng.jobs[d].done_ms == eng.jobs[v.main.url].done_ms + net.parse_ms == 200.0
     calls = [entry[:2] for entry in log]
     assert calls.index(("admit", d)) < calls.index(("lookup", c.url))
     assert delay == 250.0
-    lean, reference = _run_both([(v, prediction)], EMPTY, net, 5, {}, known)
+    lean, reference = _run_both([(v, prediction)], EMPTY, net, 5, known)
     assert lean == reference
 
 
@@ -715,11 +688,11 @@ def test_finish_and_later_ready_at_one_instant_keep_heap_order():
     v = PageVisit("u", 0.0, rec(f"{site}/p", kind="html", size=0), (a, b), (0.0, 50.0))
     prediction = Prediction((a.url, b.url), VisitClass.REVISIT)
     log: list = []
-    eng = _Engine(v, prediction, _Recording(EMPTY, log), net, 4, {}, {})
+    eng = _Engine(v, prediction, _Recording(EMPTY, log), net, 4, {})
     eng.run()
     calls = [entry[:3] for entry in log]
     assert calls.index(("lookup", b.url, 0.05)) < calls.index(("admit", a.url, 0.05))
-    lean, reference = _run_both([(v, prediction)], EMPTY, net, 4, {}, {})
+    lean, reference = _run_both([(v, prediction)], EMPTY, net, 4, {})
     assert lean == reference
 
 
@@ -737,11 +710,11 @@ def test_misprediction_canceled_while_its_ready_event_waits_never_loads():
     net = NetworkParams(parse_ms=0.0)
     log: list = []
     state = _Recording(store.fork(), log)
-    eng = _Engine(v, prediction, state, net, 4, known, {})
+    eng = _Engine(v, prediction, state, net, 4, known)
     eng.run()
     assert ("lookup", wrong) not in [entry[:2] for entry in log]
     assert eng.jobs[wrong].done_ms is None and eng.overhead_bytes == 0
-    lean, reference = _run_both([(v, prediction)], store, net, 4, {}, known)
+    lean, reference = _run_both([(v, prediction)], store, net, 4, known)
     assert lean == reference
 
 
@@ -754,11 +727,11 @@ def test_queued_load_that_turns_out_fresh_leaves_its_connection_free():
     admit(store, x, now=0.0)
     a, b = rec("http://q.example/a.js", size=0), rec("http://q.example/b.js", size=0)
     v = PageVisit("u", 1.0, rec("http://q.example/p", kind="html", size=0), (a, x, b))
-    eng = _Engine(v, None, store.fork(), NetworkParams(), 2, {}, {})
+    eng = _Engine(v, None, store.fork(), NetworkParams(), 2, {})
     assert eng.run() == 900.0
     assert eng.jobs[x.url].done_ms == 700.0
     prediction = Prediction((), VisitClass.UNKNOWN)
-    lean, reference = _run_both([(v, prediction)], store, NetworkParams(), 2, {}, {})
+    lean, reference = _run_both([(v, prediction)], store, NetworkParams(), 2, {})
     assert lean == reference
 
 
