@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from email.utils import parsedate_to_datetime
 
+from requests.structures import CaseInsensitiveDict
+
 from .trace import CacheDirectives
 
 
@@ -53,19 +55,11 @@ def directives_from_mapping(headers) -> CacheDirectives:
     )
 
 
-class _PairMapping:
-    """Adapter: HAR-style [{name, value}] lists as a header mapping."""
-
-    def __init__(self, pairs):
-        self._pairs = pairs or []
-
-    def get(self, name: str, default=None):
-        name = name.lower()
-        for h in self._pairs:
-            if str(h.get("name", "")).lower() == name:
-                return str(h.get("value", ""))
-        return default
-
-
 def directives_from_pairs(pairs: list) -> CacheDirectives:
-    return directives_from_mapping(_PairMapping(pairs))
+    """Cache directives from HAR-style [{name, value}] pairs.  A repeated
+    name's values join with ", ", as in a live response's headers."""
+    headers = CaseInsensitiveDict()
+    for h in pairs or []:
+        name, value = str(h.get("name", "")), str(h.get("value", ""))
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    return directives_from_mapping(headers)

@@ -16,12 +16,13 @@ if the page did not need it (its bytes are ``overhead_bytes``).
 Each connection is one ``requests.Session``, opened when first needed
 and reused for the rest of the page; every connection and worker thread
 is closed before ``fetch_page`` returns.  The pool's threads only send
-requests; the calling thread owns the session's cache, kept bodies and
-history.  It takes in every response, and looks every request up in
-the cache as the simulators do: a fresh entry is served locally, an
-expired one revalidates, and no-store responses sit in the temporary
-cache until the page completes.  The page is then learned through
-``graph.History``, as in the replays.
+requests and touch no session state; the calling thread owns the
+session's cache, kept bodies, history and ``max_inflight_seen``.  It
+takes in every response, and looks every request up in the cache as
+the simulators do: a fresh entry is served locally, an expired one
+revalidates, and no-store responses sit in the temporary cache until
+the page completes.  The page is then learned through ``graph.History``,
+as in the replays.
 
 Proxies follow the usual environment variables (HTTP_PROXY and friends,
 honored by requests); the User-Agent comes from SPECLOAD_UA when set.
@@ -30,7 +31,6 @@ honored by requests); the User-Agent comes from SPECLOAD_UA when set.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
@@ -130,6 +130,8 @@ class FetchSession:
 
     Used by one thread at a time, which owns the cache, the kept bodies
     and the history; each page is learned with ``history.learn``.
+    ``max_inflight_seen`` is the most requests ever on connections and
+    not yet taken in by that thread.
     """
 
     history: History = field(default_factory=History)
@@ -140,20 +142,9 @@ class FetchSession:
 
     def __post_init__(self):
         _check_connections(self.max_connections)
-        self._inflight_lock = threading.Lock()
-        self._inflight = 0
         self.max_inflight_seen = 0
         # Page URL -> (the URL the body came from after redirects, body).
         self._bodies: dict[str, tuple[str, bytes]] = {}
-
-    def _enter_network(self):
-        with self._inflight_lock:
-            self._inflight += 1
-            self.max_inflight_seen = max(self.max_inflight_seen, self._inflight)
-
-    def _exit_network(self):
-        with self._inflight_lock:
-            self._inflight -= 1
 
 
 def _close_pools(http: requests.Session) -> None:
@@ -166,11 +157,27 @@ def _close_pools(http: requests.Session) -> None:
                 manager.pools[key].close()
 
 
+def _request(http: requests.Session, url: str, headers: dict, timeout_s: float, t0: float):
+    """Send one request on ``http``; a pool thread runs this and holds
+    nothing else.  Returns the response as its status, headers, body and
+    final URL (a ``requests.Response`` would hold its connection open), or
+    the ``requests`` exception's class name; and the end time in ms after
+    ``t0``."""
+    try:
+        resp = http.get(url, headers=headers, timeout=timeout_s)
+    except requests.RequestException as exc:
+        response = type(exc).__name__
+    else:
+        response = (resp.status_code, resp.headers, resp.content or b"", resp.url)
+    return response, (time.perf_counter() - t0) * 1000.0
+
+
 class _PageLoad(PageScheduler):
     """One page fetch: the scheduler's decisions on real connections.
 
     The calling thread issues every load and takes in every response;
-    the pool's threads run ``_request``, each on a connection of its own.
+    the pool's threads run ``_request``, each on a connection of its own,
+    and hold no reference to the page load or the session.
     """
 
     def __init__(self, session: FetchSession, url: str):
@@ -237,32 +244,18 @@ class _PageLoad(PageScheduler):
             http = self.connections.enter_context(requests.Session())
             http.max_redirects = MAX_REDIRECTS
             self.connections.callback(_close_pools, http)
-        future = self.pool.submit(self._request, http, url, headers)
+        future = self.pool.submit(_request, http, url, headers, session.timeout_s, self.t0)
         self.inflight[future] = (job, http, kind, t_start, entry)
+        session.max_inflight_seen = max(session.max_inflight_seen, len(self.inflight))
         return True
-
-    def _request(self, http, url, headers):
-        """Send one request on ``http``, touching nothing of the session
-        but its network counter.  Returns the response as its status,
-        headers, body and final URL (a ``requests.Response`` would hold its
-        connection open), or the ``requests`` exception; and the end time."""
-        session = self.session
-        session._enter_network()
-        try:
-            resp = http.get(url, headers=headers, timeout=session.timeout_s)
-        except requests.RequestException as exc:
-            return exc, self._ms()
-        finally:
-            session._exit_network()
-        return (resp.status_code, resp.headers, resp.content or b"", resp.url), self._ms()
 
     def _received(self, job: _Job, kind: str, t_start: float, entry, response, t_end: float):
         """Take in the response to ``job``'s request: the record, its cache
         admit, the main resource's kept body and the report row.  ``entry``
         is the cache entry a 304 refreshes."""
         session, url, is_main = self.session, job.url, job.is_main
-        if isinstance(response, requests.RequestException):
-            row = ResourceLoad(url, "error", 0, t_start, t_end, kind, error=type(response).__name__)
+        if isinstance(response, str):
+            row = ResourceLoad(url, "error", 0, t_start, t_end, kind, error=response)
             return self._done(job, row, None)
         status, headers, body, final_url = response
         now, etag = time.time(), headers.get("ETag")

@@ -10,10 +10,14 @@ numbers next to their limits.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import statistics
+import subprocess
+import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -379,15 +383,36 @@ def test_07_trim_matches_rebuild():
     _ok(7, "trim oracle equivalence", "update-then-trim == rebuild on 100 random traces")
 
 
-def test_08_live_fixture_speedup():
+FIXTURE_SERVER = Path(__file__).resolve().parent.parent / "perfbench" / "fixture_server.py"
+
+
+@contextmanager
+def fixture_process(spec: dict, tmp_path: Path):
+    """Serve ``spec`` from a child process, whose server work does not
+    share the client's interpreter lock; yields the base URL."""
+    spec_path = tmp_path / "fixture.json"
+    spec_path.write_text(json.dumps(spec))
+    root = FIXTURE_SERVER.parent.parent
+    command = [sys.executable, str(FIXTURE_SERVER), str(root), str(spec_path)]
+    with subprocess.Popen(
+        command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+    ) as proc:
+        try:
+            yield f"http://127.0.0.1:{int(proc.stdout.readline())}"
+        finally:
+            proc.stdin.close()
+            proc.stdout.read()
+
+
+def test_08_live_fixture_speedup(tmp_path):
     subs = [f"/r{i}.js" for i in range(6)]
     spec = {
         "delay_ms": 100,
         "pages": {"/index.html": {"subresources": subs}},
         "resources": {s: {"size": 2000} for s in subs},
     }
-    with fixture_server(spec) as srv:
-        url = srv.url("/index.html")
+    with fixture_process(spec, tmp_path) as base:
+        url = base + "/index.html"
         learner = FetchSession()
         fetch_page(learner, url, mode="legacy")
 

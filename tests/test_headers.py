@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from requests.structures import CaseInsensitiveDict
+from urllib3 import HTTPHeaderDict
 
 from specload.headers import (
     directives_from_mapping,
@@ -72,3 +74,12 @@ def test_pairs_adapter_is_case_insensitive():
     d = directives_from_pairs(pairs)
     assert d.max_age == 60
     assert d.has_validator
+
+
+def test_repeated_header_reads_the_same_from_har_and_live():
+    # A live response's repeated field lines reach requests joined.
+    lines = [("Cache-Control", "max-age=60"), ("cache-control", "no-store")]
+    live = CaseInsensitiveDict(HTTPHeaderDict(lines))
+    har = directives_from_pairs([{"name": name, "value": value} for name, value in lines])
+    assert har == directives_from_mapping(live)
+    assert har.no_store and har.max_age == 60

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 from urllib.parse import urlsplit
@@ -194,7 +196,8 @@ def test_connection_bound_is_respected():
     }
     for connections in (3, 6):
         # More connections than cores, and threads switched often, so that
-        # a lost update of the shared session state would show.
+        # responses come in to the calling thread in varied orders and
+        # batches.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -205,7 +208,7 @@ def test_connection_bound_is_respected():
             sys.setswitchinterval(interval)
         assert [r.outcome for r in report.resources] == ["fetched"] * 11
         # The main resource's connection stays its own once it is done.
-        assert session.max_inflight_seen == connections - 1 and session._inflight == 0
+        assert session.max_inflight_seen == connections - 1
         assert {srv.url(s) for s in subs} <= set(session.cache.entries)
 
 
@@ -456,13 +459,27 @@ def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads,
     assert started_threads
     assert not any(t.is_alive() for t in started_threads)
 
-    # The main resource fails while a speculative load is in flight.
+    # The main resource fails while a speculative load is in flight.  The
+    # failed page load is freed without the garbage collector's help.
     history = History()
     main = ResourceRecord(base + "/dead.html", "html", 100)
     history.learn(PageVisit("u", 0.0, main, (ResourceRecord(base + "/slow.js", "script", 6),)))
     del started_threads[:]
-    with pytest.raises(MainResourceFailed):
-        fetch_page(FetchSession(history=history), base + "/dead.html", mode="tempo")
+    loads = []
+    init = live._PageLoad.__init__
+
+    def record_load(self, *args):
+        init(self, *args)
+        loads.append(weakref.ref(self))
+
+    monkeypatch.setattr(live._PageLoad, "__init__", record_load)
+    gc.disable()
+    try:
+        with pytest.raises(MainResourceFailed):
+            fetch_page(FetchSession(history=history), base + "/dead.html", mode="tempo")
+        assert loads and all(load() is None for load in loads)
+    finally:
+        gc.enable()
     assert started_threads
     assert not any(t.is_alive() for t in started_threads)
     assert sorted(path for _, path in server.log[-2:]) == ["/dead.html", "/slow.js"]
