@@ -24,7 +24,7 @@ from . import __version__, report as rpt
 from .cache import CacheStore, replay_cache_sim
 from .errors import SpecloadError
 from .fixture import fixture_server, load_fixture_spec
-from .graph import History, MetadataRepository, load_repo, repo_stats, save_repo, trim
+from .graph import DAY_S, MetadataRepository, load_repo, repo_stats, save_repo, trim
 from .har import import_har
 from .live import FetchSession, fetch_page
 from .predict import replay_predictor, score_predictions
@@ -32,8 +32,6 @@ from .prefetch import evaluate_prefetch
 from .sim import EMPTY, EXPIRED, FRESH, NetworkParams, simulate_trace
 from .synth import SynthParams, generate_synthetic
 from .trace import Trace, load_trace, save_trace
-
-DAY_S = 86400.0
 
 
 def parse_capacity(text: str) -> float:
@@ -196,10 +194,10 @@ def cmd_sim_speculative(args) -> int:
 
 
 def _build_repo(trace: Trace, trim_days: float | None) -> MetadataRepository:
-    history = History(trim_days)
+    repo = MetadataRepository(trim_days)
     for visit in trace.visits:
-        history.learn(visit)
-    return history.repo
+        repo.learn(visit)
+    return repo
 
 
 def cmd_graph(args) -> int:
@@ -218,11 +216,10 @@ def cmd_graph(args) -> int:
         _emit(args, rpt.STATS_HEADER, rpt.rows_for_repo_stats(repo_stats(repo)))
         return 0
     # trim
-    with repo.lock:
-        newest = max(
-            (node.last_visit for graph in repo.graphs.values() for node in graph.nodes.values()),
-            default=0.0,
-        )
+    newest = max(
+        (node.last_visit for graph in repo.graphs.values() for node in graph.nodes.values()),
+        default=0.0,
+    )
     removed = trim(
         repo, now=newest, max_age_days=args.trim_days if args.trim_days is not None else 30.0
     )

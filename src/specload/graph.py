@@ -3,7 +3,9 @@
 Each website gets a four-level graph: the website node, its subdomains,
 their webpages, and the subresources those pages requested.  Edges only
 connect adjacent levels.  The repository maps website keys to graphs and
-is the sole persistent state the predictor needs.
+is the sole persistent state the predictor needs.  It learns one visit
+at a time (``MetadataRepository.learn``), trims itself once a day when
+it has a window, and belongs to one thread at a time.
 
 Webpage-to-subresource edges carry the timestamp of the last visit that
 exhibited them.  Trimming drops nodes that have not been visited within
@@ -44,7 +46,6 @@ import io
 import json
 import math
 import struct
-import threading
 from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -142,7 +143,7 @@ class ResourceGraph:
 
         The order is built by one sort on first use and kept after that:
         a node whose key may change is taken out of it first, and put
-        back here.  The caller holds the repository lock while iterating.
+        back here.  The graph must not change while it is being iterated.
         """
         nodes, sub_index, ranking = self.nodes, self.sub_index, self._ranking
         if ranking is None:
@@ -329,11 +330,35 @@ def _live(graph: ResourceGraph) -> int:
 
 
 class MetadataRepository:
-    """website key -> ResourceGraph, with a lock for writer/reader safety."""
+    """website key -> ResourceGraph, learned one visit at a time.
 
-    def __init__(self):
+    A repository belongs to one thread at a time; nothing in it is locked.
+    ``learn`` folds a visit in with ``update``.  With ``trim_days`` set,
+    a visit on a later day (``timestamp // DAY_S``) than the last trim,
+    or than the first visit, then trims the repository with ``now`` at
+    that visit's timestamp.  ``graph build --trim-days``, ``predict.replay``
+    and what is built on it, and ``live.FetchSession`` share this rule.
+    """
+
+    def __init__(self, trim_days: float | None = None):
+        if trim_days is not None:
+            _check_window(trim_days)
         self.graphs: dict[str, ResourceGraph] = {}
-        self.lock = threading.RLock()
+        self.trim_days = trim_days
+        self._day: int | None = None
+
+    def learn(self, visit: PageVisit) -> None:
+        # The module-level ``update`` and ``trim``, looked up at each call:
+        # perfbench's tracer wraps them by name and counts every learn.
+        update(self, visit)
+        if self.trim_days is None:
+            return
+        day = int(visit.timestamp // DAY_S)
+        if self._day is None:
+            self._day = day
+        elif day > self._day:
+            trim(self, now=visit.timestamp, max_age_days=self.trim_days)
+            self._day = day
 
     def structure(self) -> dict:
         """Canonical (type, key) node and edge sets, for equality checks.
@@ -342,22 +367,21 @@ class MetadataRepository:
         built from different histories can agree structurally.
         """
         out: dict = {}
-        with self.lock:
-            for site in sorted(self.graphs):
-                graph = self.graphs[site]
-                nodes = sorted(
-                    (int(n.node_type), n.url_or_name) for n in graph.nodes.values()
+        for site in sorted(self.graphs):
+            graph = self.graphs[site]
+            nodes = sorted(
+                (int(n.node_type), n.url_or_name) for n in graph.nodes.values()
+            )
+            edges = sorted(
+                (
+                    int(graph.nodes[p].node_type),
+                    graph.nodes[p].url_or_name,
+                    graph.nodes[c].url_or_name,
                 )
-                edges = sorted(
-                    (
-                        int(graph.nodes[p].node_type),
-                        graph.nodes[p].url_or_name,
-                        graph.nodes[c].url_or_name,
-                    )
-                    for p in graph.nodes
-                    for c in graph.nodes[p].children
-                )
-                out[site] = {"nodes": nodes, "edges": edges}
+                for p in graph.nodes
+                for c in graph.nodes[p].children
+            )
+            out[site] = {"nodes": nodes, "edges": edges}
         return out
 
 
@@ -374,35 +398,34 @@ def update(repo: MetadataRepository, visit: PageVisit) -> None:
     site = website_key(main_url)
     host = host_of(main_url)
     ts = visit.timestamp
-    with repo.lock:
-        graph = repo.graphs.get(site)
-        if graph is None:
-            graph = ResourceGraph(site)
-            repo.graphs[site] = graph
-        sub_id = graph.subdomain_index.get(host)
-        if sub_id is None:
-            sub_id = graph._add_node(NodeType.SUBDOMAIN, host, None, ts)
-        graph._link(graph.website_id, sub_id)
-        page_id = graph.page_index.get(main_url)
-        if page_id is None:
-            page_id = graph._add_node(NodeType.WEBPAGE, main_url, "html", ts)
-        graph._link(sub_id, page_id)
-        rids = []
-        for record in visit.subresources:
-            rid = graph.sub_index.get(record.url)
-            if rid is None:
-                rid = graph._add_node(NodeType.SUBRESOURCE, record.url, record.kind, ts)
-            graph._link(page_id, rid)
-            graph.edge_seen[(page_id, rid)] = ts
-            rids.append(rid)
-        # ``_link`` took every touched subresource out of the kept order,
-        # so bumping ``n_visits`` here leaves that order valid.
-        for nid in (graph.website_id, sub_id, page_id, *rids):
-            node = graph.nodes[nid]
-            node.last_visit = ts
-            node.n_visits += 1
-        if graph._age is not None:
-            graph._age.add(graph, ts, page_id, rids)
+    graph = repo.graphs.get(site)
+    if graph is None:
+        graph = ResourceGraph(site)
+        repo.graphs[site] = graph
+    sub_id = graph.subdomain_index.get(host)
+    if sub_id is None:
+        sub_id = graph._add_node(NodeType.SUBDOMAIN, host, None, ts)
+    graph._link(graph.website_id, sub_id)
+    page_id = graph.page_index.get(main_url)
+    if page_id is None:
+        page_id = graph._add_node(NodeType.WEBPAGE, main_url, "html", ts)
+    graph._link(sub_id, page_id)
+    rids = []
+    for record in visit.subresources:
+        rid = graph.sub_index.get(record.url)
+        if rid is None:
+            rid = graph._add_node(NodeType.SUBRESOURCE, record.url, record.kind, ts)
+        graph._link(page_id, rid)
+        graph.edge_seen[(page_id, rid)] = ts
+        rids.append(rid)
+    # ``_link`` took every touched subresource out of the kept order,
+    # so bumping ``n_visits`` here leaves that order valid.
+    for nid in (graph.website_id, sub_id, page_id, *rids):
+        node = graph.nodes[nid]
+        node.last_visit = ts
+        node.n_visits += 1
+    if graph._age is not None:
+        graph._age.add(graph, ts, page_id, rids)
 
 
 def _check_window(days: float) -> None:
@@ -428,15 +451,14 @@ def trim(repo: MetadataRepository, now: float, max_age_days: float = 30.0) -> in
     _check_window(max_age_days)
     window = max_age_days * DAY_S
     removed = 0
-    with repo.lock:
-        for site in list(repo.graphs):
-            graph = repo.graphs[site]
-            if graph._age is None:
-                graph._age = _AgeIndex(graph)
-            removed += _trim_graph(graph, now, window)
-            if not graph.nodes[graph.website_id].children:
-                del repo.graphs[site]
-                removed += 1
+    for site in list(repo.graphs):
+        graph = repo.graphs[site]
+        if graph._age is None:
+            graph._age = _AgeIndex(graph)
+        removed += _trim_graph(graph, now, window)
+        if not graph.nodes[graph.website_id].children:
+            del repo.graphs[site]
+            removed += 1
     return removed
 
 
@@ -500,35 +522,6 @@ def _trim_graph(graph: ResourceGraph, now: float, window: float) -> int:
     return len(stale) + len(orphans) + len(empty_subdomains)
 
 
-class History:
-    """A repository learned one visit at a time and trimmed once a day.
-
-    ``learn`` folds a visit in with ``update``.  With ``trim_days`` set,
-    a visit on a later day (``timestamp // 86400``) than the last trim,
-    or than the first visit, then trims the repository with ``now`` at
-    that visit's timestamp.  ``graph build --trim-days``, ``predict.replay``
-    and what is built on it, and ``live.FetchSession`` share this rule.
-    """
-
-    def __init__(self, trim_days: float | None = None):
-        if trim_days is not None:
-            _check_window(trim_days)
-        self.repo = MetadataRepository()
-        self.trim_days = trim_days
-        self._day: int | None = None
-
-    def learn(self, visit: PageVisit) -> None:
-        update(self.repo, visit)
-        if self.trim_days is None:
-            return
-        day = int(visit.timestamp // DAY_S)
-        if self._day is None:
-            self._day = day
-        elif day > self._day:
-            trim(self.repo, now=visit.timestamp, max_age_days=self.trim_days)
-            self._day = day
-
-
 _MAGIC = b"SLRepo1\n"
 
 
@@ -536,35 +529,34 @@ def dumps_repo(repo: MetadataRepository) -> bytes:
     """Serialize: magic, graph count, then length-prefixed JSON per graph."""
     out = io.BytesIO()
     out.write(_MAGIC)
-    with repo.lock:
-        sites = sorted(repo.graphs)
-        out.write(struct.pack(">I", len(sites)))
-        for site in sites:
-            graph = repo.graphs[site]
-            nodes = []
-            for nid in sorted(graph.nodes):
-                node = graph.nodes[nid]
-                nodes.append(
-                    {
-                        "i": nid,
-                        "y": int(node.node_type),
-                        "u": node.url_or_name,
-                        "k": node.resource_kind or "",
-                        "v": node.n_visits,
-                        "t": node.last_visit,
-                    }
-                )
-            edges = []
-            for pid in sorted(graph.nodes):
-                for cid in sorted(graph.nodes[pid].children):
-                    edges.append([pid, cid, graph.edge_seen.get((pid, cid))])
-            payload = json.dumps(
-                {"site": site, "nodes": nodes, "edges": edges},
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-            out.write(struct.pack(">I", len(payload)))
-            out.write(payload)
+    sites = sorted(repo.graphs)
+    out.write(struct.pack(">I", len(sites)))
+    for site in sites:
+        graph = repo.graphs[site]
+        nodes = []
+        for nid in sorted(graph.nodes):
+            node = graph.nodes[nid]
+            nodes.append(
+                {
+                    "i": nid,
+                    "y": int(node.node_type),
+                    "u": node.url_or_name,
+                    "k": node.resource_kind or "",
+                    "v": node.n_visits,
+                    "t": node.last_visit,
+                }
+            )
+        edges = []
+        for pid in sorted(graph.nodes):
+            for cid in sorted(graph.nodes[pid].children):
+                edges.append([pid, cid, graph.edge_seen.get((pid, cid))])
+        payload = json.dumps(
+            {"site": site, "nodes": nodes, "edges": edges},
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+        out.write(struct.pack(">I", len(payload)))
+        out.write(payload)
     return out.getvalue()
 
 
@@ -630,6 +622,10 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
             raise CorruptRepository(f"bad node record: {exc}") from exc
         if node.n_visits < 0:
             raise CorruptRepository("negative n_visits")
+        if not math.isfinite(node.last_visit):
+            # ``update`` never writes one, and a NaN would be the newest
+            # timestamp ``graph trim`` takes for ``now``: nothing is stale.
+            raise CorruptRepository(f"non-finite node timestamp {node.last_visit}")
         if node.node_id in graph.nodes:
             raise CorruptRepository("duplicate node id")
         index = graph._index_of(node.node_type)
@@ -646,7 +642,8 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
     graph._next_id = max(graph.nodes) + 1
     for edge in payload.get("edges", []):
         try:
-            pid, cid, ts = int(edge[0]), int(edge[1]), edge[2]
+            pid, cid = int(edge[0]), int(edge[1])
+            ts = None if edge[2] is None else float(edge[2])
         except (ValueError, TypeError, IndexError) as exc:
             raise CorruptRepository(f"bad edge record: {exc}") from exc
         if pid not in graph.nodes or cid not in graph.nodes:
@@ -661,7 +658,9 @@ def _load_graph(repo: MetadataRepository, payload: dict) -> None:
             # ``dumps_repo`` times page->subresource edges only.
             if ctype is not NodeType.SUBRESOURCE:
                 raise CorruptRepository(f"timed edge {ptype.name}->{ctype.name}")
-            graph.edge_seen[(pid, cid)] = float(ts)
+            if not math.isfinite(ts):
+                raise CorruptRepository(f"non-finite edge timestamp {ts}")
+            graph.edge_seen[(pid, cid)] = ts
         graph._link(pid, cid)
     # No parentless subresource or childless subdomain: ``dumps_repo``
     # writes none, and ``trim`` looks for them only next to what it removes.
@@ -689,12 +688,11 @@ def repo_stats(
     with ``dumps_repo`` unless the caller already has it, as ``save_repo``
     returns it."""
     counts = {t: 0 for t in NodeType}
-    with repo.lock:
-        for graph in repo.graphs.values():
-            for node in graph.nodes.values():
-                counts[node.node_type] += 1
-        if serialized_size_bytes is None:
-            serialized_size_bytes = len(dumps_repo(repo))
+    for graph in repo.graphs.values():
+        for node in graph.nodes.values():
+            counts[node.node_type] += 1
+    if serialized_size_bytes is None:
+        serialized_size_bytes = len(dumps_repo(repo))
     return RepoStats(
         n_websites=counts[NodeType.WEBSITE],
         n_subdomains=counts[NodeType.SUBDOMAIN],

@@ -17,12 +17,12 @@ Each connection is one ``requests.Session``, opened when first needed
 and reused for the rest of the page; every connection and worker thread
 is closed before ``fetch_page`` returns.  The pool's threads only send
 requests and touch no session state; the calling thread owns the
-session's cache, kept bodies, history and ``max_inflight_seen``.  It
+session's cache, kept bodies, repository and ``max_inflight_seen``.  It
 takes in every response, and looks every request up in the cache as
 the simulators do: a fresh entry is served locally, an expired one
 revalidates, and no-store responses sit in the temporary cache until
-the page completes.  The page is then learned through ``graph.History``,
-as in the replays.
+the page completes.  The page is then learned into the session's
+``graph.MetadataRepository`` with ``learn``, as in the replays.
 
 Proxies follow the usual environment variables (HTTP_PROXY and friends,
 honored by requests); the User-Agent comes from SPECLOAD_UA when set.
@@ -42,7 +42,7 @@ import requests
 
 from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
 from .errors import InvalidParams, MainResourceFailed, MalformedUrl
-from .graph import History
+from .graph import MetadataRepository
 from .headers import directives_from_mapping, kind_from_mime
 from .predict import predict
 from .sim import PageScheduler, _check_connections, _Job
@@ -126,15 +126,15 @@ class LoadReport:
 
 @dataclass
 class FetchSession:
-    """One client across page fetches: cache, history, connection bound.
+    """One client across page fetches: cache, repository, connection bound.
 
     Used by one thread at a time, which owns the cache, the kept bodies
-    and the history; each page is learned with ``history.learn``.
+    and the repository; each page is learned with ``repo.learn``.
     ``max_inflight_seen`` is the most requests ever on connections and
     not yet taken in by that thread.
     """
 
-    history: History = field(default_factory=History)
+    repo: MetadataRepository = field(default_factory=MetadataRepository)
     cache: CacheStore = field(default_factory=CacheStore)
     max_connections: int = 4
     timeout_s: float = 10.0
@@ -203,7 +203,7 @@ class _PageLoad(PageScheduler):
         session, main = self.session, self.main
         self._issue(main)
         if mode == "tempo":
-            prediction = predict(session.history.repo, main.url)
+            prediction = predict(session.repo, main.url)
             self.predicted = prediction.urls
             self.start(self.plan(prediction, session.cache, time.time()))
         if main.done_ms is not None:
@@ -299,7 +299,7 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
     required response (main resource plus actual subresources); loads of
     mispredicted URLs still in flight at the parse are waited for and
     only show up in the byte accounting.  The cache and the session's
-    history see the observed visit exactly as the replay tooling would.
+    repository see the observed visit exactly as the replay tooling would.
     """
     if mode not in ("legacy", "tempo"):
         raise InvalidParams(f"unknown mode {mode!r}: expected 'legacy' or 'tempo'")
@@ -318,7 +318,7 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
     # A body is only read back for a hit on a cached entry.
     session._bodies = {u: b for u, b in session._bodies.items() if u in session.cache.entries}
     observed = tuple(jobs[u].record for u in load.actual if jobs[u].record is not None)
-    session.history.learn(PageVisit("live", time.time(), load.main.record, observed))
+    session.repo.learn(PageVisit("live", time.time(), load.main.record, observed))
 
     return LoadReport(
         url=url,

@@ -21,6 +21,10 @@ scan and sort of the whole scope.  For a website scope the walk is the
 fan-out long; for a subdomain scope it also skips the site's other
 subdomains' subresources ranked ahead of the hits.
 
+``replay`` predicts each visit from one ``MetadataRepository`` and then
+learns the visit into it (``MetadataRepository.learn``), so the
+prediction sees only the visits before it.
+
 A speculative plan is the predicted URLs not fresh in the cache
 (``plan_loads``); how they share connections is ``sim.PageScheduler``'s
 decision, for the simulator and the live fetcher alike.
@@ -37,7 +41,7 @@ from statistics import fmean
 
 from .cache import LookupOutcome
 from .errors import EmptyTrace
-from .graph import History, MetadataRepository, ResourceGraph, priority_key
+from .graph import DAY_S, MetadataRepository, ResourceGraph, priority_key
 from .trace import PageVisit, Trace
 from .urls import host_of, normalize_url, website_key
 
@@ -85,30 +89,29 @@ def predict(repo: MetadataRepository, url: str) -> Prediction:
     """
     url = normalize_url(url)
     site = website_key(url)
-    with repo.lock:
-        graph = repo.graphs.get(site)
-        if graph is None:
-            return Prediction(urls=(), visit_class=VisitClass.UNKNOWN)
-        page_id = graph.page_index.get(url)
-        if page_id is not None:
-            nodes = [graph.nodes[nid] for nid in graph.nodes[page_id].children]
-            nodes.sort(key=priority_key)
-            return Prediction(
-                urls=tuple(n.url_or_name for n in nodes),
-                visit_class=VisitClass.REVISIT,
-            )
-        candidates = graph.ranked_subresources()
-        subdomain_id = graph.subdomain_index.get(host_of(url))
-        if subdomain_id is not None:
-            visit_class = VisitClass.NEW_VISIT_SUBDOMAIN_KNOWN
-            page_ids = graph.nodes[subdomain_id].children
-            # In scope: a child of one of the subdomain's pages.
-            candidates = (n for n in candidates if not page_ids.isdisjoint(n.parents))
-        else:
-            visit_class = VisitClass.NEW_VISIT_WEBSITE_KNOWN
-        num_predicted = max(1, round_half_up(_mean_children(graph, subdomain_id)))
-        best = islice(candidates, num_predicted)
-        return Prediction(urls=tuple(n.url_or_name for n in best), visit_class=visit_class)
+    graph = repo.graphs.get(site)
+    if graph is None:
+        return Prediction(urls=(), visit_class=VisitClass.UNKNOWN)
+    page_id = graph.page_index.get(url)
+    if page_id is not None:
+        nodes = [graph.nodes[nid] for nid in graph.nodes[page_id].children]
+        nodes.sort(key=priority_key)
+        return Prediction(
+            urls=tuple(n.url_or_name for n in nodes),
+            visit_class=VisitClass.REVISIT,
+        )
+    candidates = graph.ranked_subresources()
+    subdomain_id = graph.subdomain_index.get(host_of(url))
+    if subdomain_id is not None:
+        visit_class = VisitClass.NEW_VISIT_SUBDOMAIN_KNOWN
+        page_ids = graph.nodes[subdomain_id].children
+        # In scope: a child of one of the subdomain's pages.
+        candidates = (n for n in candidates if not page_ids.isdisjoint(n.parents))
+    else:
+        visit_class = VisitClass.NEW_VISIT_WEBSITE_KNOWN
+    num_predicted = max(1, round_half_up(_mean_children(graph, subdomain_id)))
+    best = islice(candidates, num_predicted)
+    return Prediction(urls=tuple(n.url_or_name for n in best), visit_class=visit_class)
 
 
 def plan_loads(prediction: Prediction, cache, now: float) -> tuple[str, ...]:
@@ -217,8 +220,8 @@ def score_predictions(
     t0 = rows[0].timestamp if rows else 0.0
     return PredictorReplayResult(
         per_visit=rows,
-        weekly=_bucketize(rows, t0, 7 * 86400.0),
-        monthly=_bucketize(rows, t0, 30 * 86400.0),
+        weekly=_bucketize(rows, t0, 7 * DAY_S),
+        monthly=_bucketize(rows, t0, 30 * DAY_S),
     )
 
 
@@ -229,11 +232,11 @@ def replay(
     learned when the consumer asks for the next one, so the consumer
     sees the graph as it was before the visit.  With ``trim_days`` the
     graph forgets what is older than that window, trimmed once a day as
-    ``graph build --trim-days`` does (``graph.History``)."""
-    history = History(trim_days)
+    ``graph build --trim-days`` does (``MetadataRepository.learn``)."""
+    repo = MetadataRepository(trim_days)
     for visit in visits:
-        yield visit, predict(history.repo, visit.main.url)
-        history.learn(visit)
+        yield visit, predict(repo, visit.main.url)
+        repo.learn(visit)
 
 
 def replay_predictor(trace: Trace, trim_days: float | None = None) -> PredictorReplayResult:

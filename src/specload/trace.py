@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import SchemaError
 from .urls import normalize_url
@@ -291,12 +290,6 @@ class Trace:
     """Visits ordered by timestamp."""
 
     visits: list[PageVisit]
-
-    def __iter__(self) -> Iterator[PageVisit]:
-        return iter(self.visits)
-
-    def __len__(self) -> int:
-        return len(self.visits)
 
 
 def save_trace(trace: Trace, path) -> None:

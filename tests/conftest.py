@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
 from specload.sim import PageScheduler
 from specload.trace import CacheDirectives, PageVisit, ResourceRecord, Trace
 
@@ -59,3 +65,24 @@ class IssueRecorder(PageScheduler):
     def queued(self) -> list[str]:
         """The queued URLs in pop order."""
         return [job.url for _, job in sorted(self.queue, key=lambda entry: entry[0])]
+
+
+FIXTURE_SERVER = Path(__file__).resolve().parent.parent / "perfbench" / "fixture_server.py"
+
+
+@contextmanager
+def fixture_process(spec: dict, tmp_path: Path):
+    """Serve ``spec`` from a child process, whose server work does not
+    share the client's interpreter lock; yields the base URL."""
+    spec_path = tmp_path / "fixture.json"
+    spec_path.write_text(json.dumps(spec))
+    root = FIXTURE_SERVER.parent.parent
+    command = [sys.executable, str(FIXTURE_SERVER), str(root), str(spec_path)]
+    with subprocess.Popen(
+        command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+    ) as proc:
+        try:
+            yield f"http://127.0.0.1:{int(proc.stdout.readline())}"
+        finally:
+            proc.stdin.close()
+            proc.stdout.read()

@@ -10,14 +10,10 @@ numbers next to their limits.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import statistics
-import subprocess
-import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -27,7 +23,7 @@ from specload.cache import CacheStore, admit, replay_cache_sim
 from specload.cli import main as cli_main
 from specload.errors import InvalidParams
 from specload.fixture import fixture_server
-from specload.graph import History, MetadataRepository, repo_stats, trim, update
+from specload.graph import MetadataRepository, repo_stats, trim, update
 from specload.live import FetchSession, fetch_page
 from specload.predict import (
     Prediction,
@@ -49,7 +45,7 @@ from specload.synth import SynthParams, generate_synthetic
 from specload.trace import PageVisit, Trace
 from specload.urls import normalize_url
 
-from conftest import IssueRecorder, rec, visit, trace_of
+from conftest import IssueRecorder, fixture_process, rec, visit, trace_of
 from priority_oracle import PredictionCandidate, candidate_of, sort_candidates
 from test_cache import naive_replay
 from test_graph import build as build_graphs, random_visits
@@ -383,27 +379,6 @@ def test_07_trim_matches_rebuild():
     _ok(7, "trim oracle equivalence", "update-then-trim == rebuild on 100 random traces")
 
 
-FIXTURE_SERVER = Path(__file__).resolve().parent.parent / "perfbench" / "fixture_server.py"
-
-
-@contextmanager
-def fixture_process(spec: dict, tmp_path: Path):
-    """Serve ``spec`` from a child process, whose server work does not
-    share the client's interpreter lock; yields the base URL."""
-    spec_path = tmp_path / "fixture.json"
-    spec_path.write_text(json.dumps(spec))
-    root = FIXTURE_SERVER.parent.parent
-    command = [sys.executable, str(FIXTURE_SERVER), str(root), str(spec_path)]
-    with subprocess.Popen(
-        command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-    ) as proc:
-        try:
-            yield f"http://127.0.0.1:{int(proc.stdout.readline())}"
-        finally:
-            proc.stdin.close()
-            proc.stdout.read()
-
-
 def test_08_live_fixture_speedup(tmp_path):
     subs = [f"/r{i}.js" for i in range(6)]
     spec = {
@@ -422,7 +397,7 @@ def test_08_live_fixture_speedup(tmp_path):
             cold = FetchSession()  # no graph, no cache
             legacy_delays.append(fetch_page(cold, url, mode="legacy").delay_ms)
         for _ in range(20):
-            warm = FetchSession(history=learner.history)  # knows the graph, cold cache
+            warm = FetchSession(repo=learner.repo)  # knows the graph, cold cache
             tempo_delays.append(fetch_page(warm, url, mode="tempo").delay_ms)
     legacy_median = statistics.median(legacy_delays)
     tempo_median = statistics.median(tempo_delays)
@@ -446,7 +421,7 @@ def test_08_live_fixture_speedup(tmp_path):
             srv.url("/__mutate"),
             json={"pages": {"/p.html": {"subresources": ["/keep.js", "/new.js"]}}},
         )
-        warm = FetchSession(history=learner.history)
+        warm = FetchSession(repo=learner.repo)
         report = fetch_page(warm, url, mode="tempo")
         mispredicted = [r for r in report.resources if r.outcome == "mispredicted"]
         assert [r.url for r in mispredicted] == [srv.url("/old.js")]
@@ -463,10 +438,10 @@ def test_09_repository_footprint():
     # Learned with the once-a-day trim that ``graph build --trim-days``
     # and the replay use.
     trace = generate_synthetic(SynthParams(visits=10_000, seed=0))
-    history = History(30.0)
+    repo = MetadataRepository(30.0)
     for v in trace.visits:
-        history.learn(v)
-    stats = repo_stats(history.repo)
+        repo.learn(v)
+    stats = repo_stats(repo)
     assert stats.n_websites == 10
     assert stats.serialized_size_bytes <= 1_000_000
     _ok(

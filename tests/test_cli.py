@@ -370,6 +370,43 @@ def test_graph_stats_and_trim_reject_an_unlinked_node(tmp_path, capsys, node_typ
     assert repo.read_bytes() == data
 
 
+def _two_page_repo(website_t: float = 40 * 86400.0, edge_t: float = 0.0) -> bytes:
+    """A file whose page /old (with /x.js) is 40 days older than /new."""
+    day40 = 40 * 86400.0
+    nodes = [
+        {"i": 0, "y": 0, "u": "a.com", "k": "", "v": 2, "t": website_t},
+        {"i": 1, "y": 1, "u": "a.com", "k": "", "v": 2, "t": day40},
+        {"i": 2, "y": 2, "u": "http://a.com/old", "k": "html", "v": 1, "t": 0.0},
+        {"i": 3, "y": 3, "u": "http://a.com/x.js", "k": "script", "v": 1, "t": 0.0},
+        {"i": 4, "y": 2, "u": "http://a.com/new", "k": "html", "v": 1, "t": day40},
+    ]
+    edges = [[0, 1, None], [1, 2, None], [1, 4, None], [2, 3, edge_t]]
+    body = json.dumps({"site": "a.com", "nodes": nodes, "edges": edges}).encode()
+    return _MAGIC + struct.pack(">II", 1, len(body)) + body
+
+
+def test_graph_trim_takes_the_newest_timestamp_for_now(tmp_path, capsys):
+    repo = tmp_path / "repo.bin"
+    repo.write_bytes(_two_page_repo())
+    assert run("graph", "trim", "--repo", str(repo)) == 0
+    assert "removed 2 nodes" in capsys.readouterr().out  # /old and /x.js
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("node", math.nan), ("node", math.inf), ("edge", math.nan), ("edge", -math.inf)],
+)
+def test_graph_trim_rejects_a_non_finite_timestamp(tmp_path, capsys, where, value):
+    # Read as it is, a NaN node timestamp becomes trim's ``now``, and the
+    # trim silently removes nothing.
+    data = _two_page_repo(**{"website_t" if where == "node" else "edge_t": value})
+    repo = tmp_path / "repo.bin"
+    repo.write_bytes(data)
+    assert run("graph", "trim", "--repo", str(repo)) == 1
+    assert f"error: non-finite {where} timestamp" in capsys.readouterr().err
+    assert repo.read_bytes() == data
+
+
 def test_graph_build_serialises_once_and_reports_the_file_size(
     tmp_path, trace_path, capsys, monkeypatch
 ):

@@ -12,7 +12,6 @@ import math
 import random
 import re
 import struct
-import threading
 from dataclasses import replace
 
 import pytest
@@ -25,7 +24,6 @@ from conftest import visit
 from specload.errors import CorruptRepository, InvalidParams
 from specload.graph import (
     _MAGIC,
-    History,
     _AgeIndex,
     _live,
     MetadataRepository,
@@ -182,14 +180,14 @@ def test_bad_window_is_rejected_on_every_path(days):
         trim(repo, now=DAY, max_age_days=days)
     assert "a.com" in repo.graphs
     with pytest.raises(InvalidParams):
-        History(days)
+        MetadataRepository(days)
     trace = generate_synthetic(SynthParams(n_sites=2, pages_per_site=5, visits=20, seed=1))
     with pytest.raises(InvalidParams):
         replay_predictor(trace, trim_days=days)
     with pytest.raises(InvalidParams):
         simulate_trace(trace, with_predictor=True, trim_days=days)
     trim(repo, now=DAY, max_age_days=0.0)
-    History(0.0)
+    MetadataRepository(0.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -312,8 +310,11 @@ def _synth_with_late_visits(seed: int) -> list:
 
 
 def _learn_all(visits, trim_days, trim_fn, monkeypatch, reload_at=None):
-    """Feed ``visits`` to a ``History`` whose trims go through ``trim_fn``;
-    returns each trim's ``removed`` and the final repository bytes."""
+    """Feed ``visits`` to ``MetadataRepository.learn`` with its trims going
+    through ``trim_fn``; returns each trim's ``removed`` and the final
+    repository bytes.  At ``reload_at`` the repository is swapped for its
+    reloaded copy, which gets the window and the last-trim day back, as
+    a file holds neither."""
     removed = []
 
     def recording(repo, now, max_age_days):
@@ -322,12 +323,14 @@ def _learn_all(visits, trim_days, trim_fn, monkeypatch, reload_at=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(graph_module, "trim", recording)
-        history = History(trim_days)
+        repo = MetadataRepository(trim_days)
         for i, v in enumerate(visits):
             if i == reload_at:
-                history.repo = loads_repo(dumps_repo(history.repo))
-            history.learn(v)
-    return removed, dumps_repo(history.repo)
+                day = repo._day
+                repo = loads_repo(dumps_repo(repo))
+                repo.trim_days, repo._day = trim_days, day
+            repo.learn(v)
+    return removed, dumps_repo(repo)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -369,15 +372,15 @@ def test_age_index_stays_within_its_bound(monkeypatch):
     trace = generate_synthetic(
         SynthParams(n_sites=2, pages_per_site=6, subresources_per_page=5, visits=1500, seed=4)
     )
-    history = History(trim_days=7.0)
+    repo = MetadataRepository(trim_days=7.0)
     for v in trace.visits:
-        history.learn(v)
-        for graph in history.repo.graphs.values():
+        repo.learn(v)
+        for graph in repo.graphs.values():
             index = graph._age
             if index is not None:
                 assert index.size <= 3 * _live(graph)
                 assert index.size == sum(1 + len(rids) for _, _, rids in index.heap)
-    assert len(rebuilds) > 2 * len(history.repo.graphs)
+    assert len(rebuilds) > 2 * len(repo.graphs)
 
     # A trim can shrink the graph far more than the index: a page dated
     # back in time takes its subresources with it, while its newer
@@ -595,35 +598,3 @@ def test_repo_stats_counts():
     assert stats.n_webpages == 3
     assert stats.n_subresources == 2
     assert stats.serialized_size_bytes == len(dumps_repo(repo))
-
-
-def test_concurrent_updates_stay_consistent():
-    repo = MetadataRepository()
-    errors = []
-
-    def worker(tag):
-        try:
-            for i in range(50):
-                update(
-                    repo,
-                    visit(
-                        f"http://a.com/{tag}-{i % 5}",
-                        [f"http://a.com/r{i % 7}.js"],
-                        ts=float(i),
-                    ),
-                )
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    graph = repo.graphs["a.com"]
-    # every child link has a matching parent link
-    for node in graph.nodes.values():
-        for cid in node.children:
-            assert node.node_id in graph.nodes[cid].parents
-    assert sum(n.n_visits for n in graph.nodes.values() if n.node_type is NodeType.WEBPAGE) == 200

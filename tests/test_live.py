@@ -18,11 +18,13 @@ from specload import live, sim
 from specload.cache import CacheStore, LookupOutcome
 from specload.errors import InvalidParams, MainResourceFailed
 from specload.fixture import fixture_server
-from specload.graph import History
+from specload.graph import MetadataRepository
 from specload.live import FetchSession, extract_subresources, fetch_page
 from specload.predict import Prediction, VisitClass, predict
 from specload.sim import NetworkParams, _Engine, simulate_trace
 from specload.trace import PageVisit, ResourceRecord, Trace
+
+from conftest import fixture_process
 
 # --- HTML subresource extraction ---------------------------------------
 
@@ -90,7 +92,7 @@ def test_legacy_fetch_learns_and_caches():
         assert first.delay_ms >= max(r.t_end_ms for r in first.resources) - 1e-6
 
         # the graph saw the visit
-        pred = predict(session.history.repo, page_url)
+        pred = predict(session.repo, page_url)
         assert pred.visit_class is VisitClass.REVISIT
         assert set(pred.urls) == {srv.url("/a.js"), srv.url("/b.css"), srv.url("/c.png")}
 
@@ -118,7 +120,7 @@ def test_tempo_overlaps_subresources_with_main():
         page_url = srv.url("/p.html")
         fetch_page(learner, page_url, mode="legacy")
 
-        warm = FetchSession(history=learner.history)  # knows the graph, cold cache
+        warm = FetchSession(repo=learner.repo)  # knows the graph, cold cache
         report = fetch_page(warm, page_url, mode="tempo")
         assert set(report.predicted) == {srv.url("/a.js"), srv.url("/b.js")}
         by_url = {r.url: r for r in report.resources}
@@ -148,7 +150,7 @@ def test_tempo_accounts_mispredicted_bytes():
             srv.url("/__mutate"),
             json={"pages": {"/p.html": {"subresources": ["/a.js", "/c.js"]}}},
         )
-        warm = FetchSession(history=learner.history)
+        warm = FetchSession(repo=learner.repo)
         report = fetch_page(warm, page_url, mode="tempo")
 
         by_url = {r.url: r for r in report.resources}
@@ -174,7 +176,7 @@ def test_session_history_window_forgets_what_the_page_dropped(monkeypatch, trim_
         "resources": {"/keep.js": {"size": 100}, "/old.js": {"size": 100}},
     }
     with fixture_server(spec) as srv:
-        session = FetchSession(history=History(trim_days))
+        session = FetchSession(repo=MetadataRepository(trim_days))
         page_url = srv.url("/p.html")
         fetch_page(session, page_url, mode="legacy")
         requests.post(
@@ -344,7 +346,7 @@ def test_the_calling_thread_owns_the_session(monkeypatch):
 
     for name in ("lookup", "admit", "page_complete", "predict"):
         monkeypatch.setattr(live, name, recorded(name, getattr(live, name)))
-    monkeypatch.setattr(History, "learn", recorded("learn", History.learn))
+    monkeypatch.setattr(MetadataRepository, "learn", recorded("learn", MetadataRepository.learn))
     with fixture_server(CACHING_SPEC) as srv:
         session = FetchSession()
         page_url = srv.url("/index.html")
@@ -461,9 +463,9 @@ def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads,
 
     # The main resource fails while a speculative load is in flight.  The
     # failed page load is freed without the garbage collector's help.
-    history = History()
+    repo = MetadataRepository()
     main = ResourceRecord(base + "/dead.html", "html", 100)
-    history.learn(PageVisit("u", 0.0, main, (ResourceRecord(base + "/slow.js", "script", 6),)))
+    repo.learn(PageVisit("u", 0.0, main, (ResourceRecord(base + "/slow.js", "script", 6),)))
     del started_threads[:]
     loads = []
     init = live._PageLoad.__init__
@@ -476,7 +478,7 @@ def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads,
     gc.disable()
     try:
         with pytest.raises(MainResourceFailed):
-            fetch_page(FetchSession(history=history), base + "/dead.html", mode="tempo")
+            fetch_page(FetchSession(repo=repo), base + "/dead.html", mode="tempo")
         assert loads and all(load() is None for load in loads)
     finally:
         gc.enable()
@@ -574,7 +576,7 @@ def _simulate_like(report, subresources: list[str], connections: int):
 
 @pytest.mark.parametrize("connections", [2, 4])
 @pytest.mark.parametrize("mode", ["legacy", "tempo"])
-def test_live_loads_are_scheduled_as_simulated(mode, connections, monkeypatch):
+def test_live_loads_are_scheduled_as_simulated(mode, connections, monkeypatch, tmp_path):
     # Every load goes to the network.  Legacy over 4 connections must
     # hold its fourth script until one of the other three is in.
     loads = []
@@ -585,17 +587,19 @@ def test_live_loads_are_scheduled_as_simulated(mode, connections, monkeypatch):
             loads.append(self)
 
     monkeypatch.setattr(live, "_PageLoad", KeptPageLoad)
-    with fixture_server(_DIFF_SPEC) as srv:
+    # The fixture runs in a process of its own, so its work does not hold
+    # the client's interpreter lock.
+    with fixture_process(_DIFF_SPEC, tmp_path) as base:
         session = FetchSession(max_connections=connections)
         if mode == "legacy":
-            url = srv.url("/l.html")
+            url = base + "/l.html"
         else:
-            url = srv.url("/t.html")
-            learned = tuple(ResourceRecord(srv.url(p), kind, 500) for p, kind in _LEARNED)
-            session.history.learn(PageVisit("u", 0.0, ResourceRecord(url, "html", 500), learned))
+            url = base + "/t.html"
+            learned = tuple(ResourceRecord(base + p, kind, 500) for p, kind in _LEARNED)
+            session.repo.learn(PageVisit("u", 0.0, ResourceRecord(url, "html", 500), learned))
         report = fetch_page(session, url, mode=mode)
     needed = [r.url for r in report.resources[1:] if r.outcome != "mispredicted"]
-    assert needed == [srv.url(p) for p in _DIFF_PAGES[urlsplit(url).path]]
+    assert needed == [base + p for p in _DIFF_PAGES[urlsplit(url).path]]
     delay, engine, timeline = _simulate_like(report, needed, connections)
 
     issued = sorted(report.resources, key=lambda r: r.t_start_ms)
@@ -603,7 +607,7 @@ def test_live_loads_are_scheduled_as_simulated(mode, connections, monkeypatch):
     mispredicted = {r.url for r in report.resources if r.outcome == "mispredicted"}
     assert mispredicted == set(timeline.starts) - {url, *needed}
     if mode == "tempo":
-        assert report.predicted[0] == srv.url("/o.js") and mispredicted == {srv.url("/o.js")}
+        assert report.predicted[0] == base + "/o.js" and mispredicted == {base + "/o.js"}
     for r in report.resources:
         assert abs(r.t_start_ms - timeline.starts[r.url]) <= DIFF_TOLERANCE_MS, r
         assert abs(r.t_end_ms - timeline.ends[r.url]) <= DIFF_TOLERANCE_MS, r

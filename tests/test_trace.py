@@ -27,10 +27,10 @@ def test_roundtrip(tmp_path):
     path = tmp_path / "t.jsonl"
     save_trace(Trace(visits=visits), path)
     back = load_trace(path)
-    assert len(back) == 2
+    assert len(back.visits) == 2
     # loader sorts by timestamp
-    assert [v.timestamp for v in back] == [50.0, 100.0]
-    by_ts = {v.timestamp: v for v in back}
+    assert [v.timestamp for v in back.visits] == [50.0, 100.0]
+    by_ts = {v.timestamp: v for v in back.visits}
     assert by_ts[100.0] == visits[0]
     assert by_ts[50.0] == visits[1]
 
@@ -112,7 +112,7 @@ def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "t.jsonl"
     v = visit("http://a.com/", [], ts=0.0)
     path.write_text("\n" + json.dumps(v.to_json()) + "\n\n")
-    assert len(load_trace(path)) == 1
+    assert len(load_trace(path).visits) == 1
 
 
 def _raw_visit(main_url, sub_urls, ts=0.0) -> str:
