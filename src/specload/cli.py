@@ -231,20 +231,20 @@ def cmd_graph(args) -> int:
 
 def cmd_fetch(args) -> int:
     def run(base_url: str | None) -> int:
-        session = FetchSession(max_connections=args.connections)
         url = args.url
         if base_url and url.startswith("/"):
             url = base_url + url
         rows = []
         delays = []
-        for i in range(args.repeat):
-            result = fetch_page(session, url, mode=args.mode)
-            rows.extend(rpt.rows_for_load_report(result, run=i))
-            delays.append(result.delay_ms)
-            print(
-                f"run {i}: {result.mode} delay {result.delay_ms:.1f} ms, "
-                f"{result.total_bytes} bytes, {result.overhead_bytes} wasted"
-            )
+        with FetchSession(max_connections=args.connections) as session:
+            for i in range(args.repeat):
+                result = fetch_page(session, url, mode=args.mode)
+                rows.extend(rpt.rows_for_load_report(result, run=i))
+                delays.append(result.delay_ms)
+                print(
+                    f"run {i}: {result.mode} delay {result.delay_ms:.1f} ms, "
+                    f"{result.total_bytes} bytes, {result.overhead_bytes} wasted"
+                )
         if args.repeat > 1:
             print(f"median delay {statistics.median(delays):.1f} ms")
         if args.out:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from email.utils import parsedate_to_datetime
 
-from requests.structures import CaseInsensitiveDict
+from urllib3 import HTTPHeaderDict
 
 from .trace import CacheDirectives
 
@@ -56,10 +56,9 @@ def directives_from_mapping(headers) -> CacheDirectives:
 
 
 def directives_from_pairs(pairs: list) -> CacheDirectives:
-    """Cache directives from HAR-style [{name, value}] pairs.  A repeated
-    name's values join with ", ", as in a live response's headers."""
-    headers = CaseInsensitiveDict()
+    """Cache directives from HAR-style [{name, value}] pairs, read as a
+    live response's headers are: a repeated name's values join with ", "."""
+    headers = HTTPHeaderDict()
     for h in pairs or []:
-        name, value = str(h.get("name", "")), str(h.get("value", ""))
-        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        headers.add(str(h.get("name", "")), str(h.get("value", "")))
     return directives_from_mapping(headers)

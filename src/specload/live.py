@@ -13,32 +13,37 @@ dropped, and the ones it needs that nobody predicted join the queue; a
 load already in flight runs to completion and is reported ``mispredicted``
 if the page did not need it (its bytes are ``overhead_bytes``).
 
-Each connection is one ``requests.Session``, opened when first needed
-and reused for the rest of the page; every connection and worker thread
-is closed before ``fetch_page`` returns.  The pool's threads only send
-requests and touch no session state; the calling thread owns the
-session's cache, kept bodies, repository and ``max_inflight_seen``.  It
-takes in every response, and looks every request up in the cache as
-the simulators do: a fresh entry is served locally, an expired one
-revalidates, and no-store responses sit in the temporary cache until
-the page completes.  The page is then learned into the session's
-``graph.MetadataRepository`` with ``learn``, as in the replays.
+A session sends every request through one keep-alive ``urllib3`` pool
+per host, ``max_connections`` deep, so a session's connections persist
+across pages until ``close()`` (or until a session dropped unclosed is
+collected).  The worker threads are the page's own and have ended when
+``fetch_page`` returns.  They only send requests and touch no session
+state; the calling thread owns the session's cache, kept bodies,
+repository and ``max_inflight_seen``.  It takes in every response, and
+looks every request up in the cache as the simulators do: a fresh entry
+is served locally, an expired one revalidates, and no-store responses
+sit in the temporary cache until the page completes.  The page is then
+learned into the session's ``graph.MetadataRepository`` with ``learn``,
+as in the replays.
 
-Proxies follow the usual environment variables (HTTP_PROXY and friends,
-honored by requests); the User-Agent comes from SPECLOAD_UA when set.
+Proxies follow the usual environment variables (HTTP_PROXY, HTTPS_PROXY,
+ALL_PROXY and NO_PROXY), read when the session is made; the User-Agent
+comes from SPECLOAD_UA when set.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
-from urllib.parse import urljoin
+from urllib.parse import urljoin, urlsplit
+from urllib.request import getproxies, proxy_bypass_environment
 
-import requests
+import urllib3
+from urllib3.exceptions import HTTPError, ProtocolError, ProxySchemeUnknown
 
 from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
 from .errors import InvalidParams, MainResourceFailed, MalformedUrl
@@ -50,6 +55,8 @@ from .trace import PageVisit, ResourceRecord
 from .urls import normalize_url
 
 MAX_REDIRECTS = 5
+_REDIRECTS = (301, 302, 303, 307, 308)
+_ACCEPT_ENCODING = urllib3.util.make_headers(accept_encoding=True)["accept-encoding"]
 
 
 class _SubresourceParser(HTMLParser):
@@ -126,12 +133,13 @@ class LoadReport:
 
 @dataclass
 class FetchSession:
-    """One client across page fetches: cache, repository, connection bound.
+    """One client across page fetches: cache, repository, connections.
 
     Used by one thread at a time, which owns the cache, the kept bodies
     and the repository; each page is learned with ``repo.learn``.
     ``max_inflight_seen`` is the most requests ever on connections and
-    not yet taken in by that thread.
+    not yet taken in by that thread.  The connections stay open across
+    pages: ``close()`` them, or use the session as a context manager.
     """
 
     repo: MetadataRepository = field(default_factory=MetadataRepository)
@@ -145,30 +153,91 @@ class FetchSession:
         self.max_inflight_seen = 0
         # Page URL -> (the URL the body came from after redirects, body).
         self._bodies: dict[str, tuple[str, bytes]] = {}
+        self._http = _Connections(self.max_connections)
+        # Closes the sockets of a session dropped unclosed, too.
+        self._close = weakref.finalize(self, self._http.close)
+
+    def close(self) -> None:
+        """Close every connection; the session fetches no more pages."""
+        self._close()
+
+    def __enter__(self) -> "FetchSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def _close_pools(http: requests.Session) -> None:
-    """Close every connection pool of ``http`` and its sockets.
-    ``Session.close`` only drops the pools, which leaves their sockets to
-    the garbage collector."""
-    for adapter in http.adapters.values():
-        for manager in (adapter.poolmanager, *adapter.proxy_manager.values()):
+class _Connections:
+    """A session's keep-alive pools: one manager for direct requests and
+    one per proxy URL that the environment named when the session was
+    made.  Each pool holds up to the session's ``max_connections``, which
+    the page's scheduler never exceeds in flight, so no connection is
+    ever discarded.  Thread-safe, and all a worker thread holds."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.proxies = getproxies()
+        self.direct = urllib3.PoolManager(maxsize=maxsize)
+        self.proxied: dict[str, urllib3.ProxyManager] = {}  # scheme -> manager
+        by_url: dict[str, urllib3.ProxyManager] = {}
+        for scheme in ("http", "https"):
+            proxy = self.proxies.get(scheme) or self.proxies.get("all")
+            if not proxy:
+                continue
+            if "://" not in proxy:
+                proxy = "http://" + proxy
+            if proxy not in by_url:
+                try:
+                    by_url[proxy] = urllib3.ProxyManager(proxy, maxsize=maxsize)
+                except ProxySchemeUnknown as exc:
+                    raise InvalidParams(f"unsupported {scheme} proxy {proxy!r}") from exc
+            self.proxied[scheme] = by_url[proxy]
+
+    def get(self, url: str, headers: dict, timeout_s: float) -> urllib3.BaseHTTPResponse:
+        """One GET of ``url``, redirects not followed, through the proxy
+        for its scheme unless the environment exempts its host."""
+        manager = self.direct
+        if self.proxied:
+            scheme, netloc = urlsplit(url)[:2]
+            if scheme in self.proxied and not proxy_bypass_environment(netloc, self.proxies):
+                manager = self.proxied[scheme]
+        return manager.request(
+            "GET", url, headers=headers, timeout=timeout_s, retries=False, redirect=False
+        )
+
+    def close(self) -> None:
+        """Close every pool and its sockets (``PoolManager.clear`` only
+        drops the pools, which leaves their sockets to the collector)."""
+        for manager in (self.direct, *self.proxied.values()):
             for key in manager.pools.keys():
                 manager.pools[key].close()
+            manager.clear()
 
 
-def _request(http: requests.Session, url: str, headers: dict, timeout_s: float, t0: float):
-    """Send one request on ``http``; a pool thread runs this and holds
-    nothing else.  Returns the response as its status, headers, body and
-    final URL (a ``requests.Response`` would hold its connection open), or
-    the ``requests`` exception's class name; and the end time in ms after
-    ``t0``."""
+def _request(http: _Connections, url: str, headers: dict, timeout_s: float, t0: float):
+    """Send one request through ``http``, following up to
+    ``MAX_REDIRECTS`` redirects; a pool thread runs this and holds nothing
+    else.  Returns the response as its status, headers, body and final
+    URL, or the class name of the error that ended it; and the end time in
+    ms after ``t0``."""
     try:
-        resp = http.get(url, headers=headers, timeout=timeout_s)
-    except requests.RequestException as exc:
+        for _ in range(MAX_REDIRECTS + 1):
+            try:
+                resp = http.get(url, headers, timeout_s)
+            except ProtocolError:
+                # The server hung up without an answer, as on a kept-alive
+                # connection it had just closed: once more.
+                resp = http.get(url, headers, timeout_s)
+            location = resp.headers.get("Location")
+            if resp.status not in _REDIRECTS or not location:
+                response = (resp.status, resp.headers, resp.data, url)
+                break
+            url = urljoin(url, location)
+        else:
+            response = "TooManyRedirects"
+    except HTTPError as exc:
         response = type(exc).__name__
-    else:
-        response = (resp.status_code, resp.headers, resp.content or b"", resp.url)
     return response, (time.perf_counter() - t0) * 1000.0
 
 
@@ -176,25 +245,21 @@ class _PageLoad(PageScheduler):
     """One page fetch: the scheduler's decisions on real connections.
 
     The calling thread issues every load and takes in every response;
-    the pool's threads run ``_request``, each on a connection of its own,
+    the pool's threads run ``_request`` on the session's connections,
     and hold no reference to the page load or the session.
     """
 
     def __init__(self, session: FetchSession, url: str):
         super().__init__(url, session.max_connections)
         self.session = session
-        # Entered by ``fetch_page``: the pool joins its threads before
-        # the connections close.
-        self.connections = ExitStack()
         self.pool = ThreadPoolExecutor(session.max_connections)
         self.t0 = time.perf_counter()
         self.kinds = {url: "html"}
         self.rows: dict[str, ResourceLoad] = {}
         self.actual: list[str] = []
         self.predicted: tuple[str, ...] = ()
-        # Future -> (job, connection, kind, start ms, cache entry).
+        # Future -> (job, kind, start ms, cache entry).
         self.inflight: dict[Future, tuple] = {}
-        self.idle: list[requests.Session] = []
 
     def _ms(self) -> float:
         return (time.perf_counter() - self.t0) * 1000.0
@@ -212,12 +277,11 @@ class _PageLoad(PageScheduler):
         while inflight:
             done, _ = wait(inflight, return_when=FIRST_COMPLETED)
             for future in [f for f in inflight if f in done]:
-                job, http, *request = inflight.pop(future)
+                job, *request = inflight.pop(future)
                 self._received(job, *request, *future.result())
                 if job.is_main:
                     self._parse()
                 else:
-                    self.idle.append(http)
                     self.finish()
 
     def _issue(self, job: _Job) -> bool:
@@ -236,16 +300,13 @@ class _PageLoad(PageScheduler):
             self._done(job, ResourceLoad(url, "fresh", 0, t_start, self._ms(), kind), record)
             return False
         revalidate = usable and outcome is LookupOutcome.EXPIRED_REVALIDATE
-        headers = {"User-Agent": session.user_agent}
+        headers = {"User-Agent": session.user_agent, "Accept-Encoding": _ACCEPT_ENCODING}
         if revalidate and entry.validator:
             headers["If-None-Match"] = entry.validator
-        http = self.idle.pop() if self.idle and not is_main else None
-        if http is None:
-            http = self.connections.enter_context(requests.Session())
-            http.max_redirects = MAX_REDIRECTS
-            self.connections.callback(_close_pools, http)
-        future = self.pool.submit(_request, http, url, headers, session.timeout_s, self.t0)
-        self.inflight[future] = (job, http, kind, t_start, entry)
+        future = self.pool.submit(
+            _request, session._http, url, headers, session.timeout_s, self.t0
+        )
+        self.inflight[future] = (job, kind, t_start, entry)
         session.max_inflight_seen = max(session.max_inflight_seen, len(self.inflight))
         return True
 
@@ -303,9 +364,14 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
     """
     if mode not in ("legacy", "tempo"):
         raise InvalidParams(f"unknown mode {mode!r}: expected 'legacy' or 'tempo'")
+    if not session._close.alive:
+        raise InvalidParams("the session is closed")
+    if session.max_connections > session._http.maxsize:
+        # Its pools would have to discard connections.
+        raise InvalidParams("max_connections may not grow once the session is made")
     url = normalize_url(url)
     load = _PageLoad(session, url)
-    with load.connections, load.pool:
+    with load.pool:
         load.run(mode)
 
     rows, jobs = load.rows, load.jobs

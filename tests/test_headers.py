@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import pytest
-from requests.structures import CaseInsensitiveDict
 from urllib3 import HTTPHeaderDict
 
 from specload.headers import (
@@ -77,9 +76,10 @@ def test_pairs_adapter_is_case_insensitive():
 
 
 def test_repeated_header_reads_the_same_from_har_and_live():
-    # A live response's repeated field lines reach requests joined.
+    # A live response's repeated field lines reach the fetcher as one
+    # urllib3 header mapping, which joins them.
     lines = [("Cache-Control", "max-age=60"), ("cache-control", "no-store")]
-    live = CaseInsensitiveDict(HTTPHeaderDict(lines))
+    live = HTTPHeaderDict(lines)
     har = directives_from_pairs([{"name": name, "value": value} for name, value in lines])
     assert har == directives_from_mapping(live)
     assert har.no_store and har.max_age == 60

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import gc
+import http.client
+import logging
 import os
+import socket
 import sys
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 from urllib.parse import urlsplit
@@ -189,7 +193,8 @@ def test_session_history_window_forgets_what_the_page_dropped(monkeypatch, trim_
     assert (srv.url("/old.js") in report.predicted) is kept
 
 
-def test_connection_bound_is_respected():
+def test_connection_bound_is_respected(caplog):
+    caplog.set_level(logging.WARNING, logger="urllib3")
     subs = [f"/r{i}.js" for i in range(10)]
     spec = {
         "delay_ms": 20,
@@ -199,7 +204,7 @@ def test_connection_bound_is_respected():
     for connections in (3, 6):
         # More connections than cores, and threads switched often, so that
         # responses come in to the calling thread in varied orders and
-        # batches.
+        # batches, and the workers share the session's pool under stress.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -212,6 +217,8 @@ def test_connection_bound_is_respected():
         # The main resource's connection stays its own once it is done.
         assert session.max_inflight_seen == connections - 1
         assert {srv.url(s) for s in subs} <= set(session.cache.entries)
+    # No connection pool was ever full ("discarding connection").
+    assert caplog.records == []
 
 
 def test_session_keeps_bodies_only_for_cached_pages():
@@ -254,21 +261,24 @@ def test_page_first_seen_as_subresource_is_fetched_whole(cache_control):
         assert report.resources[0].bytes == 500
 
 
-class _RedirectingHandler(BaseHTTPRequestHandler):
-    """/old answers 301 to /new/p.html, which loads the relative a.js."""
+class _RoutedHandler(BaseHTTPRequestHandler):
+    """Keep-alive; logs (client port, path) and answers from the server's
+    ``routes`` ({path: (status, headers, body)}).  ``/chain/<n>``
+    redirects to ``/chain/<n - 1>``, and ``/chain/0`` is a page."""
 
-    routes = {
-        "/old": (301, {"Location": "/new/p.html"}, b""),
-        "/new/p.html": (200, {"Content-Type": "text/html"}, b'<script src="a.js"></script>'),
-        "/new/a.js": (200, {"Content-Type": "application/javascript"}, b"var a;"),
-    }
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):
         pass
 
     def do_GET(self):
-        self.server.paths.append(self.path)
-        status, headers, body = self.routes.get(self.path, (404, {}, b""))
+        self.server.log.append((self.client_address[1], self.path))
+        route = self.server.routes.get(self.path)
+        if route is None and self.path.startswith("/chain/"):
+            n = int(self.path.rsplit("/", 1)[1])
+            route = (302, {"Location": f"/chain/{n - 1}"}, b"") if n else _PAGE
+        status, headers, body = route or (404, {}, b"")
         self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
@@ -277,25 +287,87 @@ class _RedirectingHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
-def test_subresources_resolve_against_the_redirected_url():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _RedirectingHandler)
-    server.paths = []
+_PAGE = (200, {"Content-Type": "text/html"}, b'<script src="a.js"></script>')
+_SCRIPT = (200, {"Content-Type": "application/javascript"}, b"var a;")
+
+
+@contextmanager
+def _serving(handler, routes=None):
+    """A keep-alive test server in a thread of its own: yields the server
+    (its ``log`` fills with what ``handler`` logs) and its base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.log, server.routes = [], routes or {}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        report = fetch_page(FetchSession(), base + "/old", mode="legacy")
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_subresources_resolve_against_the_redirected_url():
+    # /old on one host redirects to /hop on another, which redirects
+    # (relative Location) to /new/p.html there; its relative a.js
+    # resolves against that final URL.
+    there_routes = {
+        "/hop": (301, {"Location": "/new/p.html"}, b""),
+        "/new/p.html": _PAGE,
+        "/new/a.js": _SCRIPT,
+    }
+    with _serving(_RoutedHandler, there_routes) as (there, there_base):
+        here_routes = {"/old": (301, {"Location": there_base + "/hop"}, b"")}
+        with _serving(_RoutedHandler, here_routes) as (here, base):
+            with FetchSession() as session:
+                report = fetch_page(session, base + "/old", mode="legacy")
     assert [(r.url, r.outcome) for r in report.resources] == [
         (base + "/old", "fetched"),
-        (base + "/new/a.js", "fetched"),
+        (there_base + "/new/a.js", "fetched"),
     ]
-    assert server.paths[:2] == ["/old", "/new/p.html"]
-    assert "/a.js" not in server.paths and "/new/a.js" in server.paths
+    assert [path for _, path in here.log] == ["/old"]
+    assert [path for _, path in there.log] == ["/hop", "/new/p.html", "/new/a.js"]
+
+
+def test_more_than_max_redirects_fail_the_main_resource():
+    routes = {"/chain/a.js": _SCRIPT}
+    with _serving(_RoutedHandler, routes) as (server, base), FetchSession() as session:
+        report = fetch_page(session, f"{base}/chain/{live.MAX_REDIRECTS}")
+        assert [r.outcome for r in report.resources] == ["fetched"] * 2
+        assert report.resources[1].url == base + "/chain/a.js"
+        del server.log[:]
+        with pytest.raises(MainResourceFailed, match="TooManyRedirects"):
+            fetch_page(session, f"{base}/chain/{live.MAX_REDIRECTS + 1}")
+    assert len(server.log) == live.MAX_REDIRECTS + 1
+
+
+def _closed_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def test_error_rows_name_the_root_cause():
+    # A script on a port nobody listens on, and one that answers after
+    # the session's timeout.
+    class SlowHandler(_RoutedHandler):
+        def do_GET(self):
+            if self.path == "/slow.js":
+                time.sleep(0.3)
+            super().do_GET()
+
+    dead = f"http://127.0.0.1:{_closed_port()}/dead.js"
+    body = b'<script src="%s"></script><script src="/slow.js"></script>' % dead.encode()
+    routes = {"/p.html": (200, {"Content-Type": "text/html"}, body), "/slow.js": _SCRIPT}
+    with _serving(SlowHandler, routes) as (_, base):
+        with FetchSession(timeout_s=0.1) as session:
+            report = fetch_page(session, base + "/p.html")
+    assert [(r.url, r.outcome, r.error) for r in report.resources] == [
+        (base + "/p.html", "fetched", None),
+        (dead, "error", "NewConnectionError"),
+        (base + "/slow.js", "error", "ReadTimeoutError"),
+    ]
 
 
 def test_main_resource_failure_raises():
@@ -313,6 +385,15 @@ def test_fewer_than_two_connections_is_invalid(connections):
     session = FetchSession()
     session.max_connections = connections
     with pytest.raises(InvalidParams):
+        fetch_page(session, "http://127.0.0.1:9/p.html")
+
+
+def test_max_connections_may_not_grow_once_the_session_is_made():
+    # The session's pools hold max_connections each; more in flight would
+    # make them discard connections.
+    session = FetchSession(max_connections=2)
+    session.max_connections = 3
+    with pytest.raises(InvalidParams, match="may not grow"):
         fetch_page(session, "http://127.0.0.1:9/p.html")
 
 
@@ -364,49 +445,44 @@ def test_the_calling_thread_owns_the_session(monkeypatch):
     assert {name for name, _ in calls} == {"lookup", "admit", "page_complete", "predict", "learn"}
 
 
-class _PortLoggingHandler(BaseHTTPRequestHandler):
-    """Keep-alive; logs (client port, path).  /p.html loads /a.js, /b.js
-    and /c.js; /dead.html drops the connection unanswered; /slow.js
-    answers after 100 ms."""
+_NO_STORE_SCRIPT = (200, {**_SCRIPT[1], "Cache-Control": "no-store"}, b"var x;")
+_SCRIPTS = {
+    "/p.html": (
+        200,
+        {"Content-Type": "text/html", "Cache-Control": "no-store"},
+        b"".join(b'<script src="/%s.js"></script>' % n for n in (b"a", b"b", b"c")),
+    ),
+    **{f"/{name}.js": _NO_STORE_SCRIPT for name in ("a", "b", "c", "slow")},
+}
 
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
 
-    def log_message(self, fmt, *args):
-        pass
+class _PortLoggingHandler(_RoutedHandler):
+    """Serves ``_SCRIPTS``: /p.html loads /a.js, /b.js and /c.js;
+    /dead.html drops the connection unanswered; /slow.js answers after
+    100 ms."""
 
     def do_GET(self):
-        self.server.log.append((self.client_address[1], self.path))
         if self.path == "/dead.html":
+            self.server.log.append((self.client_address[1], self.path))
             self.close_connection = True
             return
         if self.path == "/slow.js":
             time.sleep(0.1)
-        if self.path == "/p.html":
-            body = b"".join(b'<script src="/%s.js"></script>' % n for n in (b"a", b"b", b"c"))
-            kind = "text/html"
-        else:
-            body, kind = b"var x;", "application/javascript"
-        self.send_response(200)
-        self.send_header("Content-Type", kind)
-        self.send_header("Cache-Control", "no-store")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        super().do_GET()
+
+
+class _HangingUpHandler(_PortLoggingHandler):
+    """Hangs up after every response, without a ``Connection: close``."""
+
+    def do_GET(self):
+        super().do_GET()
+        self.close_connection = True
 
 
 @pytest.fixture
 def port_logging_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _PortLoggingHandler)
-    server.log = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server, f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with _serving(_PortLoggingHandler, _SCRIPTS) as served:
+        yield served
 
 
 @pytest.fixture
@@ -425,15 +501,41 @@ def started_threads(monkeypatch):
     return threads
 
 
-@pytest.mark.parametrize("connections, expected", [(2, 2), (4, 4)])
-def test_each_connection_is_reused_for_the_page(port_logging_server, connections, expected):
-    # The main resource has a connection of its own.  With 2 connections
-    # the three scripts share the other one; with 4, each has its own.
+@pytest.mark.parametrize("connections", [2, 4])
+def test_connections_are_reused_across_pages(port_logging_server, connections, caplog):
+    # Pages 1 and 2 load legacy; pages 3 to 5 tempo, whose predicted
+    # scripts start while the main resource is in flight.  No pool is
+    # ever full ("discarding connection", logged at WARNING).
+    caplog.set_level(logging.WARNING, logger="urllib3")
     server, base = port_logging_server
-    report = fetch_page(FetchSession(max_connections=connections), base + "/p.html")
-    assert [r.outcome for r in report.resources] == ["fetched"] * 4
-    assert len(server.log) == 4
-    assert len({port for port, _ in server.log}) == expected
+    ports = []
+    with FetchSession(max_connections=connections) as session:
+        for mode in ("legacy", "legacy", "tempo", "tempo", "tempo"):
+            seen = len(server.log)
+            report = fetch_page(session, base + "/p.html", mode=mode)
+            assert [r.outcome for r in report.resources] == ["fetched"] * 4
+            ports.append({port for port, _ in server.log[seen:]})
+    assert len(server.log) == 5 * 4
+    assert len(set().union(*ports)) <= connections
+    assert ports[1] <= ports[0]
+    assert caplog.records == []
+
+
+def test_a_server_that_hangs_up_after_each_response():
+    # The same three pages from a keep-alive server and from one that
+    # hangs up after every response: a kept connection the server has
+    # closed is never an error.
+    outcomes = []
+    for handler in (_PortLoggingHandler, _HangingUpHandler):
+        with _serving(handler, _SCRIPTS) as (server, base), FetchSession() as session:
+            pages = [fetch_page(session, base + "/p.html", m) for m in ("legacy", "tempo", "tempo")]
+        outcomes.append(
+            [[(r.url.removeprefix(base), r.outcome, r.error) for r in p.resources] for p in pages]
+        )
+    assert outcomes[0] == outcomes[1]
+    assert {outcome for page in outcomes[1] for _, outcome, _ in page} == {"fetched"}
+    # Each request of the hanging-up server came on a new connection.
+    assert len({port for port, _ in server.log}) == len(server.log) == 3 * 4
 
 
 def _wait_for_one_thread(timeout_s: float = 5.0) -> None:
@@ -457,16 +559,6 @@ def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads,
         return pool
 
     monkeypatch.setattr(urllib3.PoolManager, "_new_pool", record_pool)
-    fetch_page(FetchSession(max_connections=3), base + "/p.html")
-    assert started_threads
-    assert not any(t.is_alive() for t in started_threads)
-
-    # The main resource fails while a speculative load is in flight.  The
-    # failed page load is freed without the garbage collector's help.
-    repo = MetadataRepository()
-    main = ResourceRecord(base + "/dead.html", "html", 100)
-    repo.learn(PageVisit("u", 0.0, main, (ResourceRecord(base + "/slow.js", "script", 6),)))
-    del started_threads[:]
     loads = []
     init = live._PageLoad.__init__
 
@@ -477,15 +569,35 @@ def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads,
     monkeypatch.setattr(live._PageLoad, "__init__", record_load)
     gc.disable()
     try:
+        # The page's threads end with fetch_page; the session's pools
+        # stay open for its next page, and close with the session.
+        session = FetchSession(max_connections=3)
+        fetch_page(session, base + "/p.html")
+        assert started_threads
+        assert not any(t.is_alive() for t in started_threads)
+        assert pools and all(pool.pool is not None for pool in pools)
+        session.close()
+        assert all(pool.pool is None for pool in pools)
+        with pytest.raises(InvalidParams, match="closed"):
+            fetch_page(session, base + "/p.html")
+
+        # The main resource fails while a speculative load is in flight,
+        # on a session never closed.  The failed page load is freed, and
+        # the dropped session's pools are closed.
+        repo = MetadataRepository()
+        main = ResourceRecord(base + "/dead.html", "html", 100)
+        repo.learn(PageVisit("u", 0.0, main, (ResourceRecord(base + "/slow.js", "script", 6),)))
+        del started_threads[:], pools[:], loads[:]
+        seen = len(server.log)
         with pytest.raises(MainResourceFailed):
             fetch_page(FetchSession(repo=repo), base + "/dead.html", mode="tempo")
         assert loads and all(load() is None for load in loads)
+        assert pools and all(pool.pool is None for pool in pools)
     finally:
         gc.enable()
     assert started_threads
     assert not any(t.is_alive() for t in started_threads)
-    assert sorted(path for _, path in server.log[-2:]) == ["/dead.html", "/slow.js"]
-    assert pools and all(pool.pool is None for pool in pools)
+    assert {path for _, path in server.log[seen:]} == {"/dead.html", "/slow.js"}
 
     server.shutdown()
     _wait_for_one_thread()
@@ -503,6 +615,64 @@ def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads,
     assert sim._can_fork()
     simulate_trace(Trace(visits=[PageVisit("u", 0.0, main, ())]))
     assert len(forks) == 1
+
+
+class _ForwardingProxy(BaseHTTPRequestHandler):
+    """A plain HTTP proxy: logs each absolute-form request target and
+    forwards the request on a connection of its own."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_GET(self):
+        self.server.log.append(self.path)
+        target = urlsplit(self.path)
+        upstream = http.client.HTTPConnection(target.netloc, timeout=5)
+        try:
+            upstream.request("GET", target.path, headers=dict(self.headers))
+            response = upstream.getresponse()
+            body = response.read()
+        finally:
+            upstream.close()
+        self.send_response(response.status)
+        for name, value in response.getheaders():
+            if name.lower() not in ("connection", "content-length"):
+                self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_proxies_are_read_from_the_environment_when_the_session_is_made(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    with fixture_server(CACHING_SPEC) as srv, _serving(_ForwardingProxy) as (proxy, proxy_url):
+        page_url = srv.url("/index.html")
+        direct = FetchSession()
+        monkeypatch.setenv("HTTP_PROXY", proxy_url)
+        proxied = FetchSession()
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        bypassing = FetchSession()
+        for session in (direct, bypassing):
+            with session:
+                assert {r.outcome for r in fetch_page(session, page_url).resources} == {"fetched"}
+        assert proxy.log == [] and srv.request_counts()["/index.html"] == 2
+        with proxied:
+            report = fetch_page(proxied, page_url)
+    assert {r.outcome for r in report.resources} == {"fetched"}
+    assert proxy.log[0] == page_url
+    assert sorted(proxy.log) == sorted(r.url for r in report.resources)
+    assert srv.request_counts()["/index.html"] == 3
+
+
+def test_a_proxy_urllib3_cannot_use_is_invalid(monkeypatch):
+    monkeypatch.delenv("http_proxy", raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
+    with pytest.raises(InvalidParams, match="unsupported http proxy"):
+        FetchSession()
 
 
 # --- the live fetcher against the simulator ----------------------------
