@@ -1,10 +1,10 @@
 """Browser-style HTTP cache semantics over resource metadata.
 
-Entries hold metadata only (no bodies): enough to decide, for each
-request, whether the client would serve it locally (fresh hit), send a
-conditional request (expired, revalidate), or fetch in full (miss).
-Revalidation is modeled as always answered with 304, costing one round
-trip and zero body bytes.
+Entries hold metadata: enough to decide, for each request, whether the
+client would serve it locally (fresh hit), send a conditional request
+(expired, revalidate), or fetch in full (miss).  Revalidation is modeled
+as always answered with 304, costing one round trip and zero body bytes.
+The one body an entry holds is a page's, which the live fetcher parses.
 
 A cached entry is *fresh* at time t iff its freshness lifetime is known
 and ``t < stored_at + lifetime``.  Resources marked no-store bypass the
@@ -20,7 +20,6 @@ functions by name, so a tracer that wraps those bindings sees each call.
 from __future__ import annotations
 
 from collections import OrderedDict
-from copy import deepcopy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -63,6 +62,8 @@ class CacheEntry:
     lifetime: float | None
     validator: str | None = None
     directives: CacheDirectives = field(default_factory=CacheDirectives)
+    # A page's (final URL after redirects, body); only the live fetcher sets it.
+    body: tuple[str, bytes] | None = None
 
     def is_fresh(self, now: float) -> bool:
         return self.lifetime is not None and now < self.stored_at + self.lifetime
@@ -79,6 +80,23 @@ class CacheCounters:
     @property
     def requests(self) -> int:
         return self.fresh_hits + self.revalidations + self.misses
+
+    @property
+    def fresh_fraction(self) -> float:
+        return self.fresh_hits / self.requests if self.requests else 0.0
+
+    @property
+    def revalidation_fraction(self) -> float:
+        return self.revalidations / self.requests if self.requests else 0.0
+
+    @property
+    def miss_fraction(self) -> float:
+        return self.misses / self.requests if self.requests else 0.0
+
+    @property
+    def network_activity_fraction(self) -> float:
+        """Fraction of requests that touched the network at all."""
+        return (self.revalidations + self.misses) / self.requests if self.requests else 0.0
 
 
 class CacheStore:
@@ -106,27 +124,25 @@ class CacheStore:
 
     def classify(self, url: str, now: float) -> LookupOutcome:
         """Classification only; no counters, no recency updates."""
-        if url in self.temp:
-            return LookupOutcome.FRESH_HIT
-        entry = self.entries.get(url)
+        entry = self.entry(url)
         if entry is None:
             return LookupOutcome.MISS
-        if entry.is_fresh(now):
+        if url in self.temp or entry.is_fresh(now):
             return LookupOutcome.FRESH_HIT
         return LookupOutcome.EXPIRED_REVALIDATE
+
+    def entry(self, url: str) -> CacheEntry | None:
+        """The entry a request for ``url`` finds (temporary first); counts nothing."""
+        return self.temp.get(url) or self.entries.get(url)
 
     def lookup(self, url: str, now: float) -> LookupOutcome:
         return lookup(self, url, now)
 
-    def admit(self, record: ResourceRecord, now: float) -> None:
-        admit(self, record, now)
+    def admit(self, record: ResourceRecord, now: float, validator=None, body=None) -> None:
+        admit(self, record, now, validator, body)
 
     def page_complete(self) -> None:
         page_complete(self)
-
-    def fork(self) -> "CacheStore":
-        """Independent deep copy (entries, recency order, counters)."""
-        return deepcopy(self)
 
 
 def lookup(store: CacheStore, url: str, now: float) -> LookupOutcome:
@@ -158,8 +174,9 @@ def admit(
     record: ResourceRecord,
     now: float,
     validator: str | None = None,
+    body: tuple[str, bytes] | None = None,
 ) -> None:
-    """Store a fetched (or revalidated) response's metadata.
+    """Store a fetched (or revalidated) response's metadata (and page ``body``).
 
     no-store responses go to the temporary cache and are exempt from
     capacity.  A record whose URL is already present but expired is a
@@ -172,7 +189,7 @@ def admit(
     url = record.url
     d = record.cache_directives
     size = record.size_bytes
-    entry = CacheEntry(url, size, now, freshness_lifetime(d, now), validator, d)
+    entry = CacheEntry(url, size, now, freshness_lifetime(d, now), validator, d, body)
     counters = store.counters
     if d.no_store:
         counters.bytes_fetched += size
@@ -210,27 +227,6 @@ class CacheSimReport:
     capacity_bytes: float
     counters: CacheCounters
     per_site: dict[str, CacheCounters]
-
-    @property
-    def total_requests(self) -> int:
-        return self.counters.requests
-
-    @property
-    def fresh_fraction(self) -> float:
-        return self.counters.fresh_hits / self.total_requests if self.total_requests else 0.0
-
-    @property
-    def revalidation_fraction(self) -> float:
-        return self.counters.revalidations / self.total_requests if self.total_requests else 0.0
-
-    @property
-    def miss_fraction(self) -> float:
-        return self.counters.misses / self.total_requests if self.total_requests else 0.0
-
-    @property
-    def network_activity_fraction(self) -> float:
-        """Fraction of requests that touched the network at all."""
-        return self.revalidation_fraction + self.miss_fraction
 
 
 def replay_cache_sim(trace: Trace, capacity_bytes: float = 6 * 1024 * 1024) -> CacheSimReport:

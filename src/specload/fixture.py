@@ -82,29 +82,39 @@ def _padded_body(path: str, size: int, version: int) -> bytes:
 def _validate_spec(spec: dict) -> None:
     if not isinstance(spec, dict):
         raise BadSpec("fixture spec must be a JSON object")
-    pages = spec.get("pages", {})
-    resources = spec.get("resources", {})
+    pages, resources = spec.get("pages", {}), spec.get("resources", {})
     if not isinstance(pages, dict) or not isinstance(resources, dict):
         raise BadSpec("pages and resources must be objects")
+    for what, items in (("page", pages), ("resource", resources)):
+        for path, item in items.items():
+            if not isinstance(path, str) or not path.startswith("/"):
+                raise BadSpec(f"{what} path must start with /: {path!r}")
+            if not isinstance(item, dict):
+                raise BadSpec(f"{what} {path} must be an object")
+            headers = item.get("headers", {})
+            if not isinstance(headers, dict) or not all(
+                isinstance(value, str) for value in headers.values()
+            ):
+                raise BadSpec(f"headers of {what} {path} must be an object of strings")
     for path, page in pages.items():
-        if not path.startswith("/"):
-            raise BadSpec(f"page path must start with /: {path!r}")
         subs = page.get("subresources", [])
-        if not isinstance(subs, list):
-            raise BadSpec(f"subresources of {path} must be a list")
+        if not isinstance(subs, list) or not all(isinstance(sub, str) for sub in subs):
+            raise BadSpec(f"subresources of {path} must be a list of paths")
         for sub in subs:
             if sub not in resources:
                 raise BadSpec(f"page {path} references undeclared resource {sub}")
     for path, res in resources.items():
-        if not path.startswith("/"):
-            raise BadSpec(f"resource path must start with /: {path!r}")
         size = res.get("size", 0)
-        if not isinstance(size, int) or size < 0:
+        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
             raise BadSpec(f"resource {path} has bad size {size!r}")
-    if "delay_ms" in spec and (
-        not isinstance(spec["delay_ms"], (int, float)) or spec["delay_ms"] < 0
-    ):
-        raise BadSpec("delay_ms must be a non-negative number")
+        if not isinstance(res.get("content_type", ""), str):
+            raise BadSpec(f"content_type of resource {path} must be a string")
+    port = spec.get("port", 0)
+    if not isinstance(port, int) or isinstance(port, bool) or not 0 <= port <= 65535:
+        raise BadSpec(f"port must be an integer from 0 to 65535, not {port!r}")
+    delay = spec.get("delay_ms", 0)
+    if not isinstance(delay, (int, float)) or not 0 <= delay < float("inf"):
+        raise BadSpec(f"delay_ms must be a finite non-negative number, not {delay!r}")
 
 
 class FixtureServer:
@@ -120,7 +130,7 @@ class FixtureServer:
         self.versions: dict[str, int] = {}
         self.request_log: list[tuple[str, int]] = []  # (path, status)
         self._lock = threading.Lock()
-        want_port = port if port is not None else int(spec.get("port", 0))
+        want_port = port if port is not None else spec.get("port", 0)
         server = self
 
         class Handler(BaseHTTPRequestHandler):

@@ -97,7 +97,6 @@ def priority_key(node: GraphNode) -> tuple:
 
 class ResourceGraph:
     def __init__(self, site: str):
-        self.site = site
         self.nodes: dict[int, GraphNode] = {}
         self.subdomain_index: dict[str, int] = {}
         self.page_index: dict[str, int] = {}
@@ -590,6 +589,8 @@ def loads_repo(data: bytes) -> MetadataRepository:
             raise CorruptRepository(f"unreadable graph payload: {exc}") from exc
         view = view[length:]
         _load_graph(repo, payload)
+    if view:
+        raise CorruptRepository(f"{len(view)} bytes after the last graph")
     return repo
 
 
@@ -599,6 +600,10 @@ def load_repo(path) -> MetadataRepository:
 
 
 def _load_graph(repo: MetadataRepository, payload: dict) -> None:
+    if not isinstance(payload, dict) or not all(
+        isinstance(payload.get(key, []), list) for key in ("nodes", "edges")
+    ):
+        raise CorruptRepository("graph payload is not an object with node and edge lists")
     site = payload.get("site")
     if not isinstance(site, str) or not site:
         raise CorruptRepository("graph without site key")

@@ -40,6 +40,13 @@ def _objects(items, name: str) -> list[dict]:
     return items
 
 
+def _ref(item: dict, key: str) -> str | None:
+    ref = item.get(key)
+    if ref is not None and not isinstance(ref, str):
+        raise SchemaError(f"HAR {key} is not a string: {ref!r}")
+    return ref
+
+
 def _record_from_entry(entry: dict) -> ResourceRecord | None:
     request, response = _objects([entry.get("request", {}), entry.get("response", {})], "entry")
     try:
@@ -64,9 +71,10 @@ def import_har(path) -> list[PageVisit]:
     """Convert a HAR 1.2 capture into page visits.
 
     One visit per HAR page: the page's first HTML entry becomes the main
-    resource, every other entry of that page a subresource.  Entries
-    without a page reference are dropped and pages without an HTML entry
-    are skipped; both counts are reported through the module logger.
+    resource, every other entry of that page a subresource.  Two pages
+    with one id are a ``SchemaError``.  Entries without a page reference
+    are dropped and pages without an HTML entry are skipped; both counts
+    are reported through the module logger.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -79,10 +87,14 @@ def import_har(path) -> list[PageVisit]:
     pages = _objects(logdoc.get("pages") or [], "pages")
     entries = _objects(logdoc.get("entries") or [], "entries")
 
-    by_page: dict[str, list[dict]] = {p.get("id"): [] for p in pages if p.get("id")}
+    ids = [ref for ref in (_ref(page, "id") for page in pages) if ref]
+    by_page: dict[str, list[dict]] = {ref: [] for ref in ids}
+    if len(by_page) < len(ids):
+        # Each would take all of that id's entries: one visit twice.
+        raise SchemaError(f"HAR pages share the id {max(ids, key=ids.count)!r}")
     dropped = 0
     for entry in entries:
-        ref = entry.get("pageref")
+        ref = _ref(entry, "pageref")
         if ref in by_page:
             by_page[ref].append(entry)
         else:

@@ -18,13 +18,14 @@ per host, ``max_connections`` deep, so a session's connections persist
 across pages until ``close()`` (or until a session dropped unclosed is
 collected).  The worker threads are the page's own and have ended when
 ``fetch_page`` returns.  They only send requests and touch no session
-state; the calling thread owns the session's cache, kept bodies,
-repository and ``max_inflight_seen``.  It takes in every response, and
-looks every request up in the cache as the simulators do: a fresh entry
-is served locally, an expired one revalidates, and no-store responses
-sit in the temporary cache until the page completes.  The page is then
-learned into the session's ``graph.MetadataRepository`` with ``learn``,
-as in the replays.
+state; the calling thread owns the session's cache, repository and
+``max_inflight_seen``.  It takes in every response, and looks every
+request up in the cache as the simulators do: a fresh entry is served
+locally, an expired one revalidates, and no-store responses sit in the
+temporary cache until the page completes.  A page's body is kept in its
+cache entry; a page whose entry has none is fetched whole.  The page is
+then learned into the session's ``graph.MetadataRepository`` with
+``learn``, as in the replays.
 
 Proxies follow the usual environment variables (HTTP_PROXY, HTTPS_PROXY,
 ALL_PROXY and NO_PROXY), read when the session is made; the User-Agent
@@ -45,7 +46,7 @@ from urllib.request import getproxies, proxy_bypass_environment
 import urllib3
 from urllib3.exceptions import HTTPError, ProtocolError, ProxySchemeUnknown
 
-from .cache import CacheStore, LookupOutcome, admit, lookup, page_complete
+from .cache import CacheStore, LookupOutcome
 from .errors import InvalidParams, MainResourceFailed, MalformedUrl
 from .graph import MetadataRepository
 from .headers import directives_from_mapping, kind_from_mime
@@ -135,7 +136,7 @@ class LoadReport:
 class FetchSession:
     """One client across page fetches: cache, repository, connections.
 
-    Used by one thread at a time, which owns the cache, the kept bodies
+    Used by one thread at a time, which owns the cache (page bodies too)
     and the repository; each page is learned with ``repo.learn``.
     ``max_inflight_seen`` is the most requests ever on connections and
     not yet taken in by that thread.  The connections stay open across
@@ -151,8 +152,6 @@ class FetchSession:
     def __post_init__(self):
         _check_connections(self.max_connections)
         self.max_inflight_seen = 0
-        # Page URL -> (the URL the body came from after redirects, body).
-        self._bodies: dict[str, tuple[str, bytes]] = {}
         self._http = _Connections(self.max_connections)
         # Closes the sockets of a session dropped unclosed, too.
         self._close = weakref.finalize(self, self._http.close)
@@ -258,6 +257,8 @@ class _PageLoad(PageScheduler):
         self.rows: dict[str, ResourceLoad] = {}
         self.actual: list[str] = []
         self.predicted: tuple[str, ...] = ()
+        # This page's (final URL after redirects, body), once in hand.
+        self.body: tuple[str, bytes] | None = None
         # Future -> (job, kind, start ms, cache entry).
         self.inflight: dict[Future, tuple] = {}
 
@@ -289,12 +290,13 @@ class _PageLoad(PageScheduler):
         kind = self.kinds.get(url, "other")
         t_start = self._ms()
         now = time.time()
-        outcome = lookup(session.cache, url, now)
-        entry = session.cache.temp.get(url) or session.cache.entries.get(url)
-        # A main resource without a kept body (say, first fetched as a
-        # subresource), fresh or not, needs a full response to parse, so
-        # it sends no validator: a 304 would leave nothing to parse.
-        usable = entry is not None and (url in session._bodies or not is_main)
+        outcome = session.cache.lookup(url, now)
+        entry = session.cache.entry(url)
+        # A main resource whose entry has no body, fresh or not, needs a
+        # full response, so it sends no validator: a 304 has nothing to parse.
+        usable = entry is not None and (entry.body is not None or not is_main)
+        if is_main and usable:
+            self.body = entry.body  # for a fresh hit or a 304; a 200 replaces it
         if outcome is LookupOutcome.FRESH_HIT and usable:
             record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, now)
             self._done(job, ResourceLoad(url, "fresh", 0, t_start, self._ms(), kind), record)
@@ -312,9 +314,9 @@ class _PageLoad(PageScheduler):
 
     def _received(self, job: _Job, kind: str, t_start: float, entry, response, t_end: float):
         """Take in the response to ``job``'s request: the record, its cache
-        admit, the main resource's kept body and the report row.  ``entry``
-        is the cache entry a 304 refreshes."""
-        session, url, is_main = self.session, job.url, job.is_main
+        admit (with the main resource's body) and the report row.  ``entry``
+        is the cache entry a 304 refreshes, body and all."""
+        cache, url, is_main = self.session.cache, job.url, job.is_main
         if isinstance(response, str):
             row = ResourceLoad(url, "error", 0, t_start, t_end, kind, error=response)
             return self._done(job, row, None)
@@ -322,16 +324,16 @@ class _PageLoad(PageScheduler):
         now, etag = time.time(), headers.get("ETag")
         if status == 304 and entry is not None:
             record = ResourceRecord(url, kind, entry.size_bytes, entry.directives, now)
-            admit(session.cache, record, now, validator=etag or entry.validator)
+            cache.admit(record, now, etag or entry.validator, entry.body)
             row = ResourceLoad(url, "revalidated", 0, t_start, t_end, kind)
             return self._done(job, row, record)
         mime_kind = kind_from_mime(headers.get("Content-Type"))
         if not is_main and mime_kind != "other":
             kind = mime_kind
         record = ResourceRecord(url, kind, len(body), directives_from_mapping(headers), now)
-        admit(session.cache, record, now, validator=etag)
         if is_main:
-            session._bodies[url] = (final_url, body)
+            self.body = (final_url, body)
+        cache.admit(record, now, etag, self.body if is_main else None)
         row = ResourceLoad(url, "fetched", len(body), t_start, t_end, kind)
         self._done(job, row, record)
 
@@ -340,12 +342,12 @@ class _PageLoad(PageScheduler):
         job.record = record
         job.body_bytes = row.bytes
         self.rows[job.url] = row
-        if job.is_main and (record is None or job.url not in self.session._bodies):
+        if job.is_main and (record is None or self.body is None):
             raise MainResourceFailed(job.url, row.error or "no body")
 
     def _parse(self) -> None:
         # Relative references resolve against where the page ended up.
-        final_url, body = self.session._bodies[self.main.url]
+        final_url, body = self.body
         main_url = self.main.url
         found = [(u, k) for u, k in extract_subresources(body, final_url) if u != main_url]
         self.kinds.update(found)
@@ -380,9 +382,7 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
         if row.outcome in ("fetched", "revalidated"):
             row.outcome = "mispredicted"
 
-    page_complete(session.cache)
-    # A body is only read back for a hit on a cached entry.
-    session._bodies = {u: b for u, b in session._bodies.items() if u in session.cache.entries}
+    session.cache.page_complete()
     observed = tuple(jobs[u].record for u in load.actual if jobs[u].record is not None)
     session.repo.learn(PageVisit("live", time.time(), load.main.record, observed))
 

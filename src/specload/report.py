@@ -70,41 +70,25 @@ CACHE_HEADER = [
 
 
 def rows_for_cache(report: CacheSimReport) -> list[list]:
+    """A row per site, then the TOTAL row, the only one that counts bytes."""
     rows: list[list] = []
-    for site in sorted(report.per_site):
-        c = report.per_site[site]
-        n = c.requests
+    for segment, c in (*sorted(report.per_site.items()), ("TOTAL", report.counters)):
+        total = c is report.counters
         rows.append(
             [
-                site,
-                n,
+                segment,
+                c.requests,
                 c.fresh_hits,
                 c.revalidations,
                 c.misses,
-                c.fresh_hits / n if n else 0.0,
-                c.revalidations / n if n else 0.0,
-                c.misses / n if n else 0.0,
-                (c.revalidations + c.misses) / n if n else 0.0,
-                None,
-                None,
+                c.fresh_fraction,
+                c.revalidation_fraction,
+                c.miss_fraction,
+                c.network_activity_fraction,
+                c.bytes_fetched if total else None,
+                c.bytes_saved_by_304 if total else None,
             ]
         )
-    t = report.counters
-    rows.append(
-        [
-            "TOTAL",
-            report.total_requests,
-            t.fresh_hits,
-            t.revalidations,
-            t.misses,
-            report.fresh_fraction,
-            report.revalidation_fraction,
-            report.miss_fraction,
-            report.network_activity_fraction,
-            t.bytes_fetched,
-            t.bytes_saved_by_304,
-        ]
-    )
     return rows
 
 

@@ -36,18 +36,18 @@ lookup and admit happens in the same sequence either way
 the heap, and ``tests/test_sim.py`` compares the two).  After each
 event, either the waiting queue is empty or no connection is free.
 
-A cache state is any object with five methods: ``classify(url, now)``
+A cache state is any object with four methods: ``classify(url, now)``
 (pure, what the planner sees), ``lookup(url, now)`` (a request at
-issuance), ``admit(record, now)`` (a response came in),
-``page_complete()`` and ``fork()`` (an independent copy, one per mode
-in a trace replay).  ``FRESH``, ``EXPIRED`` and ``EMPTY`` answer every
-request with one fixed outcome and store nothing; a ``cache.CacheStore``
-runs the ``cache`` module's semantics on entries that evolve as the
-simulation runs.
+issuance), ``admit(record, now)`` (a response came in) and
+``page_complete()``.  A trace replay gives each mode a ``copy.deepcopy``
+of it.  ``FRESH``, ``EXPIRED`` and ``EMPTY`` answer every request with
+one fixed outcome and store nothing; a ``cache.CacheStore`` runs the
+``cache`` module's semantics on entries that evolve as the simulation
+runs.
 
 A trace replay (``simulate_trace``) runs on two processes.  A child
 made with ``os.fork`` makes each visit's prediction (``predict.replay``
-or the oracle) and simulates the legacy page against its own fork of
+or the oracle) and simulates the legacy page against its own copy of
 the cache state; it streams ``(prediction, legacy_ms)`` over a pipe in
 pickled batches.  This process simulates the speculative page from each
 prediction as the batches arrive.  Legacy loading never reads a
@@ -62,6 +62,7 @@ process handling.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import os
@@ -112,9 +113,6 @@ class Uniform:
 
     def page_complete(self) -> None:
         pass
-
-    def fork(self) -> "Uniform":
-        return self
 
 
 FRESH = Uniform(LookupOutcome.FRESH_HIT)
@@ -469,7 +467,7 @@ def simulate_trace(
     keeps its prediction for scoring (``predict.score_predictions``);
     otherwise it gets the oracle prediction (the visit's real
     subresource list, in document order).  Each mode runs against its
-    own ``fork`` of the cache state, since the two browsers would
+    own deep copy of the cache state, since the two browsers would
     accumulate different histories.  Mispredicted fetch sizes come from
     each URL's most recent earlier observation.
 
@@ -486,7 +484,7 @@ def simulate_trace(
 
     def predict_and_load_legacy() -> Iterator[tuple[Prediction, float]]:
         # Legacy loading never plans, so it needs no known records.
-        legacy_state = cache_state.fork()
+        legacy_state = copy.deepcopy(cache_state)
         if with_predictor:
             visits = replay(trace.visits, trim_days)
         else:
@@ -497,7 +495,7 @@ def simulate_trace(
         for visit, prediction in visits:
             yield prediction, simulate_page(visit, None, legacy_state, net, max_connections, None)
 
-    spec_state = cache_state.fork()
+    spec_state = copy.deepcopy(cache_state)
     known_records: dict[str, ResourceRecord] = {}
     result = SimResult()
     with closing(_in_worker(predict_and_load_legacy)) as halves:

@@ -216,12 +216,6 @@ class PageVisit:
     def __post_init__(self):
         _check_visit(self.timestamp, self.main, self.subresources, self.discovery_offsets)
 
-    @property
-    def offsets(self) -> tuple[float, ...]:
-        if self.discovery_offsets:
-            return self.discovery_offsets
-        return (0.0,) * len(self.subresources)
-
     def to_json(self) -> dict:
         out = {
             "user": self.user_id,

@@ -184,7 +184,7 @@ class _Engine:
                     # Queued entries get dropped unissued; anything
                     # already on a connection finishes on its own.
                     self.canceled.add(url)
-        offsets = self.visit.offsets
+        offsets = self.visit.discovery_offsets or (0.0,) * len(self.visit.subresources)
         # Push ready events in (offset, document index) order.  An
         # offset too small to survive ``parse_t + offset`` then still
         # breaks the tie the way it orders speculative loads.
@@ -220,7 +220,8 @@ class _Engine:
             # the schedule.  This makes the speculative subresource
             # schedule an exact left shift of the legacy one, so under
             # correct prediction it can never come out slower.
-            cadence = {r.url: visit.offsets[i] for i, r in enumerate(visit.subresources)}
+            offsets = visit.discovery_offsets or (0.0,) * len(visit.subresources)
+            cadence = {r.url: offsets[i] for i, r in enumerate(visit.subresources)}
             # The visit's own records are authoritative for anything the
             # page actually transfers this time around.
             own = {r.url: r for r in visit.subresources}

@@ -152,8 +152,8 @@ def test_03_caching_stays_network_bound(default_trace):
 
     six = replay_cache_sim(default_trace, capacity_bytes=6 * 1024 * 1024)
     unbounded = replay_cache_sim(default_trace, capacity_bytes=math.inf)
-    na6 = six.network_activity_fraction
-    nai = unbounded.network_activity_fraction
+    na6 = six.counters.network_activity_fraction
+    nai = unbounded.counters.network_activity_fraction
     assert na6 - nai <= 0.10
     assert na6 > 0.5 and nai > 0.5
 

@@ -9,6 +9,7 @@ bit-equal counters on whole-trace replays.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -144,7 +145,7 @@ def test_replay_counters_bit_equal_to_oracle(seed, capacity):
 def test_per_site_counts_sum_to_totals():
     trace = generate_synthetic(SynthParams(visits=200, n_sites=3, seed=5))
     report = replay_cache_sim(trace)
-    assert sum(c.requests for c in report.per_site.values()) == report.total_requests
+    assert sum(c.requests for c in report.per_site.values()) == report.counters.requests
     for name in ("fresh_hits", "revalidations", "misses"):
         per_site = sum(getattr(c, name) for c in report.per_site.values())
         assert per_site == getattr(report.counters, name), name
@@ -264,7 +265,7 @@ def test_lookup_counts_and_touches_recency():
 def test_copy_is_independent():
     store = CacheStore()
     admit(store, rec("http://a.com/a", max_age=600), now=0.0)
-    clone = store.fork()
+    clone = copy.deepcopy(store)
     admit(clone, rec("http://a.com/b", max_age=600), now=1.0)
     lookup(clone, "http://a.com/a", now=2.0)
     assert "http://a.com/b" not in store.entries

@@ -496,6 +496,13 @@ def test_fetch_against_fixture(tmp_path, capsys):
     assert all(r[2] == "tempo" for r in rows[1:])
 
 
+def test_fetch_with_a_bad_fixture_spec_exits_1(tmp_path, capsys):
+    spec = tmp_path / "fixture.json"
+    spec.write_text(json.dumps({"pages": {"/a.html": 1}}))
+    assert run("fetch", "--fixture", str(spec), "--url", "/a.html") == 1
+    assert capsys.readouterr().err == "error: page /a.html must be an object\n"
+
+
 def test_report_renders_saved_csv(tmp_path, trace_path, capsys):
     out = tmp_path / "cache.csv"
     assert run("sim-cache", "--trace", str(trace_path), "--out", str(out)) == 0

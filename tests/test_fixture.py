@@ -42,6 +42,73 @@ def test_bad_specs_rejected(spec):
         FixtureServer(spec)
 
 
+_PAGE_OK = {"/p.html": {"subresources": ["/r.js"]}}
+_RES_OK = {"/r.js": {"size": 10}}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        pytest.param([], "must be a JSON object", id="not-an-object"),
+        pytest.param({"pages": []}, "pages and resources must be objects", id="pages-list"),
+        pytest.param({"resources": 1}, "pages and resources must be", id="resources-number"),
+        pytest.param({"pages": {"p.html": {}}}, "page path must start with /", id="page-path"),
+        pytest.param({"resources": {"r.js": {}}}, "resource path must start with /", id="res-path"),
+        pytest.param({"pages": {"/a.html": 1}}, "page /a.html must be an object", id="page-number"),
+        pytest.param({"resources": {"/r.js": []}}, "resource /r.js must be", id="res-list"),
+        pytest.param(
+            {"pages": {"/a.html": {"headers": ["Cache-Control"]}}},
+            "headers of page /a.html must be an object of strings",
+            id="page-headers-list",
+        ),
+        pytest.param(
+            {"resources": {"/r.js": {"headers": {"Cache-Control": 60}}}},
+            "headers of resource /r.js must be an object of strings",
+            id="res-header-number",
+        ),
+        pytest.param(
+            {"pages": {"/a.html": {"subresources": "/r.js"}}, "resources": _RES_OK},
+            "subresources of /a.html must be a list of paths",
+            id="subresources-string",
+        ),
+        pytest.param(
+            {"pages": {"/a.html": {"subresources": [["/r.js"]]}}, "resources": _RES_OK},
+            "subresources of /a.html must be a list of paths",
+            id="subresource-list",
+        ),
+        pytest.param(
+            {"pages": _PAGE_OK}, "references undeclared resource /r.js", id="undeclared"
+        ),
+        pytest.param({"resources": {"/r.js": {"size": 1.5}}}, "bad size 1.5", id="size-float"),
+        pytest.param({"resources": {"/r.js": {"size": True}}}, "bad size True", id="size-bool"),
+        pytest.param(
+            {"resources": {"/r.js": {"content_type": 7}}},
+            "content_type of resource /r.js must be a string",
+            id="content-type-number",
+        ),
+        pytest.param({"port": "x"}, "port must be an integer", id="port-string"),
+        pytest.param({"port": 70000}, "port must be an integer", id="port-range"),
+        pytest.param({"delay_ms": "5"}, "delay_ms must be", id="delay-string"),
+        pytest.param({"delay_ms": float("inf")}, "delay_ms must be", id="delay-inf"),
+        pytest.param({"delay_ms": float("nan")}, "delay_ms must be", id="delay-nan"),
+    ],
+)
+def test_each_bad_shape_is_a_bad_spec(spec, message):
+    with pytest.raises(BadSpec, match=message):
+        FixtureServer(spec)
+
+
+def test_a_good_spec_passes_every_check():
+    spec = {
+        "port": 0,
+        "delay_ms": 1.5,
+        "pages": {"/p.html": {**_PAGE_OK["/p.html"], "headers": {"Cache-Control": "no-cache"}}},
+        "resources": {"/r.js": {"size": 10, "content_type": "text/plain", "headers": {}}},
+    }
+    with fixture_server(spec) as srv:
+        assert srv.port > 0
+
+
 def test_load_fixture_spec(tmp_path):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(SPEC))

@@ -584,6 +584,95 @@ def test_loads_rejects_a_key_named_twice():
         loads_repo(_MAGIC + struct.pack(">II", 1, len(body)) + body)
 
 
+_NODES = [
+    {"i": 0, "y": 0, "u": "a.com", "k": "", "v": 1, "t": 0.0},
+    {"i": 1, "y": 1, "u": "www.a.com", "k": "", "v": 1, "t": 0.0},
+    {"i": 2, "y": 2, "u": "http://www.a.com/", "k": "html", "v": 1, "t": 1.0},
+    {"i": 3, "y": 3, "u": "http://www.a.com/x.js", "k": "script", "v": 1, "t": 1.0},
+]
+_EDGES = [[0, 1, None], [1, 2, None], [2, 3, 1.0]]
+
+
+def _graph(nodes=_NODES, edges=_EDGES, **changes) -> bytes:
+    """One graph's length-prefixed payload: a website, a subdomain, a
+    page and its script, with ``changes`` made to the payload object."""
+    body = json.dumps({"site": "a.com", "nodes": nodes, "edges": edges, **changes}).encode()
+    return struct.pack(">I", len(body)) + body
+
+
+def _file(*graphs: bytes) -> bytes:
+    return _MAGIC + struct.pack(">I", len(graphs)) + b"".join(graphs)
+
+
+def _node(nid, **changes):
+    """``_NODES`` with ``changes`` made to node ``nid``."""
+    return [{**n, **changes} if n["i"] == nid else n for n in _NODES]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param(b"SLRepo2\n", "bad magic", id="magic"),
+        pytest.param(_MAGIC + b"\0\0", "truncated header", id="header"),
+        pytest.param(_MAGIC + struct.pack(">I", 1) + b"\0", "truncated graph length", id="length"),
+        pytest.param(_file(_graph()[:-1]), "truncated graph payload", id="payload"),
+        pytest.param(_file(struct.pack(">I", 1) + b"\xff"), "unreadable graph", id="utf-8"),
+        pytest.param(_file(struct.pack(">I", 1) + b"{"), "unreadable graph", id="json"),
+        pytest.param(_file(_graph()) + b"junk", "4 bytes after the last graph", id="trailing"),
+        pytest.param(_file(struct.pack(">I", 2) + b"[]"), "not an object with", id="payload-list"),
+        pytest.param(_file(_graph(nodes=5)), "with node and edge lists", id="nodes-number"),
+        pytest.param(_file(_graph(edges={})), "with node and edge lists", id="edges-object"),
+        pytest.param(_file(_graph(site="")), "graph without site key", id="site"),
+        pytest.param(_file(_graph(), _graph()), "duplicate graph for site a.com", id="site-twice"),
+        pytest.param(_file(_graph(nodes=[*_NODES, {"i": 4}])), "bad node record", id="node"),
+        pytest.param(_file(_graph(nodes=_node(2, v=-1))), "negative n_visits", id="visits"),
+        pytest.param(
+            _file(_graph(nodes=_node(2, t=math.nan))), "non-finite node timestamp", id="node-t"
+        ),
+        pytest.param(_file(_graph(nodes=_node(3, i=2))), "duplicate node id", id="node-id"),
+        pytest.param(
+            _file(_graph(nodes=_node(3, y=2, u="http://www.a.com/"))),
+            "duplicate WEBPAGE http://www.a.com/",
+            id="node-key",
+        ),
+        pytest.param(
+            _file(_graph(nodes=_node(1, y=0))), "graph for a.com has 2 website nodes", id="sites"
+        ),
+        pytest.param(_file(_graph(edges=[*_EDGES, [0]])), "bad edge record", id="edge"),
+        pytest.param(
+            _file(_graph(edges=[*_EDGES, [0, 9, None]])), "edge references unknown", id="edge-node"
+        ),
+        pytest.param(
+            _file(_graph(edges=[*_EDGES, [0, 2, None]])),
+            "edge crosses non-adjacent levels WEBSITE->WEBPAGE",
+            id="edge-levels",
+        ),
+        pytest.param(
+            _file(_graph(edges=[[0, 1, None], [1, 2, 1.0], [2, 3, 1.0]])),
+            "timed edge SUBDOMAIN->WEBPAGE",
+            id="edge-timed",
+        ),
+        pytest.param(
+            _file(_graph(edges=[[0, 1, None], [1, 2, None], [2, 3, math.inf]])),
+            "non-finite edge timestamp",
+            id="edge-t",
+        ),
+        pytest.param(
+            _file(_graph(edges=_EDGES[:2])), "unlinked SUBRESOURCE http://www.a.com/", id="orphan"
+        ),
+    ],
+)
+def test_each_corruption_is_a_corrupt_repository(data, message):
+    with pytest.raises(CorruptRepository, match=re.escape(message)):
+        loads_repo(data)
+
+
+def test_the_corruption_table_starts_from_a_good_file():
+    graph = loads_repo(_file(_graph())).graphs["a.com"]
+    assert sorted(n.url_or_name for n in graph.nodes.values()) == sorted(n["u"] for n in _NODES)
+    assert len(graph.edge_seen) == 1
+
+
 def test_repo_stats_counts():
     repo = build(
         [

@@ -185,12 +185,23 @@ def _with_main_entry(**changes):
         _with_main_entry(request=[]),
         _with_main_entry(response__headers=[1]),
         _with_main_entry(response__content=5),
+        _with_main_entry(pageref=["p"]),
+        {"log": {"pages": [{"id": 1}], "entries": []}},
     ],
     ids=[
         "array", "string-size", "infinite-size", "string-body-size", "string-time", "numeric-start",
         "number-page", "number-entry", "array-request", "number-header", "number-content",
+        "array-pageref", "number-id",
     ],
 )
 def test_malformed_har_is_a_schema_error(tmp_path, doc):
     with pytest.raises(SchemaError, match="HAR"):
+        import_har(_write_har(tmp_path, doc))
+
+
+def test_two_pages_with_one_id_are_a_schema_error(tmp_path):
+    doc = _with_main_entry()
+    page = doc["log"]["pages"][0]
+    doc["log"]["pages"].append({**page, "startedDateTime": "2024-03-01T11:00:00.000Z"})
+    with pytest.raises(SchemaError, match="HAR pages share the id 'p'"):
         import_har(_write_har(tmp_path, doc))

@@ -18,6 +18,7 @@ import pytest
 import requests
 import urllib3
 
+import specload.cache as cache_module
 from specload import live, sim
 from specload.cache import CacheStore, LookupOutcome
 from specload.errors import InvalidParams, MainResourceFailed
@@ -234,9 +235,13 @@ def test_session_keeps_bodies_only_for_cached_pages():
     }
     with fixture_server(spec) as srv:
         session = FetchSession(cache=CacheStore(capacity_bytes=2500))
+        pages = {srv.url(f"/p{i}.html") for i in range(10)}
         for i in range(10):
             fetch_page(session, srv.url(f"/p{i}.html"), mode="legacy")
-            assert set(session._bodies) <= set(session.cache.entries)
+            # Bodies live in the pages' cache entries and leave with them.
+            kept = {u for u, entry in session.cache.entries.items() if entry.body is not None}
+            assert srv.url(f"/p{i}.html") in kept
+            assert kept <= pages
         assert len(session.cache.entries) < 10
         # A page that is still cached is served fresh from its kept body.
         last = fetch_page(session, srv.url("/p9.html"), mode="legacy")
@@ -259,6 +264,31 @@ def test_page_first_seen_as_subresource_is_fetched_whole(cache_control):
         report = fetch_page(session, srv.url("/x.js"), mode="legacy")
         assert report.resources[0].outcome == "fetched"
         assert report.resources[0].bytes == 500
+
+
+def test_a_page_refetched_as_a_subresource_is_not_parsed_stale():
+    # /b.html is kept as a page, changes on the server, and comes in whole
+    # as /a.html's <img>.  As a page again, it revalidates against the new
+    # ETag; a 304 must not leave the old body (and /x.js) to parse.
+    spec = {
+        "delay_ms": 0,
+        "pages": {
+            "/a.html": {"subresources": ["/b.html"]},
+            "/b.html": {"subresources": ["/x.js"]},
+        },
+        "resources": {"/b.html": {}, "/x.js": {"size": 10}, "/y.js": {"size": 10}},
+    }
+    with fixture_server(spec) as srv, FetchSession() as session:
+        first = fetch_page(session, srv.url("/b.html"), mode="legacy")
+        assert [r.url for r in first.resources] == [srv.url("/b.html"), srv.url("/x.js")]
+        srv.mutate(pages={"/b.html": {"subresources": ["/y.js"]}})
+        as_image = fetch_page(session, srv.url("/a.html"), mode="legacy")
+        assert as_image.resources[1].outcome == "fetched"
+        again = fetch_page(session, srv.url("/b.html"), mode="legacy")
+    assert [(r.url, r.outcome) for r in again.resources] == [
+        (srv.url("/b.html"), "fetched"),
+        (srv.url("/y.js"), "fetched"),
+    ]
 
 
 class _RoutedHandler(BaseHTTPRequestHandler):
@@ -425,8 +455,9 @@ def test_the_calling_thread_owns_the_session(monkeypatch):
 
         return call
 
-    for name in ("lookup", "admit", "page_complete", "predict"):
-        monkeypatch.setattr(live, name, recorded(name, getattr(live, name)))
+    for name in ("lookup", "admit", "page_complete"):
+        monkeypatch.setattr(cache_module, name, recorded(name, getattr(cache_module, name)))
+    monkeypatch.setattr(live, "predict", recorded("predict", live.predict))
     monkeypatch.setattr(MetadataRepository, "learn", recorded("learn", MetadataRepository.learn))
     with fixture_server(CACHING_SPEC) as srv:
         session = FetchSession()
@@ -544,6 +575,21 @@ def _wait_for_one_thread(timeout_s: float = 5.0) -> None:
     while threading.active_count() > 1 and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() == 1, threading.enumerate()
+
+
+def test_a_dropped_session_closes_a_pool_held_past_it():
+    # Something that outlives the session (a traceback frame, say) holds
+    # one of its pools, so urllib3's own close on collecting the pool never
+    # runs: the session's finalizer has to close it.
+    with fixture_server(CACHING_SPEC) as srv:
+        session = FetchSession()
+        fetch_page(session, srv.url("/index.html"), mode="legacy")
+        pools = session._http.direct.pools
+        (pool,) = [pools[key] for key in pools.keys()]
+        assert pool.pool is not None
+        del session, pools
+        gc.collect()
+        assert pool.pool is None
 
 
 def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads, monkeypatch):

@@ -111,6 +111,25 @@ def test_hand_traced_report():
     assert rep.upper_bound_delay_reduction_fraction == 0.5
 
 
+def test_a_gap_longer_than_the_window_predicts_nothing_across_it():
+    p = "http://pf.example/p"
+    q = "http://pf.example/q"
+    t = trace_of(
+        visit(p, [], ts=0.0, size=500),
+        visit(p, [], ts=10.0, size=500),
+        visit(q, [], ts=400.0, size=700),
+        visit(q, [], ts=420.0, size=700),
+    )
+    rep = evaluate_prefetch(t, training_window_s=100.0, top_k=2, refresh_interval_s=50.0)
+    # The window ending at 100 predicts {p}; the six ending at 150 ... 400
+    # hold no visit (EmptyWindow) and predict nothing, so both q visits,
+    # in the last interval, miss.
+    assert rep.n_intervals == 7
+    assert rep.n_eval_visits == 2
+    assert rep.prefetched_bytes == 500
+    assert (rep.hit_ratio, rep.usefulness, rep.unnecessary_bytes_fraction) == (0.0, 0.0, 1.0)
+
+
 def test_counters_match_independent_recount():
     trace = generate_synthetic(SynthParams(visits=400, seed=5, n_sites=3))
     window, refresh, k = 3 * 86400.0, 86400.0, 5

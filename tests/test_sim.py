@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 import signal
@@ -285,7 +286,7 @@ def test_cache_store_state_goes_through_the_cache_module_bindings(monkeypatch):
     monkeypatch.setattr(sim, "_can_fork", lambda: False)
     trace = generate_synthetic(SynthParams(n_sites=2, pages_per_site=10, visits=60, seed=4))
     simulate_trace(trace, cache_state=CacheStore(), with_predictor=True)
-    assert len(stores) == 2  # one fork per mode
+    assert len(stores) == 2  # one copy per mode
     assert calls["lookup"] == sum(s.counters.requests for s in stores.values()) > 0
     network = sum(s.counters.revalidations + s.counters.misses for s in stores.values())
     assert 0 < calls["admit"] <= network
@@ -551,8 +552,8 @@ def _run_both(pages, state, net, connections, known):
     runs = []
     for engine in (_Engine, ReferenceEngine):
         log: list = []
-        legacy_state = _Recording(state.fork(), log)
-        spec_state = _Recording(state.fork(), log)
+        legacy_state = _Recording(copy.deepcopy(state), log)
+        spec_state = _Recording(copy.deepcopy(state), log)
         results = []
         for v, prediction in pages:
             modes = ((None, legacy_state), (prediction, spec_state))
@@ -641,7 +642,7 @@ def test_engine_matches_the_reference_engine(case):
     # The plan is the old plan's URLs, immediate then waiting, against a
     # cache state that evolves from page to page.
     pages, state, net, connections, known = case
-    spec_state = state.fork()
+    spec_state = copy.deepcopy(state)
     for v, prediction in pages:
         old = reference_plan_loads(prediction, spec_state, v.timestamp, connections)
         assert plan_loads(prediction, spec_state, v.timestamp) == tuple(old.all_urls())
@@ -709,7 +710,7 @@ def test_misprediction_canceled_while_its_ready_event_waits_never_loads():
     prediction = Prediction((wrong,), VisitClass.REVISIT)
     net = NetworkParams(parse_ms=0.0)
     log: list = []
-    state = _Recording(store.fork(), log)
+    state = _Recording(copy.deepcopy(store), log)
     eng = _Engine(v, prediction, state, net, 4, known)
     eng.run()
     assert ("lookup", wrong) not in [entry[:2] for entry in log]
@@ -727,7 +728,7 @@ def test_queued_load_that_turns_out_fresh_leaves_its_connection_free():
     admit(store, x, now=0.0)
     a, b = rec("http://q.example/a.js", size=0), rec("http://q.example/b.js", size=0)
     v = PageVisit("u", 1.0, rec("http://q.example/p", kind="html", size=0), (a, x, b))
-    eng = _Engine(v, None, store.fork(), NetworkParams(), 2, {})
+    eng = _Engine(v, None, copy.deepcopy(store), NetworkParams(), 2, {})
     assert eng.run() == 900.0
     assert eng.jobs[x.url].done_ms == 700.0
     prediction = Prediction((), VisitClass.UNKNOWN)

@@ -63,7 +63,6 @@ def test_offsets_omitted_when_all_zero(tmp_path):
 def test_offsets_default_to_zero():
     v = visit("http://a.com/", ["http://a.com/1.js", "http://a.com/2.js"], ts=1.0)
     assert v.discovery_offsets == ()
-    assert v.offsets == (0.0, 0.0)
 
 
 def test_visit_validation():
