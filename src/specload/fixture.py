@@ -171,12 +171,23 @@ class FixtureServer:
         self._thread.join(timeout=5)
 
     def mutate(self, pages: dict | None = None, resources: dict | None = None) -> None:
-        """Replace page subresource lists / resource specs; bump versions."""
+        """Replace page subresource lists / resource specs; bump versions.
+
+        Raises BadSpec, and changes nothing, when the fixture would not
+        be a valid spec afterwards.
+        """
+        pages = {} if pages is None else pages
+        resources = {} if resources is None else resources
+        if not isinstance(pages, dict) or not isinstance(resources, dict):
+            raise BadSpec("pages and resources must be objects")
         with self._lock:
-            for path, page in (pages or {}).items():
+            _validate_spec(
+                {"pages": {**self.pages, **pages}, "resources": {**self.resources, **resources}}
+            )
+            for path, page in pages.items():
                 self.pages[path] = dict(page)
                 self.versions[path] = self.versions.get(path, 0) + 1
-            for path, res in (resources or {}).items():
+            for path, res in resources.items():
                 self.resources[path] = dict(res)
                 self.versions[path] = self.versions.get(path, 0) + 1
 
@@ -242,10 +253,16 @@ class FixtureServer:
         length = int(handler.headers.get("Content-Length", 0))
         try:
             payload = json.loads(handler.rfile.read(length) or b"{}")
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or not UTF-8
             self._send(handler, 400, {"Content-Type": "text/plain"}, b"bad json")
             return
-        self.mutate(payload.get("pages"), payload.get("resources"))
+        try:
+            if not isinstance(payload, dict):
+                raise BadSpec("mutation must be a JSON object")
+            self.mutate(payload.get("pages"), payload.get("resources"))
+        except BadSpec as exc:
+            self._send(handler, 400, {"Content-Type": "text/plain"}, str(exc).encode())
+            return
         self._send(handler, 200, {"Content-Type": "application/json"}, b'{"ok": true}')
 
     def request_counts(self) -> dict[str, int]:

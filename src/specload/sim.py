@@ -49,15 +49,16 @@ A trace replay (``simulate_trace``) runs on two processes.  A child
 made with ``os.fork`` makes each visit's prediction (``predict.replay``
 or the oracle) and simulates the legacy page against its own copy of
 the cache state; it streams ``(prediction, legacy_ms)`` over a pipe in
-pickled batches.  This process simulates the speculative page from each
-prediction as the batches arrive.  Legacy loading never reads a
-prediction or the known records, and the speculative side never reads
-the graph or the legacy cache, so the two halves share no state and
-the result is what one process computes.  One process it is when
-``os.fork`` is missing, when another thread is alive (forking a
-threaded process can deadlock the child), or when a tracer or profiler
-is set, so that it sees the whole run.  ``_in_worker`` holds all of the
-process handling.
+batches, as one pickle stream, so that each object (most often a URL
+string) crosses the pipe once and arrives as one object.  This process
+simulates the speculative page from each prediction as the batches
+arrive.  Legacy loading never reads a prediction or the known records,
+and the speculative side never reads the graph or the legacy cache, so
+the two halves share no state and the result is what one process
+computes.  One process it is when ``os.fork`` is missing, when another
+thread is alive (forking a threaded process can deadlock the child), or
+when a tracer or profiler is set, so that it sees the whole run.
+``_in_worker`` holds all of the process handling.
 """
 
 from __future__ import annotations
@@ -546,11 +547,16 @@ def _in_worker(produce: Callable[[], Iterable[_T]]) -> Iterator[_T]:
 
     The child pickles the items to a pipe in batches of ``_BATCH`` and
     leaves with ``os._exit``, so it runs no atexit handler and flushes
-    no inherited buffer.  An exception in the child is raised here with
-    its type and message, its traceback chained as the cause.  Closing
-    this generator early, or an exception in the consumer that closes
-    it, kills and reaps the child.  When ``_can_fork`` says no, the
-    items are produced here instead.
+    no inherited buffer.  One ``Pickler`` writes the whole stream and one
+    ``Unpickler`` reads it, so an object sent again, such as a URL in
+    many predictions, goes as a reference to its first copy and is read
+    back as that same object.  Both memos keep what they have seen alive,
+    so no id is reused; the items must be immutable, since a change made
+    after sending would not cross.  An exception in the child is raised
+    here with its type and message, its traceback chained as the cause.
+    Closing this generator early, or an exception in the consumer that
+    closes it, kills and reaps the child.  When ``_can_fork`` says no,
+    the items are produced here instead.
     """
     if not _can_fork():
         yield from produce()
@@ -571,9 +577,10 @@ def _in_worker(produce: Callable[[], Iterable[_T]]) -> Iterator[_T]:
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
+                pickler = pickle.Pickler(pipe, pickle.HIGHEST_PROTOCOL)
 
                 def send(message) -> None:
-                    pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+                    pickler.dump(message)
                     pipe.flush()
 
                 try:
@@ -601,9 +608,10 @@ def _in_worker(produce: Callable[[], Iterable[_T]]) -> Iterator[_T]:
     reaped = False
     try:
         with open(read_fd, "rb") as pipe:
+            unpickler = pickle.Unpickler(pipe)
             while True:
                 try:
-                    kind, payload = pickle.load(pipe)
+                    kind, payload = unpickler.load()
                 except (EOFError, pickle.UnpicklingError):
                     kind = "died"
                 if kind == "items":

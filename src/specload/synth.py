@@ -4,6 +4,12 @@ Models the structure the rest of the toolkit cares about: websites whose
 pages share most subresources, a stream of visits dominated by
 first-time page URLs, and daily churn that swaps subresource URLs for
 new ones.  Same seed, same bytes.
+
+Records that carry the same cache directives share one frozen
+``CacheDirectives``: one ``generate_synthetic`` call keeps one per
+distinct profile and parameter for the profiles that do not depend on
+the visit time, and builds ``expires`` and ``heuristic`` directives per
+visit.
 """
 
 from __future__ import annotations
@@ -98,18 +104,25 @@ class _Page:
         self.unique = unique
 
 
-def _directives(profile: str, param: float, ts: float) -> CacheDirectives:
-    if profile == "no_store":
-        return CacheDirectives(no_store=True)
-    if profile == "no_cache":
-        return CacheDirectives(no_cache=True, has_validator=True)
-    if profile == "short" or profile == "long":
-        return CacheDirectives(max_age=int(param), has_validator=True)
+def _directives(profile: str, param: float, ts: float, memo: dict) -> CacheDirectives:
+    """The directives of one record at visit time ``ts``; those that do
+    not depend on ``ts`` come from ``memo``, keyed by profile and param."""
     if profile == "expires":
         return CacheDirectives(expires=ts + param, has_validator=True)
     if profile == "heuristic":
         return CacheDirectives(has_validator=True, last_modified=ts - param)
-    return CacheDirectives()
+    directives = memo.get((profile, param))
+    if directives is None:
+        if profile == "no_store":
+            directives = CacheDirectives(no_store=True)
+        elif profile == "no_cache":
+            directives = CacheDirectives(no_cache=True, has_validator=True)
+        elif profile == "short" or profile == "long":
+            directives = CacheDirectives(max_age=int(param), has_validator=True)
+        else:
+            directives = CacheDirectives()
+        memo[profile, param] = directives
+    return directives
 
 
 def _draw_profile(rng: random.Random, pairs) -> tuple[str, float]:
@@ -179,7 +192,7 @@ class _Site:
                 if rng.random() < rate:
                     page.unique[i] = self._new_sub()
 
-    def build_visit(self, page_idx: int, ts: float) -> PageVisit:
+    def build_visit(self, page_idx: int, ts: float, directives: dict) -> PageVisit:
         page = self.pages[page_idx]
         subs = list(self.pool) + list(page.unique)
         # Stable per-page interleaving so the document order is not
@@ -194,7 +207,7 @@ class _Site:
                 url=subs[i].url,
                 kind=subs[i].kind,
                 size_bytes=subs[i].size,
-                cache_directives=_directives(subs[i].profile, subs[i].param, ts),
+                cache_directives=_directives(subs[i].profile, subs[i].param, ts, directives),
                 fetched_at=ts,
             )
             for i in order
@@ -203,7 +216,7 @@ class _Site:
             url=page.url,
             kind="html",
             size_bytes=page.size,
-            cache_directives=_directives(page.profile, page.param, ts),
+            cache_directives=_directives(page.profile, page.param, ts, directives),
             fetched_at=ts,
         )
         return PageVisit(user_id="synth", timestamp=ts, main=main, subresources=records)
@@ -220,6 +233,7 @@ def generate_synthetic(params: SynthParams) -> Trace:
     params.validate()
     rng = random.Random(params.seed)
     sites = [_Site(i, params, rng) for i in range(params.n_sites)]
+    directives: dict[tuple[str, float], CacheDirectives] = {}
     visits: list[PageVisit] = []
     current_day = 0
     for n in range(params.visits):
@@ -240,5 +254,5 @@ def generate_synthetic(params: SynthParams) -> Trace:
         else:
             page_idx = rng.randrange(len(site.pages))
         site.visit_log.append(page_idx)
-        visits.append(site.build_visit(page_idx, ts))
+        visits.append(site.build_visit(page_idx, ts, directives))
     return Trace(visits=visits)

@@ -19,17 +19,22 @@ and ``synth`` emits canonical URLs by construction.  Everything
 downstream (the simulator, the graph, the replays, prefetching) uses
 ``record.url`` as given and never re-normalises it.
 
-``load_trace`` builds one ``CacheDirectives`` per distinct ``cc`` object
-in the file and shares it between the records that carry that ``cc``;
-the directives are frozen, so sharing is invisible.  It also normalises
-each distinct URL string once.  Both memos last for one load: nothing is
-kept between calls.  ``from_json`` runs the constructors' checks itself,
-in their order, and then fills the slots of the frozen instance directly
-instead of going through ``__init__``.
+``load_trace`` keeps one object per distinct value and shares it between
+the records that carry that value; records are frozen and the values
+immutable, so sharing is invisible.  Shared are: each raw URL's
+canonical form (normalised once), one ``CacheDirectives`` per distinct
+``cc`` object, each ``kind`` (as its ``RESOURCE_KINDS`` constant), each
+``size_bytes``, each non-zero ``fetched_at`` and ``timestamp`` (zero is
+left alone, so that 0.0 and -0.0 stay apart), and each ``user_id``.
+Ints and floats are kept apart, since 5 == 5.0.  The memos last for one
+load: nothing is kept between calls.  ``from_json`` runs the
+constructors' checks itself, in their order, and then fills the slots of
+the frozen instance directly instead of going through ``__init__``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,6 +43,7 @@ from .errors import SchemaError
 from .urls import normalize_url
 
 RESOURCE_KINDS = ("html", "script", "stylesheet", "image", "other")
+_KINDS = {kind: kind for kind in RESOURCE_KINDS}
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,19 @@ def _directives(cc, memo: dict | None) -> CacheDirectives:
     return directives
 
 
+class _Memo:
+    """One ``load_trace``'s shared values (see the module docstring)."""
+
+    __slots__ = ("urls", "directives", "ints", "floats", "users")
+
+    def __init__(self) -> None:
+        self.urls: dict[str, str] = {}  # raw URL -> canonical URL
+        self.directives: dict[tuple, CacheDirectives] = {}  # ``cc`` key
+        self.ints: dict[int, int] = {}
+        self.floats: dict[float, float] = {}
+        self.users: dict[str, str] = {}
+
+
 def _check_record(kind, size: int) -> None:
     if kind not in RESOURCE_KINDS:
         raise ValueError(f"unknown resource kind {kind!r}")
@@ -169,9 +188,9 @@ class ResourceRecord:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, _memo: dict | None = None) -> "ResourceRecord":
-        """Parse one record.  ``_memo`` is ``load_trace``'s per-load dict:
-        raw URL string -> canonical URL, and ``cc`` key -> directives."""
+    def from_json(cls, obj: dict, _memo: _Memo | None = None) -> "ResourceRecord":
+        """Parse one record, sharing its values through ``load_trace``'s
+        per-load ``_memo`` when one is given."""
         if not isinstance(obj, dict):
             raise ValueError("resource must be an object")
         try:
@@ -179,15 +198,20 @@ class ResourceRecord:
         except KeyError as exc:  # the first missing key, in that order
             raise ValueError(f"resource missing {exc.args[0]!r}") from None
         if _memo is not None and type(raw_url) is str:
-            url = _memo.get(raw_url)
+            url = _memo.urls.get(raw_url)
             if url is None:
-                url = _memo[raw_url] = normalize_url(raw_url)
+                url = _memo.urls[raw_url] = normalize_url(raw_url)
         else:
             url = normalize_url(raw_url)
         size = int(size)
-        directives = _directives(obj.get("cc", {}), _memo)
+        directives = _directives(obj.get("cc", {}), None if _memo is None else _memo.directives)
         fetched_at = float(obj.get("fetched_at", 0.0))
         _check_record(kind, size)
+        if _memo is not None:
+            kind = _KINDS[kind]
+            size = _memo.ints.setdefault(size, size)
+            if fetched_at:
+                fetched_at = _memo.floats.setdefault(fetched_at, fetched_at)
         record = _new(cls)
         _set_url(record, url)
         _set_kind(record, kind)
@@ -228,7 +252,7 @@ class PageVisit:
         return out
 
     @classmethod
-    def from_json(cls, obj: dict, _memo: dict | None = None) -> "PageVisit":
+    def from_json(cls, obj: dict, _memo: _Memo | None = None) -> "PageVisit":
         if not isinstance(obj, dict):
             raise ValueError("visit must be an object")
         try:
@@ -242,6 +266,10 @@ class PageVisit:
             raise ValueError("offsets must be a list")
         user = str(user)
         ts = float(ts)
+        if _memo is not None:
+            user = _memo.users.setdefault(user, user)
+            if ts:
+                ts = _memo.floats.setdefault(ts, ts)
         parse = ResourceRecord.from_json
         main = parse(main, _memo)
         subs = tuple([parse(s, _memo) for s in subs])
@@ -300,21 +328,29 @@ def load_trace(path) -> Trace:
     Ties keep file order.  URLs are canonicalised on the way in.
     Raises SchemaError with the offending line number for records that
     do not parse, including a visit whose subresource URLs collapse to
-    the same canonical URL.
+    the same canonical URL.  The cyclic garbage collector is paused
+    while the file is parsed, since parsing makes no reference cycles,
+    and left as the caller had it.
     """
     visits: list[PageVisit] = []
-    memo: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-            try:
-                visits.append(PageVisit.from_json(obj, memo))
-            except (ValueError, TypeError, KeyError) as exc:
-                raise SchemaError(str(exc), line=lineno) from exc
+    memo = _Memo()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+                try:
+                    visits.append(PageVisit.from_json(obj, memo))
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise SchemaError(str(exc), line=lineno) from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     visits.sort(key=lambda v: v.timestamp)
     return Trace(visits=visits)

@@ -182,7 +182,48 @@ def test_mutate_endpoint_rewrites_pages():
 
         bad = requests.post(srv.url("/__mutate"), data=b"{oops")
         assert bad.status_code == 400
+        assert requests.post(srv.url("/__mutate"), data=b"\xff").status_code == 400
         assert requests.post(srv.url("/__other"), data=b"{}").status_code == 404
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"pages": {"/index.html": 1}}, "page /index.html must be an object"),
+        ([], "mutation must be a JSON object"),
+        (
+            {"pages": {"/index.html": {"subresources": ["/ghost.js"]}}},
+            "page /index.html references undeclared resource /ghost.js",
+        ),
+    ],
+)
+def test_a_bad_mutation_is_refused_and_changes_nothing(capsys, payload, message):
+    with fixture_server(SPEC) as srv:
+        before = requests.get(srv.url("/index.html"))
+        resp = requests.post(srv.url("/__mutate"), json=payload)
+        assert (resp.status_code, resp.text) == (400, message)
+        after = requests.get(srv.url("/index.html"))
+        assert after.status_code == 200
+        assert (after.text, after.headers["ETag"]) == (before.text, before.headers["ETag"])
+        if isinstance(payload, dict):
+            with pytest.raises(BadSpec, match=message):
+                srv.mutate(payload.get("pages"), payload.get("resources"))
+        assert srv.pages == SPEC["pages"]
+    assert capsys.readouterr().err == ""
+
+
+def test_a_mutation_may_declare_what_its_pages_link():
+    with fixture_server(SPEC) as srv:
+        resp = requests.post(
+            srv.url("/__mutate"),
+            json={
+                "pages": {"/index.html": {"subresources": ["/new.js"]}},
+                "resources": {"/new.js": {"size": 7}},
+            },
+        )
+        assert resp.status_code == 200
+        assert "/new.js" in requests.get(srv.url("/index.html")).text
+        assert len(requests.get(srv.url("/new.js")).content) == 7
 
 
 def test_injected_delay_applies_to_content_not_control():

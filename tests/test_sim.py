@@ -795,6 +795,16 @@ def test_forked_and_inline_runs_are_equal(
     assert len(forked.pages) == len(worker_trace.visits)
 
 
+def test_a_forked_replay_gets_one_string_per_predicted_url(worker_trace, forks):
+    # One pickle stream for the whole pipe: a URL sent in many
+    # predictions arrives as one object.
+    result = simulate_trace(worker_trace, with_predictor=True)
+    assert len(forks) == 1
+    urls = [url for page in result.pages for url in page.prediction.urls]
+    assert len(urls) > 2 * len(set(urls))
+    assert len({id(url) for url in urls}) == len(set(urls))
+
+
 def test_a_failure_in_the_worker_is_raised_with_its_type_and_message(
     worker_trace, forks, monkeypatch
 ):

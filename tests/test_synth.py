@@ -135,3 +135,24 @@ def test_pages_per_site_is_a_hard_cap():
 def test_invalid_params_rejected(bad):
     with pytest.raises(InvalidParams):
         generate_synthetic(SynthParams(**bad))
+
+
+def test_time_free_directives_are_one_object_per_call():
+    params = SynthParams(visits=300, seed=4)
+    first, second = generate_synthetic(params), generate_synthetic(params)
+    by_url: dict[str, list] = {}
+    for v in first.visits:
+        for r in (v.main, *v.subresources):
+            by_url.setdefault(r.url, []).append(r.cache_directives)
+    time_free = [
+        ccs for ccs in by_url.values()
+        if len(ccs) > 1 and ccs[0].expires is None and ccs[0].last_modified is None
+    ]
+    assert time_free
+    assert all(cc is ccs[0] for ccs in time_free for cc in ccs)
+    timed = [ccs for ccs in by_url.values() if len(ccs) > 1 and ccs[0].expires is not None]
+    assert timed and all(len({id(cc) for cc in ccs}) == len(ccs) for ccs in timed)
+    # The memo belongs to one call: a second call shares nothing.
+    again = second.visits[0].subresources[0].cache_directives
+    assert again == first.visits[0].subresources[0].cache_directives
+    assert again is not first.visits[0].subresources[0].cache_directives

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 
 import pytest
 
+import specload.trace as trace_mod
 from conftest import rec, visit
 from specload.errors import SchemaError
+from specload.synth import SynthParams, generate_synthetic
 from specload.trace import (
+    RESOURCE_KINDS,
     CacheDirectives,
     PageVisit,
     Trace,
@@ -349,8 +354,6 @@ def test_malformed_records_raise_the_same_schema_error(tmp_path, case):
 
 
 def test_save_of_load_gives_the_same_bytes_on_a_synth_trace(tmp_path):
-    from specload.synth import SynthParams, generate_synthetic
-
     path, out = tmp_path / "t.jsonl", tmp_path / "out.jsonl"
     save_trace(generate_synthetic(SynthParams(visits=400, seed=11)), path)
     loaded = load_trace(path)
@@ -369,8 +372,6 @@ def test_save_of_load_gives_the_same_bytes_on_a_synth_trace(tmp_path):
 
 
 def test_equal_raw_urls_are_normalised_once_per_load(tmp_path, monkeypatch):
-    import specload.trace as trace_mod
-
     calls = []
 
     def counting(raw):
@@ -386,3 +387,115 @@ def test_equal_raw_urls_are_normalised_once_per_load(tmp_path, monkeypatch):
     assert sorted(calls) == ["HTTP://A.COM/", "http://a.com/x.js"]
     load_trace(path)
     assert len(calls) == 4  # nothing is kept between loads
+
+
+# --- one object per distinct value within a load -------------------------
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_equal_values_share_one_object_within_a_load_only(tmp_path):
+    at = 1265000000.5
+
+    def line(url: str) -> str:
+        return _dumps(
+            _vis(
+                user="someone",
+                ts=at,
+                main=_res(url, "html", 123456, fetched_at=at),
+                subs=[_res(f"http://a.com/{i}.js", "script", 123456, fetched_at=at) for i in (1, 2)],
+            )
+        )
+
+    path = tmp_path / "t.jsonl"
+    path.write_text(line("http://a.com/") + "\n" + line("http://a.com/b") + "\n")
+    first, second = load_trace(path).visits
+    records = [first.main, *first.subresources, second.main, *second.subresources]
+    assert first.user_id is second.user_id
+    assert first.timestamp is second.timestamp
+    assert all(r.size_bytes is first.main.size_bytes for r in records)
+    assert all(r.fetched_at is first.timestamp for r in records)
+    assert first.main.kind is second.main.kind is RESOURCE_KINDS[0]
+    assert all(r.kind is RESOURCE_KINDS[1] for r in first.subresources + second.subresources)
+    again = load_trace(path).visits[0]
+    assert again.user_id == first.user_id and again.user_id is not first.user_id
+    assert again.timestamp == first.timestamp and again.timestamp is not first.timestamp
+    assert again.main.size_bytes == first.main.size_bytes
+    assert again.main.size_bytes is not first.main.size_bytes
+
+
+@pytest.mark.parametrize("size", [12, 12.0])
+def test_save_of_load_keeps_each_number_as_read(tmp_path, size):
+    # Sharing must not merge numbers that are equal but print
+    # differently: 0.0 and -0.0, or an int size and an equal float time.
+    ats = [0.0, -0.0, 1.0, 12.0, math.nan]
+    lines = [
+        _dumps(
+            _vis(
+                ts=ts,
+                main=_res("http://a.com/", "html", size, cc={}, fetched_at=ts),
+                subs=[
+                    _res(f"http://a.com/{i}.js", size=size, cc={}, fetched_at=at)
+                    for i, at in enumerate(ats)
+                ],
+            )
+        )
+        for ts in (1.0, 2.0, 12.0)
+    ]
+    path, out = tmp_path / "t.jsonl", tmp_path / "out.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    save_trace(load_trace(path), out)
+    unshared = [_dumps(PageVisit.from_json(json.loads(line)).to_json()) for line in lines]
+    assert out.read_text() == "".join(line + "\n" for line in unshared)
+    if type(size) is int:
+        assert out.read_bytes() == path.read_bytes()
+
+
+def test_a_loaded_trace_retains_well_under_unshared_records(tmp_path):
+    path = tmp_path / "t.jsonl"
+    save_trace(generate_synthetic(SynthParams(visits=400, seed=0)), path)
+    lines = path.read_text().splitlines()
+
+    def retained(build) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = build()
+            size, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept
+        return size
+
+    shared = retained(lambda: load_trace(path))
+    unshared = retained(lambda: [PageVisit.from_json(json.loads(line)) for line in lines])
+    assert shared <= 0.5 * unshared
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_pauses_the_collector_and_restores_the_callers_state(
+    tmp_path, monkeypatch, enabled
+):
+    during = []
+
+    def spy(raw):
+        during.append(gc.isenabled())
+        return normalize_url(raw)
+
+    monkeypatch.setattr(trace_mod, "normalize_url", spy)
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text(json.dumps(_vis()) + "\n")
+    bad.write_text(json.dumps(_vis()) + "\n" + json.dumps(_vis(ts="soon")) + "\n")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_trace(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError):
+            load_trace(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during and not any(during)
