@@ -24,11 +24,18 @@ Fixture spec shape:
 
 Resource content types come from the path extension unless the spec
 says otherwise.  Control paths under ``/__`` skip the delay.
+
+The server serves from one thread that blocks on the listening socket
+with no timeout, so nothing polls while it serves.  ``stop()`` wakes
+that thread by shutting the socket down and returns as soon as it has
+ended, also on a server that was never started.  The module imports
+only the standard library and ``specload.errors``.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -36,6 +43,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .errors import BadSpec, PortInUse
+
+# A POST body is read whole, into a buffer of its declared length, so a
+# longer declared length is refused.
+MAX_POST_BYTES = 1 << 24
 
 _EXT_TYPES = {
     ".html": "text/html",
@@ -152,7 +163,8 @@ class FixtureServer:
             self._httpd = ThreadingHTTPServer(("127.0.0.1", want_port), Handler)
         except OSError as exc:
             raise PortInUse(f"cannot bind port {want_port}: {exc}") from exc
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._stopping = False
+        self._thread = threading.Thread(target=self._serve, name="fixture-server", daemon=True)
 
     @property
     def port(self) -> int:
@@ -166,9 +178,26 @@ class FixtureServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        """Stop serving and close the listening socket.  Returns once the
+        serving thread has ended; a second call does nothing."""
+        if self._stopping:
+            return
+        self._stopping = True
+        if self._thread.is_alive():
+            try:
+                self._httpd.socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                # Where a listening socket cannot be shut down, a
+                # connection wakes the serving thread instead.
+                socket.create_connection(self._httpd.server_address, timeout=5).close()
+            self._thread.join(timeout=5)
         self._httpd.server_close()
-        self._thread.join(timeout=5)
+
+    def _serve(self) -> None:
+        # handle_request() blocks until a connection arrives or stop()
+        # shuts the socket down; then accept() fails and it returns.
+        while not self._stopping:
+            self._httpd.handle_request()
 
     def mutate(self, pages: dict | None = None, resources: dict | None = None) -> None:
         """Replace page subresource lists / resource specs; bump versions.
@@ -247,12 +276,18 @@ class FixtureServer:
 
     def _handle_post(self, handler) -> None:
         path = handler.path.split("?", 1)[0]
+        length = handler.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()) or int(length) > MAX_POST_BYTES:
+            # The body is left unread, so the connection closes.
+            headers = {"Content-Type": "text/plain", "Connection": "close"}
+            self._send(handler, 400, headers, b"bad Content-Length")
+            return
+        body = handler.rfile.read(int(length))
         if path != "/__mutate":
             self._send(handler, 404, {"Content-Type": "text/plain"}, b"not found")
             return
-        length = int(handler.headers.get("Content-Length", 0))
         try:
-            payload = json.loads(handler.rfile.read(length) or b"{}")
+            payload = json.loads(body or b"{}")
         except ValueError:  # not JSON, or not UTF-8
             self._send(handler, 400, {"Content-Type": "text/plain"}, b"bad json")
             return

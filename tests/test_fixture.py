@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import statistics
+import threading
 import time
 
 import pytest
@@ -270,3 +273,65 @@ def test_keep_alive_requests_do_not_stall():
             took.append(time.perf_counter() - t0)
             assert response.status_code == 200 and len(response.content) == 2048
     assert statistics.median(took) < 0.020
+
+
+@pytest.mark.parametrize("keep_alive", [False, True], ids=["idle", "keep-alive"])
+def test_stop_returns_at_once_and_ends_the_serving_thread(keep_alive):
+    srv = FixtureServer(SPEC).start()
+    conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=10)
+    try:
+        if keep_alive:
+            conn.request("GET", "/app.js")
+            assert conn.getresponse().read() == _padded_body("/app.js", 2048, 0)
+        t0 = time.perf_counter()
+        srv.stop()
+        took = time.perf_counter() - t0
+    finally:
+        conn.close()
+    assert took < 0.1
+    assert not srv._thread.is_alive()
+
+
+def test_stop_wakes_the_server_where_a_listening_socket_cannot_shut_down(monkeypatch):
+    def refuse(sock, how):
+        raise OSError("Socket is not connected")
+
+    srv = FixtureServer(SPEC).start()
+    monkeypatch.setattr(socket.socket, "shutdown", refuse)
+    t0 = time.perf_counter()
+    srv.stop()
+    assert time.perf_counter() - t0 < 0.1
+    assert not srv._thread.is_alive()
+
+
+def test_stop_on_an_unstarted_server_closes_its_socket():
+    srv = FixtureServer(SPEC)
+    stopper = threading.Thread(target=srv.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+    srv.stop()
+    FixtureServer(SPEC, port=srv.port).stop()  # the port is free again
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-5", b"1000000000000000"])
+def test_a_bad_content_length_is_refused_and_changes_nothing(capsys, length):
+    mutation = json.dumps({"pages": {"/index.html": {"subresources": []}}}).encode()
+    with fixture_server(SPEC) as srv:
+        before = requests.get(srv.url("/index.html"))
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as raw:
+            raw.sendall(
+                b"POST /__mutate HTTP/1.1\r\nHost: fixture\r\nContent-Length: "
+                + length
+                + b"\r\n\r\n"
+                + mutation
+            )
+            reply = b""
+            while chunk := raw.recv(4096):  # the server closes the connection
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.endswith(b"\r\n\r\nbad Content-Length")
+        after = requests.get(srv.url("/index.html"))
+        assert (after.text, after.headers["ETag"]) == (before.text, before.headers["ETag"])
+        assert srv.pages == SPEC["pages"]
+    assert capsys.readouterr().err == ""
