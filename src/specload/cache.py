@@ -118,10 +118,6 @@ class CacheStore:
         self.counters = CacheCounters()
         self._used = 0
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
     def classify(self, url: str, now: float) -> LookupOutcome:
         """Classification only; no counters, no recency updates."""
         entry = self.entry(url)
@@ -224,7 +220,6 @@ def page_complete(store: CacheStore) -> None:
 
 @dataclass
 class CacheSimReport:
-    capacity_bytes: float
     counters: CacheCounters
     per_site: dict[str, CacheCounters]
 
@@ -255,4 +250,4 @@ def replay_cache_sim(trace: Trace, capacity_bytes: float = 6 * 1024 * 1024) -> C
                 tally.misses += 1
                 admit(store, record, visit.timestamp)
         page_complete(store)
-    return CacheSimReport(capacity_bytes=capacity_bytes, counters=store.counters, per_site=per_site)
+    return CacheSimReport(counters=store.counters, per_site=per_site)

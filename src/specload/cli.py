@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import statistics
 import sys
@@ -93,20 +92,13 @@ parse_time_ms = _bounded(float, "time", lambda t: 0 <= t < math.inf, "must be fi
 
 
 def _net_from(args) -> NetworkParams:
-    return NetworkParams(
-        rtt_ms=args.rtt_ms,
-        parse_ms=args.parse_ms,
-    )
+    return NetworkParams(rtt_ms=args.rtt_ms, parse_ms=args.parse_ms)
 
 
 def _cache_state_from(args):
-    name = args.cache_state
-    if name == "fresh":
-        return FRESH
-    if name == "expired":
-        return EXPIRED
-    if name == "empty":
-        return EMPTY
+    uniform = {"fresh": FRESH, "expired": EXPIRED, "empty": EMPTY}
+    if args.cache_state in uniform:
+        return uniform[args.cache_state]
     return CacheStore(args.capacity)
 
 
@@ -122,9 +114,7 @@ def _emit(args, header, rows) -> None:
         rpt.write_sidecar(args.out, args.command, _flags_of(args))
         print(f"wrote {args.out}")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([rpt.format_cell(c) for c in row] for row in rows)
+        rpt.write_rows(sys.stdout, header, rows)
 
 
 def cmd_ingest(args) -> int:
@@ -404,10 +394,7 @@ def main(argv=None) -> int:
             parser.error(f"graph {args.action} requires --repo")
     try:
         return args.func(args)
-    except SpecloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpecloadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

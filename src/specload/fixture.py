@@ -27,18 +27,20 @@ says otherwise.  Control paths under ``/__`` skip the delay.
 
 The server serves from one thread that blocks on the listening socket
 with no timeout, so nothing polls while it serves.  ``stop()`` wakes
-that thread by shutting the socket down and returns as soon as it has
-ended, also on a server that was never started.  The module imports
-only the standard library and ``specload.errors``.
+that thread by shutting the socket down, shuts down every connection
+still open and returns once their threads have ended, also on a server
+that was never started.  The module imports only the standard library
+and ``specload.errors``.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -128,6 +130,31 @@ def _validate_spec(spec: dict) -> None:
         raise BadSpec(f"delay_ms must be a finite non-negative number, not {delay!r}")
 
 
+class _Server(ThreadingHTTPServer):
+    """Keeps each open connection's socket and handler thread, so that a
+    stop can cut them off."""
+
+    def __init__(self, address, handler):
+        self.stopping = False
+        self.handlers: dict[socket.socket, threading.Thread] = {}
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        self.handlers[request] = thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        thread.start()
+
+    def shutdown_request(self, request):
+        self.handlers.pop(request, None)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # A connection cut off by a stop fails its handler's next write.
+        if not (self.stopping and isinstance(sys.exc_info()[1], OSError)):
+            super().handle_error(request, client_address)
+
+
 class FixtureServer:
     """Serves a fixture spec on localhost until stopped."""
 
@@ -160,10 +187,9 @@ class FixtureServer:
                 server._handle_post(self)
 
         try:
-            self._httpd = ThreadingHTTPServer(("127.0.0.1", want_port), Handler)
+            self._httpd = _Server(("127.0.0.1", want_port), Handler)
         except OSError as exc:
             raise PortInUse(f"cannot bind port {want_port}: {exc}") from exc
-        self._stopping = False
         self._thread = threading.Thread(target=self._serve, name="fixture-server", daemon=True)
 
     @property
@@ -178,25 +204,34 @@ class FixtureServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving and close the listening socket.  Returns once the
-        serving thread has ended; a second call does nothing."""
-        if self._stopping:
+        """Stop serving, cut off every open connection and close the
+        listening socket.  Returns once every thread of the server has
+        ended (a handler after its injected delay); a second call does nothing."""
+        httpd = self._httpd
+        if httpd.stopping:
             return
-        self._stopping = True
+        httpd.stopping = True
         if self._thread.is_alive():
             try:
-                self._httpd.socket.shutdown(socket.SHUT_RDWR)
+                httpd.socket.shutdown(socket.SHUT_RDWR)
             except OSError:
                 # Where a listening socket cannot be shut down, a
                 # connection wakes the serving thread instead.
-                socket.create_connection(self._httpd.server_address, timeout=5).close()
+                socket.create_connection(httpd.server_address, timeout=5).close()
             self._thread.join(timeout=5)
-        self._httpd.server_close()
+        # A handler waiting for a request reads the end of the stream.
+        handlers = httpd.handlers.copy()
+        for conn in handlers:
+            with suppress(OSError):  # closed by its handler meanwhile
+                conn.shutdown(socket.SHUT_RDWR)
+        for thread in handlers.values():
+            thread.join(timeout=5)
+        httpd.server_close()
 
     def _serve(self) -> None:
         # handle_request() blocks until a connection arrives or stop()
         # shuts the socket down; then accept() fails and it returns.
-        while not self._stopping:
+        while not self._httpd.stopping:
             self._httpd.handle_request()
 
     def mutate(self, pages: dict | None = None, resources: dict | None = None) -> None:
@@ -242,6 +277,8 @@ class FixtureServer:
     def _handle_get(self, handler) -> None:
         path = handler.path.split("?", 1)[0]
         self._sleep(path)
+        if self._httpd.stopping:  # cut off, maybe mid-read: no answer, no log
+            return
         with self._lock:
             page = self.pages.get(path)
             res = self.resources.get(path)
@@ -283,6 +320,8 @@ class FixtureServer:
             self._send(handler, 400, headers, b"bad Content-Length")
             return
         body = handler.rfile.read(int(length))
+        if self._httpd.stopping:
+            return
         if path != "/__mutate":
             self._send(handler, 404, {"Content-Type": "text/plain"}, b"not found")
             return
@@ -299,13 +338,6 @@ class FixtureServer:
             self._send(handler, 400, {"Content-Type": "text/plain"}, str(exc).encode())
             return
         self._send(handler, 200, {"Content-Type": "application/json"}, b'{"ok": true}')
-
-    def request_counts(self) -> dict[str, int]:
-        with self._lock:
-            counts: dict[str, int] = {}
-            for path, _status in self.request_log:
-                counts[path] = counts.get(path, 0) + 1
-            return counts
 
 
 def load_fixture_spec(path: str | Path) -> dict:

@@ -367,20 +367,15 @@ class MetadataRepository:
         """
         out: dict = {}
         for site in sorted(self.graphs):
-            graph = self.graphs[site]
-            nodes = sorted(
-                (int(n.node_type), n.url_or_name) for n in graph.nodes.values()
-            )
-            edges = sorted(
-                (
-                    int(graph.nodes[p].node_type),
-                    graph.nodes[p].url_or_name,
-                    graph.nodes[c].url_or_name,
-                )
-                for p in graph.nodes
-                for c in graph.nodes[p].children
-            )
-            out[site] = {"nodes": nodes, "edges": edges}
+            nodes = self.graphs[site].nodes
+            out[site] = {
+                "nodes": sorted((int(n.node_type), n.url_or_name) for n in nodes.values()),
+                "edges": sorted(
+                    (int(n.node_type), n.url_or_name, nodes[c].url_or_name)
+                    for n in nodes.values()
+                    for c in n.children
+                ),
+            }
         return out
 
 
@@ -698,10 +693,4 @@ def repo_stats(
             counts[node.node_type] += 1
     if serialized_size_bytes is None:
         serialized_size_bytes = len(dumps_repo(repo))
-    return RepoStats(
-        n_websites=counts[NodeType.WEBSITE],
-        n_subdomains=counts[NodeType.SUBDOMAIN],
-        n_webpages=counts[NodeType.WEBPAGE],
-        n_subresources=counts[NodeType.SUBRESOURCE],
-        serialized_size_bytes=serialized_size_bytes,
-    )
+    return RepoStats(*counts.values(), serialized_size_bytes)  # in NodeType order

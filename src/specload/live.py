@@ -38,7 +38,7 @@ import os
 import time
 import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from html.parser import HTMLParser
 from urllib.parse import urljoin, urlsplit
 from urllib.request import getproxies, proxy_bypass_environment
@@ -377,6 +377,13 @@ def fetch_page(session: FetchSession, url: str, mode: str = "legacy") -> LoadRep
         load.run(mode)
 
     rows, jobs = load.rows, load.jobs
+    for u in load.actual:
+        # A load issued before the parse (a predicted one) took the kind
+        # "other"; unless its response told a kind, the page's applies.
+        if rows[u].kind == "other":
+            rows[u].kind = kind = load.kinds[u]
+            if jobs[u].record is not None:
+                jobs[u].record = replace(jobs[u].record, kind=kind)
     wasted = [rows[u] for u, job in jobs.items() if not job.required and u in rows]
     for row in wasted:
         if row.outcome in ("fetched", "revalidated"):

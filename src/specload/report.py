@@ -4,6 +4,9 @@ Outputs are deterministic: floats always format as %.6f, rows come out
 in a fixed order, and the sidecar records the command, its flags, and
 the package version but never a wall-clock timestamp.  Re-running the
 same seeded command must produce byte-identical files.
+
+A CSV's header is its schema: each column after the row's labels names
+the attribute of the result object that fills it, read by ``cells``.
 """
 
 from __future__ import annotations
@@ -11,15 +14,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from enum import Enum
 from pathlib import Path
 
 from . import __version__
 from .cache import CacheSimReport
 from .graph import RepoStats
 from .live import LoadReport
-from .predict import PredictorReplayResult
+from .predict import BucketStats, PredictorReplayResult
 from .prefetch import PrefetchReport
-from .sim import SimResult
+from .sim import PageResult, SimResult
 
 
 def format_cell(value) -> str:
@@ -29,29 +33,35 @@ def format_cell(value) -> str:
         if math.isinf(value):
             return "inf"
         return f"{value:.6f}"
+    if isinstance(value, Enum):
+        return value.name.lower()
     return str(value)
+
+
+def write_rows(fh, header: list[str], rows: list[list]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(cell) for cell in row] for row in rows)
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(cell) for cell in row])
+        write_rows(fh, header, rows)
 
 
 def write_sidecar(csv_path: str | Path, command: str, flags: dict) -> Path:
     """Write ``<csv>.meta.json`` next to the CSV.  No timestamps."""
-    meta = {
-        "command": command,
-        "flags": flags,
-        "version": __version__,
-    }
+    meta = {"command": command, "flags": flags, "version": __version__}
     side = Path(str(csv_path) + ".meta.json")
     side.write_text(json.dumps(meta, sort_keys=True, indent=2, default=str) + "\n")
     return side
+
+
+def cells(obj, columns: list[str]) -> list:
+    """The row of ``obj``: its attribute named by each column, in order."""
+    return [getattr(obj, column) for column in columns]
 
 
 CACHE_HEADER = [
@@ -71,25 +81,11 @@ CACHE_HEADER = [
 
 def rows_for_cache(report: CacheSimReport) -> list[list]:
     """A row per site, then the TOTAL row, the only one that counts bytes."""
-    rows: list[list] = []
-    for segment, c in (*sorted(report.per_site.items()), ("TOTAL", report.counters)):
-        total = c is report.counters
-        rows.append(
-            [
-                segment,
-                c.requests,
-                c.fresh_hits,
-                c.revalidations,
-                c.misses,
-                c.fresh_fraction,
-                c.revalidation_fraction,
-                c.miss_fraction,
-                c.network_activity_fraction,
-                c.bytes_fetched if total else None,
-                c.bytes_saved_by_304 if total else None,
-            ]
-        )
-    return rows
+    rows = [
+        [site, *cells(c, CACHE_HEADER[1:-2]), None, None]
+        for site, c in sorted(report.per_site.items())
+    ]
+    return rows + [["TOTAL", *cells(report.counters, CACHE_HEADER[1:])]]
 
 
 SIM_HEADER = [
@@ -104,32 +100,9 @@ SIM_HEADER = [
 
 
 def rows_for_sim(result: SimResult, per_page: bool = True) -> list[list]:
-    rows: list[list] = []
-    if per_page:
-        for p in result.pages:
-            rows.append(
-                [
-                    p.url,
-                    p.timestamp,
-                    p.visit_class.name.lower() if p.visit_class else "",
-                    p.legacy_ms,
-                    p.speculative_ms,
-                    p.reduction_ms,
-                    p.reduction_fraction,
-                ]
-            )
-    rows.append(
-        [
-            "MEAN",
-            None,
-            "",
-            result.mean_legacy_ms,
-            result.mean_speculative_ms,
-            result.mean_reduction_ms,
-            result.reduction_fraction,
-        ]
-    )
-    return rows
+    """A row per page, then MEAN: the page whose delays are the means."""
+    mean = PageResult("MEAN", None, result.mean_legacy_ms, result.mean_speculative_ms)
+    return [cells(p, SIM_HEADER) for p in (*(result.pages if per_page else ()), mean)]
 
 
 PREFETCH_HEADER = [
@@ -144,32 +117,18 @@ PREFETCH_HEADER = [
 
 
 def rows_for_prefetch(report: PrefetchReport) -> list[list]:
-    return [
-        [
-            report.hit_ratio,
-            report.usefulness,
-            report.unnecessary_bytes_fraction,
-            report.upper_bound_delay_reduction_fraction,
-            report.n_intervals,
-            report.n_eval_visits,
-            report.prefetched_bytes,
-        ]
-    ]
+    return [cells(report, PREFETCH_HEADER)]
 
 
 PREDICTOR_HEADER = ["bucket", "index", "n_predictions", "hit_ratio", "usefulness"]
 
 
 def rows_for_predictor(result: PredictorReplayResult) -> list[list]:
-    rows: list[list] = []
-    for b in result.weekly:
-        rows.append(["weekly", b.index, b.n_predictions, b.hit_ratio, b.usefulness])
-    for b in result.monthly:
-        rows.append(["monthly", b.index, b.n_predictions, b.hit_ratio, b.usefulness])
-    rows.append(
-        ["overall", 0, len(result.per_visit), result.mean_hit_ratio, result.mean_usefulness]
-    )
-    return rows
+    """Weekly and monthly buckets, then one overall bucket of every visit."""
+    overall = BucketStats(0, len(result.per_visit), result.mean_hit_ratio, result.mean_usefulness)
+    labels = ["weekly"] * len(result.weekly) + ["monthly"] * len(result.monthly) + ["overall"]
+    buckets = (*result.weekly, *result.monthly, overall)
+    return [[label, *cells(b, PREDICTOR_HEADER[1:])] for label, b in zip(labels, buckets)]
 
 
 STATS_HEADER = [
@@ -182,15 +141,7 @@ STATS_HEADER = [
 
 
 def rows_for_repo_stats(stats: RepoStats) -> list[list]:
-    return [
-        [
-            stats.n_websites,
-            stats.n_subdomains,
-            stats.n_webpages,
-            stats.n_subresources,
-            stats.serialized_size_bytes,
-        ]
-    ]
+    return [cells(stats, STATS_HEADER)]
 
 
 FETCH_HEADER = [
@@ -207,22 +158,10 @@ FETCH_HEADER = [
 
 
 def rows_for_load_report(report: LoadReport, run: int = 0) -> list[list]:
-    rows: list[list] = []
-    for r in report.resources:
-        rows.append(
-            [
-                run,
-                report.url,
-                report.mode,
-                r.url,
-                r.kind,
-                r.outcome,
-                r.bytes,
-                r.t_start_ms,
-                r.t_end_ms,
-            ]
-        )
-    return rows
+    return [
+        [run, report.url, report.mode, r.url, *cells(r, FETCH_HEADER[4:])]
+        for r in report.resources
+    ]
 
 
 def render_table(csv_path: str | Path) -> str:

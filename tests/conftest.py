@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,6 +49,11 @@ def visit(
 
 def trace_of(*visits) -> Trace:
     return Trace(visits=sorted(visits, key=lambda v: v.timestamp))
+
+
+def request_counts(server) -> Counter:
+    """How many requests a fixture server has logged for each path."""
+    return Counter(path for path, _status in server.request_log)
 
 
 class IssueRecorder(PageScheduler):

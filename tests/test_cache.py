@@ -32,6 +32,10 @@ from specload.trace import CacheDirectives, Trace
 from specload.urls import website_key
 
 
+def used_bytes(store: CacheStore) -> int:
+    return sum(e.size_bytes for e in store.entries.values())
+
+
 # --- independent oracle -------------------------------------------------
 
 
@@ -199,7 +203,7 @@ def test_temp_entries_are_capacity_exempt():
     admit(store, rec("http://a.com/big", no_store=True, size=50_000), now=0.0)
     admit(store, rec("http://a.com/keep", max_age=60, size=800), now=0.0)
     assert "http://a.com/keep" in store.entries
-    assert store.used_bytes == 800
+    assert used_bytes(store) == 800
 
 
 def test_oversize_record_counted_but_not_admitted():
@@ -207,7 +211,7 @@ def test_oversize_record_counted_but_not_admitted():
     admit(store, rec("http://a.com/big", max_age=60, size=2000), now=0.0)
     assert store.entries == {}
     assert store.counters.bytes_fetched == 2000
-    assert store.used_bytes == 0
+    assert used_bytes(store) == store._used == 0
 
 
 def test_lru_eviction_prefers_least_recently_used():
@@ -313,5 +317,5 @@ def test_capacity_never_exceeded(ops, capacity):
                 rec(url, size=size, max_age=max_age, no_store=no_store, fetched_at=now),
                 now=now,
             )
-        assert store.used_bytes <= capacity
-        assert store.used_bytes == sum(e.size_bytes for e in store.entries.values())
+        # ``_used`` is the running total that eviction reads.
+        assert used_bytes(store) == store._used <= capacity

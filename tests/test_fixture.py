@@ -18,6 +18,8 @@ from specload.fixture import (
     load_fixture_spec,
 )
 
+from conftest import request_counts
+
 SPEC = {
     "delay_ms": 0,
     "pages": {"/index.html": {"subresources": ["/app.js", "/style.css", "/logo.png"]}},
@@ -142,7 +144,7 @@ def test_page_rendering_and_padded_resources():
         assert body.startswith(b"/app.js:0:")
 
         assert requests.get(srv.url("/nowhere")).status_code == 404
-        assert srv.request_counts() == {"/index.html": 1, "/app.js": 1, "/nowhere": 1}
+        assert request_counts(srv) == {"/index.html": 1, "/app.js": 1, "/nowhere": 1}
 
 
 def test_padded_body_exact_sizes():
@@ -290,6 +292,57 @@ def test_stop_returns_at_once_and_ends_the_serving_thread(keep_alive):
         conn.close()
     assert took < 0.1
     assert not srv._thread.is_alive()
+
+
+def _new_handler_threads(before=frozenset()) -> set[threading.Thread]:
+    """The live connection-handler threads that are not in ``before``."""
+    return {t for t in threading.enumerate() if "process_request_thread" in t.name} - before
+
+
+def test_a_stopped_server_answers_no_held_connection(capfd):
+    before = _new_handler_threads()
+    srv = FixtureServer(SPEC).start()
+    conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=10)
+    try:
+        conn.request("GET", "/app.js")
+        assert conn.getresponse().read() == _padded_body("/app.js", 2048, 0)
+        assert len(_new_handler_threads(before)) == 1
+        t0 = time.perf_counter()
+        srv.stop()
+        assert time.perf_counter() - t0 < 0.1
+        assert not _new_handler_threads(before)
+        with pytest.raises(OSError):
+            conn.request("GET", "/app.js")
+            conn.getresponse()
+    finally:
+        conn.close()
+    assert srv.request_log == [("/app.js", 200)]
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "partial",
+    [
+        b"GET /app.js HT",
+        b"GET /app.js HTTP/1.1\r\nHost: fixture\r\n",
+        b'POST /__mutate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"resources": {"/app.js": {}}}',
+    ],
+    ids=["request-line", "headers", "body"],
+)
+def test_a_request_cut_off_mid_read_is_neither_answered_nor_logged(capfd, partial):
+    before = _new_handler_threads()
+    srv = FixtureServer(SPEC).start()
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as raw:
+        raw.sendall(partial)
+        deadline = time.monotonic() + 5
+        while not _new_handler_threads(before) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)  # the handler is reading
+        srv.stop()
+        assert not _new_handler_threads(before)
+        assert raw.recv(4096) == b""
+    assert srv.request_log == [] and srv.versions == {}
+    assert capfd.readouterr().err == ""
 
 
 def test_stop_wakes_the_server_where_a_listening_socket_cannot_shut_down(monkeypatch):

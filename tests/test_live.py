@@ -29,7 +29,7 @@ from specload.predict import Prediction, VisitClass, predict
 from specload.sim import NetworkParams, _Engine, simulate_trace
 from specload.trace import PageVisit, ResourceRecord, Trace
 
-from conftest import fixture_process
+from conftest import fixture_process, request_counts
 
 # --- HTML subresource extraction ---------------------------------------
 
@@ -108,10 +108,48 @@ def test_legacy_fetch_learns_and_caches():
         assert by_url[srv.url("/b.css")].outcome == "revalidated"
         assert by_url[srv.url("/c.png")].outcome == "fetched"  # no-store
         assert second.total_bytes == 800
-        counts = srv.request_counts()
+        counts = request_counts(srv)
         assert counts["/a.js"] == 1  # fresh hit never left the client
         assert counts["/b.css"] == 2
         assert counts["/c.png"] == 2
+
+
+def test_subresources_keep_their_kind_in_both_modes():
+    # A predicted load is issued before the parse, so when its response
+    # does not tell the kind (a 304, or an untyped body) only the parse can.
+    spec = {
+        "delay_ms": 0,
+        "pages": {"/index.html": {"subresources": ["/app.js", "/style.css", "/logo.png"]}},
+        "resources": {
+            "/app.js": {"size": 2048},
+            "/style.css": {"size": 512, "headers": {"Cache-Control": "max-age=300"}},
+            "/logo.png": {
+                "size": 100,
+                "content_type": "application/octet-stream",
+                "headers": {"Cache-Control": "no-store"},
+            },
+        },
+    }
+    learned = []
+
+    class Recording(MetadataRepository):
+        def learn(self, visit):
+            learned.append(visit)
+            super().learn(visit)
+
+    with fixture_server(spec) as srv, FetchSession(repo=Recording()) as session:
+        page_url = srv.url("/index.html")
+        reports = [fetch_page(session, page_url, mode) for mode in ("legacy", "tempo", "tempo")]
+        base = srv.url("")
+    paths = ["/app.js", "/style.css", "/logo.png"]
+    kinds = {base + p: k for p, k in zip(paths, ["script", "stylesheet", "image"])}
+    outcomes = {base + p: o for p, o in zip(paths, ["revalidated", "fresh", "fetched"])}
+    assert set(reports[1].predicted) == set(kinds)
+    for report, visit in zip(reports, learned, strict=True):
+        assert {r.url: r.kind for r in report.resources[1:]} == kinds
+        assert {r.url: r.kind for r in visit.subresources} == kinds
+    for report in reports[1:]:
+        assert {r.url: r.outcome for r in report.resources[1:]} == outcomes
 
 
 def test_tempo_overlaps_subresources_with_main():
@@ -433,11 +471,11 @@ def test_unknown_mode_is_rejected_before_any_request():
         session = FetchSession()
         page_url = srv.url("/index.html")
         fetch_page(session, page_url, mode="legacy")
-        learned = srv.request_counts()
+        learned = request_counts(srv)
         for mode in ("Tempo", "speculative", ""):
             with pytest.raises(InvalidParams, match="unknown mode"):
                 fetch_page(session, page_url, mode=mode)
-        assert srv.request_counts() == learned
+        assert request_counts(srv) == learned
 
 
 # --- connections and threads -------------------------------------------
@@ -705,13 +743,13 @@ def test_proxies_are_read_from_the_environment_when_the_session_is_made(monkeypa
         for session in (direct, bypassing):
             with session:
                 assert {r.outcome for r in fetch_page(session, page_url).resources} == {"fetched"}
-        assert proxy.log == [] and srv.request_counts()["/index.html"] == 2
+        assert proxy.log == [] and request_counts(srv)["/index.html"] == 2
         with proxied:
             report = fetch_page(proxied, page_url)
     assert {r.outcome for r in report.resources} == {"fetched"}
     assert proxy.log[0] == page_url
     assert sorted(proxy.log) == sorted(r.url for r in report.resources)
-    assert srv.request_counts()["/index.html"] == 3
+    assert request_counts(srv)["/index.html"] == 3
 
 
 def test_a_proxy_urllib3_cannot_use_is_invalid(monkeypatch):

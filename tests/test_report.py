@@ -5,7 +5,7 @@ import math
 
 from specload.cache import replay_cache_sim
 from specload.live import LoadReport, ResourceLoad
-from specload.predict import replay_predictor
+from specload.predict import VisitClass, replay_predictor
 from specload.report import (
     CACHE_HEADER,
     FETCH_HEADER,
@@ -30,6 +30,7 @@ def test_format_cell():
     assert format_cell(math.inf) == "inf"
     assert format_cell(7) == "7"
     assert format_cell("TOTAL") == "TOTAL"
+    assert format_cell(VisitClass.NEW_VISIT_SUBDOMAIN_KNOWN) == "new_visit_subdomain_known"
 
 
 def test_write_csv_is_deterministic(tmp_path):
