@@ -102,16 +102,17 @@ def _cache_state_from(args):
     return CacheStore(args.capacity)
 
 
-def _flags_of(args) -> dict:
+def _sidecar(args, path) -> None:
+    """Write ``path``'s sidecar: the command and the flags it ran with."""
     skip = {"func", "command", "action"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    rpt.write_sidecar(path, args.command, {k: v for k, v in vars(args).items() if k not in skip})
 
 
 def _emit(args, header, rows) -> None:
     """Write CSV + sidecar when --out given, else print the table."""
     if getattr(args, "out", None):
         rpt.write_csv(args.out, header, rows)
-        rpt.write_sidecar(args.out, args.command, _flags_of(args))
+        _sidecar(args, args.out)
         print(f"wrote {args.out}")
     else:
         rpt.write_rows(sys.stdout, header, rows)
@@ -120,6 +121,7 @@ def _emit(args, header, rows) -> None:
 def cmd_ingest(args) -> int:
     visits = import_har(args.har)
     save_trace(Trace(visits=visits), args.out)
+    _sidecar(args, args.out)
     print(f"wrote {len(visits)} visits to {args.out}")
     return 0
 
@@ -137,6 +139,7 @@ def cmd_synth(args) -> int:
     )
     trace = generate_synthetic(params)
     save_trace(trace, args.out)
+    _sidecar(args, args.out)
     print(f"wrote {len(trace.visits)} visits to {args.out}")
     return 0
 
@@ -156,7 +159,7 @@ def cmd_sim_prefetch(args) -> int:
         top_k=args.top_k,
         net=_net_from(args),
     )
-    _emit(args, rpt.PREFETCH_HEADER, rpt.rows_for_prefetch(result))
+    _emit(args, rpt.PREFETCH_HEADER, [rpt.cells(result, rpt.PREFETCH_HEADER)])
     return 0
 
 
@@ -179,7 +182,7 @@ def cmd_sim_speculative(args) -> int:
         else:
             replay = score_predictions(trace.visits, [p.prediction for p in result.pages])
         rpt.write_csv(args.metrics_out, rpt.PREDICTOR_HEADER, rpt.rows_for_predictor(replay))
-        rpt.write_sidecar(args.metrics_out, args.command, _flags_of(args))
+        _sidecar(args, args.metrics_out)
     return 0
 
 
@@ -195,6 +198,7 @@ def cmd_graph(args) -> int:
         trace = load_trace(args.trace)
         repo = _build_repo(trace, args.trim_days)
         stats = repo_stats(repo, serialized_size_bytes=save_repo(repo, args.out))
+        _sidecar(args, args.out)
         print(
             f"wrote {args.out}: {stats.n_websites} websites, "
             f"{stats.n_webpages} pages, {stats.n_subresources} subresources, "
@@ -203,7 +207,7 @@ def cmd_graph(args) -> int:
         return 0
     repo = load_repo(args.repo)
     if args.action == "stats":
-        _emit(args, rpt.STATS_HEADER, rpt.rows_for_repo_stats(repo_stats(repo)))
+        _emit(args, rpt.STATS_HEADER, [rpt.cells(repo_stats(repo), rpt.STATS_HEADER)])
         return 0
     # trim
     newest = max(
@@ -215,6 +219,7 @@ def cmd_graph(args) -> int:
     )
     out = args.out or args.repo
     save_repo(repo, out)
+    _sidecar(args, out)
     print(f"removed {removed} nodes; wrote {out}")
     return 0
 
@@ -239,7 +244,7 @@ def cmd_fetch(args) -> int:
             print(f"median delay {statistics.median(delays):.1f} ms")
         if args.out:
             rpt.write_csv(args.out, rpt.FETCH_HEADER, rows)
-            rpt.write_sidecar(args.out, args.command, _flags_of(args))
+            _sidecar(args, args.out)
         return 0
 
     if args.fixture:

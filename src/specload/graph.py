@@ -12,7 +12,9 @@ exhibited them.  Trimming drops nodes that have not been visited within
 the cutoff window *and* edges that have not been seen within it, which
 makes trimming equivalent to rebuilding the graph from only the recent
 visits; without edge timestamps, a page that stopped referencing some
-subresource would keep advertising it forever.
+subresource would keep advertising it forever.  An edge goes only
+through ``ResourceGraph._unlink``, also when a node goes with it, and
+``_count_edge`` keeps the page-edge totals on every link and unlink.
 
 A daily trim costs what it removes, not the size of the history.  A
 graph's first trim builds its age index (``_AgeIndex``): a heap of
@@ -106,8 +108,8 @@ class ResourceGraph:
         self.edge_seen: dict[tuple[int, int], float] = {}
         self._next_id = 0
         # The number of page-to-subresource edges, in the whole graph and
-        # under each subdomain (kept by ``_link``, ``_unlink`` and
-        # ``_remove_node``), so a scope's mean fan-out costs no scan.
+        # under each subdomain (kept by ``_count_edge``), so a scope's mean
+        # fan-out costs no scan.
         self._page_edges = 0
         self._page_edges_under: dict[int, int] = {}
         # The subresources' priority keys in order, and the ids of the
@@ -128,14 +130,6 @@ class ResourceGraph:
         if subdomain_id is None:
             return self._page_edges
         return self._page_edges_under[subdomain_id]
-
-    def _count_page_edges(self, page: GraphNode, delta: int) -> None:
-        """Add ``delta`` edges of ``page`` to the graph's and its
-        subdomains' totals."""
-        self._page_edges += delta
-        under = self._page_edges_under
-        for sid in page.parents:
-            under[sid] += delta
 
     def ranked_subresources(self) -> Iterator[GraphNode]:
         """Every subresource node, in ``priority_key`` order.
@@ -185,8 +179,6 @@ class ResourceGraph:
             resource_kind=kind,
             last_visit=ts,
             n_visits=0,
-            parents=set(),
-            children=set(),
         )
         self._put(node)
         return nid
@@ -235,31 +227,27 @@ class ResourceGraph:
         self._count_edge(parent, child, -1)
 
     def _count_edge(self, parent: GraphNode, child: GraphNode, delta: int) -> None:
-        """Keep the page-edge totals right as one edge comes or goes."""
+        """Keep the page-edge totals right as one edge comes or goes: the
+        only place they change."""
         if parent.node_type is NodeType.WEBPAGE:
-            self._count_page_edges(parent, delta)
+            self._page_edges += delta
+            for sid in parent.parents:
+                self._page_edges_under[sid] += delta
         elif parent.node_type is NodeType.SUBDOMAIN:
             self._page_edges_under[parent.node_id] += delta * len(child.children)
 
     def _remove_node(self, nid: int) -> None:
-        node = self.nodes.pop(nid)
+        """Unlink a node's edges, children first (so a page leaves its
+        subdomains' totals edge by edge), then drop it."""
+        node = self.nodes[nid]
         self._unrank(node)
-        node_type = node.node_type
-        if node_type is NodeType.WEBPAGE:
-            self._count_page_edges(node, -len(node.children))
-        elif node_type is NodeType.SUBRESOURCE:
-            for pid in node.parents:
-                self._count_page_edges(self.nodes[pid], -1)
-        elif node_type is NodeType.SUBDOMAIN:
-            del self._page_edges_under[nid]
-        for pid in list(node.parents):
-            self.nodes[pid].children.discard(nid)
-            self.edge_seen.pop((pid, nid), None)
         for cid in list(node.children):
-            child = self.nodes[cid]
-            self._unrank(child)
-            child.parents.discard(nid)
-            self.edge_seen.pop((nid, cid), None)
+            self._unlink(nid, cid)
+        for pid in list(node.parents):
+            self._unlink(pid, nid)
+        del self.nodes[nid]
+        if node.node_type is NodeType.SUBDOMAIN:
+            del self._page_edges_under[nid]
         index = self._index_of(node.node_type)
         if index is not None:
             index.pop(node.url_or_name, None)

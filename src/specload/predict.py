@@ -166,36 +166,28 @@ class BucketStats:
 
 @dataclass
 class PredictorReplayResult:
+    """Each visit's scores, and their means (all built by ``_bucket``) per
+    7-day and 30-day bucket from the first visit and over every visit."""
+
     per_visit: list[VisitEvaluation]
     weekly: list[BucketStats]
     monthly: list[BucketStats]
+    overall: BucketStats
 
-    @property
-    def mean_hit_ratio(self) -> float:
-        if not self.per_visit:
-            return 0.0
-        return fmean(v.hit_ratio for v in self.per_visit)
 
-    @property
-    def mean_usefulness(self) -> float:
-        if not self.per_visit:
-            return 0.0
-        return fmean(v.usefulness for v in self.per_visit)
+def _bucket(index: int, rows: list[VisitEvaluation]) -> BucketStats:
+    """The mean scores of ``rows``; all zero when there are none."""
+    if not rows:
+        return BucketStats(index, 0, 0.0, 0.0)
+    hit_ratio = fmean(r.hit_ratio for r in rows)
+    return BucketStats(index, len(rows), hit_ratio, fmean(r.usefulness for r in rows))
 
 
 def _bucketize(rows: list[VisitEvaluation], t0: float, width: float) -> list[BucketStats]:
     grouped: dict[int, list[VisitEvaluation]] = {}
     for row in rows:
         grouped.setdefault(int((row.timestamp - t0) // width), []).append(row)
-    return [
-        BucketStats(
-            index=idx,
-            n_predictions=len(group),
-            hit_ratio=fmean(r.hit_ratio for r in group),
-            usefulness=fmean(r.usefulness for r in group),
-        )
-        for idx, group in sorted(grouped.items())
-    ]
+    return [_bucket(idx, group) for idx, group in sorted(grouped.items())]
 
 
 def score_predictions(
@@ -204,7 +196,6 @@ def score_predictions(
     """Score each visit's prediction against what the visit requested.
 
     ``predictions[i]`` is what the predictor said before ``visits[i]``.
-    Buckets are 7-day and 30-day windows from the first visit.
     """
     rows: list[VisitEvaluation] = []
     for visit, prediction in zip(visits, predictions, strict=True):
@@ -222,6 +213,7 @@ def score_predictions(
         per_visit=rows,
         weekly=_bucketize(rows, t0, 7 * DAY_S),
         monthly=_bucketize(rows, t0, 30 * DAY_S),
+        overall=_bucket(0, rows),
     )
 
 

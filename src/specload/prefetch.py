@@ -6,6 +6,10 @@ see how often the user's next visits actually land on them.  Prefetched
 content is charged on every refresh, whether or not it was fetched
 before: the point of the baseline is its data bill, not a clever
 transfer scheme.
+
+``evaluate_prefetch`` is one pass: its training window is the visits
+between two cursors, each counted as it enters and uncounted as it
+leaves.  ``train`` counts one window directly; the tests hold the pass to it.
 """
 
 from __future__ import annotations
@@ -31,49 +35,14 @@ def train(
     training_window_s: float,
     top_k: int = 10,
 ) -> PopularityModel:
-    """Count page-URL popularity over [window_end - window, window_end)."""
-    return _SlidingWindow(trace.visits, training_window_s, top_k).model_at(window_end)
-
-
-class _SlidingWindow:
-    """Popularity models for non-decreasing window ends, in linear time.
-
-    The visits must be in timestamp order (as in a ``Trace``).  Each
-    visit is counted once when it enters the window and uncounted once
-    when it leaves, so a whole evaluation costs one pass over the trace
-    instead of one per refresh.  Entering, it sets its page's ``page_bytes``.
-    """
-
-    def __init__(self, visits, training_window_s: float, top_k: int):
-        self.visits = visits
-        self.training_window_s = training_window_s
-        self.top_k = top_k
-        self.counts: Counter = Counter()  # main URLs of visits[lo:hi]
-        self.page_bytes: dict[str, int] = {}
-        self.lo = self.hi = 0
-
-    def model_at(self, window_end: float) -> PopularityModel:
-        """Page-URL popularity over [window_end - window, window_end)."""
-        visits, counts = self.visits, self.counts
-        while self.hi < len(visits) and visits[self.hi].timestamp < window_end:
-            v = visits[self.hi]
-            counts[v.main.url] += 1
-            sizes = (r.size_bytes for r in v.subresources)
-            self.page_bytes[v.main.url] = v.main.size_bytes + sum(sizes)
-            self.hi += 1
-        start = window_end - self.training_window_s
-        while self.lo < self.hi and visits[self.lo].timestamp < start:
-            url = visits[self.lo].main.url
-            counts[url] -= 1
-            if not counts[url]:
-                del counts[url]
-            self.lo += 1
-        if not counts:
-            raise EmptyWindow(f"no visits in window ending at {window_end}")
-        return PopularityModel(
-            counts=Counter(counts),
-            top_k=self.top_k,
-        )
+    """Count page-URL popularity over [window_end - window, window_end),
+    in a trace whose visits may come in any order.  Raises
+    ``EmptyWindow`` when the window holds no visit."""
+    start = window_end - training_window_s
+    counts = Counter(v.main.url for v in trace.visits if start <= v.timestamp < window_end)
+    if not counts:
+        raise EmptyWindow(f"no visits in window ending at {window_end}")
+    return PopularityModel(counts, top_k)
 
 
 def predict_pages(model: PopularityModel) -> list[str]:
@@ -109,6 +78,7 @@ def evaluate_prefetch(
     sizes; bytes for pages not visited in their interval count as
     unnecessary.  The delay upper bound generously assumes a prefetched
     page's entire legacy load (simulated, empty cache) is eliminated.
+    A refresh whose training window holds no visit prefetches nothing.
     ``top_k`` must be at least 1, and both windows finite and positive.
     """
     if top_k < 1:
@@ -137,16 +107,28 @@ def evaluate_prefetch(
     delay_matched = 0.0
     n_intervals = 0
 
-    window = _SlidingWindow(visits, training_window_s, top_k)
+    counts: Counter = Counter()  # main URLs of visits[lo:hi], the training window
+    page_bytes: dict[str, int] = {}  # set as each visit enters the window
+    lo = hi = 0
     boundary = t0 + training_window_s
     while boundary <= t_end:
-        try:
-            predicted = set(predict_pages(window.model_at(boundary)))
-        except EmptyWindow:
-            predicted = set()
+        while hi < len(visits) and visits[hi].timestamp < boundary:
+            visit = visits[hi]
+            counts[visit.main.url] += 1
+            sizes = (r.size_bytes for r in visit.subresources)
+            page_bytes[visit.main.url] = visit.main.size_bytes + sum(sizes)
+            hi += 1
+        start = boundary - training_window_s
+        while lo < hi and visits[lo].timestamp < start:
+            url = visits[lo].main.url
+            counts[url] -= 1
+            if not counts[url]:
+                del counts[url]
+            lo += 1
+        predicted = set(predict_pages(PopularityModel(counts, top_k)))
         interval_end = boundary + refresh_interval_s
         requested: set[str] = set()
-        i = window.hi
+        i = hi
         while i < len(visits) and visits[i].timestamp < interval_end:
             visit = visits[i]
             url = visit.main.url
@@ -160,11 +142,8 @@ def evaluate_prefetch(
             i += 1
         predicted_sum += len(predicted)
         matched_pages += len(predicted & requested)
-        for url in predicted:
-            size = window.page_bytes.get(url, 0)
-            bytes_total += size
-            if url not in requested:
-                bytes_unnecessary += size
+        bytes_total += sum(page_bytes[url] for url in predicted)
+        bytes_unnecessary += sum(page_bytes[url] for url in predicted - requested)
         n_intervals += 1
         boundary = interval_end
 

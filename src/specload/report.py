@@ -1,4 +1,4 @@
-"""Report writing: CSV tables plus a JSON sidecar per run.
+"""Report writing: CSV tables, and a JSON sidecar beside every output file.
 
 Outputs are deterministic: floats always format as %.6f, rows come out
 in a fixed order, and the sidecar records the command, its flags, and
@@ -19,10 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .cache import CacheSimReport
-from .graph import RepoStats
 from .live import LoadReport
-from .predict import BucketStats, PredictorReplayResult
-from .prefetch import PrefetchReport
+from .predict import PredictorReplayResult
 from .sim import PageResult, SimResult
 
 
@@ -51,10 +49,10 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
         write_rows(fh, header, rows)
 
 
-def write_sidecar(csv_path: str | Path, command: str, flags: dict) -> Path:
-    """Write ``<csv>.meta.json`` next to the CSV.  No timestamps."""
+def write_sidecar(path: str | Path, command: str, flags: dict) -> Path:
+    """Write ``<path>.meta.json`` next to an output file.  No timestamps."""
     meta = {"command": command, "flags": flags, "version": __version__}
-    side = Path(str(csv_path) + ".meta.json")
+    side = Path(str(path) + ".meta.json")
     side.write_text(json.dumps(meta, sort_keys=True, indent=2, default=str) + "\n")
     return side
 
@@ -116,18 +114,13 @@ PREFETCH_HEADER = [
 ]
 
 
-def rows_for_prefetch(report: PrefetchReport) -> list[list]:
-    return [cells(report, PREFETCH_HEADER)]
-
-
 PREDICTOR_HEADER = ["bucket", "index", "n_predictions", "hit_ratio", "usefulness"]
 
 
 def rows_for_predictor(result: PredictorReplayResult) -> list[list]:
     """Weekly and monthly buckets, then one overall bucket of every visit."""
-    overall = BucketStats(0, len(result.per_visit), result.mean_hit_ratio, result.mean_usefulness)
     labels = ["weekly"] * len(result.weekly) + ["monthly"] * len(result.monthly) + ["overall"]
-    buckets = (*result.weekly, *result.monthly, overall)
+    buckets = (*result.weekly, *result.monthly, result.overall)
     return [[label, *cells(b, PREDICTOR_HEADER[1:])] for label, b in zip(labels, buckets)]
 
 
@@ -138,10 +131,6 @@ STATS_HEADER = [
     "n_subresources",
     "serialized_size_bytes",
 ]
-
-
-def rows_for_repo_stats(stats: RepoStats) -> list[list]:
-    return [cells(stats, STATS_HEADER)]
 
 
 FETCH_HEADER = [

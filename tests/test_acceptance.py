@@ -190,16 +190,16 @@ def test_04_prediction_beats_prefetching():
 
     assert elapsed < 30.0
     assert prefetch.usefulness <= 0.25
-    assert replay.mean_usefulness >= 5 * prefetch.usefulness
+    assert replay.overall.usefulness >= 5 * prefetch.usefulness
     ratio = (
-        replay.mean_usefulness / prefetch.usefulness
+        replay.overall.usefulness / prefetch.usefulness
         if prefetch.usefulness
         else math.inf
     )
     _ok(
         4,
         "prediction beats prefetching",
-        f"predictor usefulness {replay.mean_usefulness:.3f} vs prefetch "
+        f"predictor usefulness {replay.overall.usefulness:.3f} vs prefetch "
         f"{prefetch.usefulness:.3f} ({ratio:.1f}x >= 5x), {elapsed:.1f}s for "
         f"5000 visits (limit 30s)",
     )

@@ -526,17 +526,18 @@ _SCRIPTS = {
 
 
 class _PortLoggingHandler(_RoutedHandler):
-    """Serves ``_SCRIPTS``: /p.html loads /a.js, /b.js and /c.js;
-    /dead.html drops the connection unanswered; /slow.js answers after
-    100 ms."""
+    """Serves ``_SCRIPTS``: /p.html loads /a.js, /b.js and /c.js, which
+    answer after 50 ms, so that a page's scripts overlap as far as its
+    connections allow, however its threads are scheduled; /dead.html
+    drops the connection unanswered; /slow.js answers after 100 ms."""
 
     def do_GET(self):
         if self.path == "/dead.html":
             self.server.log.append((self.client_address[1], self.path))
             self.close_connection = True
             return
-        if self.path == "/slow.js":
-            time.sleep(0.1)
+        if self.path.endswith(".js"):
+            time.sleep(0.1 if self.path == "/slow.js" else 0.05)
         super().do_GET()
 
 
@@ -572,9 +573,11 @@ def started_threads(monkeypatch):
 
 @pytest.mark.parametrize("connections", [2, 4])
 def test_connections_are_reused_across_pages(port_logging_server, connections, caplog):
-    # Pages 1 and 2 load legacy; pages 3 to 5 tempo, whose predicted
-    # scripts start while the main resource is in flight.  No pool is
-    # ever full ("discarding connection", logged at WARNING).
+    # Pages 1 and 2 load legacy, each with min(3, connections - 1)
+    # scripts in flight at once, so page 2 needs no connection page 1 did
+    # not open; pages 3 to 5 tempo, whose predicted scripts start while
+    # the main resource is in flight.  No pool is ever full ("discarding
+    # connection", logged at WARNING).
     caplog.set_level(logging.WARNING, logger="urllib3")
     server, base = port_logging_server
     ports = []

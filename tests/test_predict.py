@@ -474,7 +474,7 @@ def test_replay_hand_oracle_and_buckets():
     ]
     assert [r.hit_ratio for r in result.per_visit] == [0.0, 1.0, 1.0]
     assert [r.usefulness for r in result.per_visit] == [0.0, 1.0, 1.0]
-    assert result.mean_hit_ratio == pytest.approx(2 / 3)
+    assert result.overall.hit_ratio == pytest.approx(2 / 3)
 
     assert [(b.index, b.n_predictions) for b in result.weekly] == [(0, 2), (1, 1)]
     assert result.weekly[0].hit_ratio == pytest.approx(0.5)

@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from specload.errors import EmptyWindow, InsufficientTrace, InvalidParams
-from specload.prefetch import _SlidingWindow, evaluate_prefetch, predict_pages, train
+from specload.prefetch import PrefetchReport, evaluate_prefetch, predict_pages, train
+from specload.sim import EMPTY, simulate_page
 from specload.synth import SynthParams, generate_synthetic
 from specload.trace import Trace
 from specload.urls import normalize_url
@@ -190,6 +191,51 @@ def _window_counts(trace, window_end, window):
     )
 
 
+def _evaluate_naively(trace, window, k, refresh) -> PrefetchReport:
+    """``evaluate_prefetch`` written out the slow way: ``train`` at every
+    refresh, an ``EmptyWindow`` predicting nothing, and each interval's
+    visits and each page's last seen bytes found by a scan of the trace."""
+    visits = trace.visits
+    predicted_sum = matched_pages = matched_visits = evaluated = charged = unnecessary = 0
+    delay_total = delay_matched = 0.0
+    n_intervals = 0
+    boundary = visits[0].timestamp + window
+    while boundary <= visits[-1].timestamp:
+        try:
+            predicted = set(predict_pages(train(trace, boundary, window, k)))
+        except EmptyWindow:
+            predicted = set()
+        interval = [v for v in visits if boundary <= v.timestamp < boundary + refresh]
+        for v in interval:
+            delay = simulate_page(v, None, EMPTY)
+            delay_total += delay
+            if v.main.url in predicted:
+                matched_visits += 1
+                delay_matched += delay
+        evaluated += len(interval)
+        requested = {v.main.url for v in interval}
+        last = {
+            v.main.url: v.main.size_bytes + sum(r.size_bytes for r in v.subresources)
+            for v in visits
+            if v.timestamp < boundary
+        }
+        predicted_sum += len(predicted)
+        matched_pages += len(predicted & requested)
+        charged += sum(last[url] for url in predicted)
+        unnecessary += sum(last[url] for url in predicted - requested)
+        n_intervals += 1
+        boundary += refresh
+    return PrefetchReport(
+        hit_ratio=matched_pages / predicted_sum if predicted_sum else 0.0,
+        usefulness=matched_visits / evaluated if evaluated else 0.0,
+        unnecessary_bytes_fraction=unnecessary / charged if charged else 0.0,
+        upper_bound_delay_reduction_fraction=delay_matched / delay_total if delay_total else 0.0,
+        n_intervals=n_intervals,
+        n_eval_visits=evaluated,
+        prefetched_bytes=charged,
+    )
+
+
 @pytest.mark.parametrize("seed", [1, 4])
 @pytest.mark.parametrize(
     "window_days,refresh_days",
@@ -204,7 +250,6 @@ def test_sliding_window_equals_train_at_every_boundary(seed, window_days, refres
     ]
     trace = Trace(visits=trace.visits + later)
     window, refresh, k = window_days * 86400.0, refresh_days * 86400.0, 3
-    sliding = _SlidingWindow(trace.visits, window, k)
     boundary = trace.visits[0].timestamp + window
     empty = 0
     while boundary <= trace.visits[-1].timestamp:
@@ -212,15 +257,17 @@ def test_sliding_window_equals_train_at_every_boundary(seed, window_days, refres
         if not expected:
             empty += 1
             with pytest.raises(EmptyWindow):
-                sliding.model_at(boundary)
-            with pytest.raises(EmptyWindow):
                 train(trace, boundary, window, k)
         else:
-            got = sliding.model_at(boundary)
+            got = train(trace, boundary, window, k)
             assert got.counts == expected
             assert 0 not in got.counts.values()
-            assert train(trace, boundary, window, k).counts == expected
             ranked = sorted(expected, key=lambda url: (-expected[url], url))
             assert predict_pages(got) == ranked[:k]
         boundary += refresh
     assert empty > 0
+    if window > 0:
+        # The one pass ranks at each refresh what ``train`` counts there.
+        got = evaluate_prefetch(trace, window, k, refresh)
+        assert got == _evaluate_naively(trace, window, k, refresh)
+        assert got.prefetched_bytes > 0

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
 import math
+from statistics import fmean
 
 from specload.cache import replay_cache_sim
 from specload.live import LoadReport, ResourceLoad
-from specload.predict import VisitClass, replay_predictor
+from specload.predict import BucketStats, VisitClass, replay, replay_predictor, score_predictions
 from specload.report import (
     CACHE_HEADER,
     FETCH_HEADER,
+    PREDICTOR_HEADER,
     format_cell,
     render_table,
     rows_for_cache,
@@ -16,9 +19,11 @@ from specload.report import (
     rows_for_predictor,
     rows_for_sim,
     write_csv,
+    write_rows,
     write_sidecar,
 )
 from specload.sim import simulate_trace
+from specload.synth import SynthParams, generate_synthetic
 
 from conftest import visit, trace_of
 
@@ -96,6 +101,24 @@ def test_predictor_rows_end_with_overall():
     buckets = [r[0] for r in rows[:-1]]
     assert set(buckets) <= {"weekly", "monthly"}
     assert "weekly" in buckets and "monthly" in buckets
+
+
+def test_the_overall_bucket_holds_every_visit():
+    out = io.StringIO()
+    write_rows(out, PREDICTOR_HEADER, rows_for_predictor(score_predictions([], [])))
+    assert out.getvalue().splitlines()[-1] == "overall,0,0,0.000000,0.000000"
+
+    visits = generate_synthetic(SynthParams(visits=300, seed=2, n_sites=3)).visits
+    predictions = [prediction for _, prediction in replay(visits)]
+    result = score_predictions(visits, predictions)
+    assert len(result.weekly) >= 2
+    rows = result.per_visit
+    every_visit = BucketStats(
+        0, len(rows), fmean(r.hit_ratio for r in rows), fmean(r.usefulness for r in rows)
+    )
+    assert result.overall == every_visit
+    # Out of timestamp order, every visit is still in the one bucket.
+    assert score_predictions(visits[::-1], predictions[::-1]).overall.n_predictions == len(rows)
 
 
 def test_load_report_rows_carry_run_index():
