@@ -60,7 +60,7 @@ _EXPORTS = {
         "replay_predictor",
         "score_predictions",
     ),
-    "prefetch": ("PopularityModel", "PrefetchReport", "evaluate_prefetch"),
+    "prefetch": ("PrefetchReport", "evaluate_prefetch"),
     "sim": (
         "EMPTY",
         "EXPIRED",

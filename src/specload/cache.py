@@ -28,6 +28,9 @@ from .trace import CacheDirectives, ResourceRecord, Trace
 from .urls import website_key
 
 
+DEFAULT_CAPACITY = 6 * 1024 * 1024  # bytes
+
+
 class LookupOutcome(Enum):
     FRESH_HIT = "fresh"
     EXPIRED_REVALIDATE = "revalidate"
@@ -108,7 +111,7 @@ class CacheStore:
     that must not count as traffic.
     """
 
-    def __init__(self, capacity_bytes: float = 6 * 1024 * 1024):
+    def __init__(self, capacity_bytes: float = DEFAULT_CAPACITY):
         # A NaN capacity would keep nothing, silently.
         if not capacity_bytes > 0:
             raise InvalidParams(f"capacity_bytes must be positive or inf, not {capacity_bytes}")
@@ -224,7 +227,7 @@ class CacheSimReport:
     per_site: dict[str, CacheCounters]
 
 
-def replay_cache_sim(trace: Trace, capacity_bytes: float = 6 * 1024 * 1024) -> CacheSimReport:
+def replay_cache_sim(trace: Trace, capacity_bytes: float = DEFAULT_CAPACITY) -> CacheSimReport:
     """Replay a trace through one cache and count request outcomes.
 
     Every main and subresource request is classified via ``lookup``;

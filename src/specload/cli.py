@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, report as rpt
-from .cache import CacheStore, replay_cache_sim
+from .cache import DEFAULT_CAPACITY, CacheStore, replay_cache_sim
 from .errors import SpecloadError
 from .fixture import fixture_server, load_fixture_spec
 from .graph import DAY_S, MetadataRepository, load_repo, repo_stats, save_repo, trim
@@ -104,8 +104,8 @@ def _cache_state_from(args):
 
 def _sidecar(args, path) -> None:
     """Write ``path``'s sidecar: the command and the flags it ran with."""
-    skip = {"func", "command", "action"}
-    rpt.write_sidecar(path, args.command, {k: v for k, v in vars(args).items() if k not in skip})
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    rpt.write_sidecar(path, args.command, flags)
 
 
 def _emit(args, header, rows) -> None:
@@ -186,37 +186,33 @@ def cmd_sim_speculative(args) -> int:
     return 0
 
 
-def _build_repo(trace: Trace, trim_days: float | None) -> MetadataRepository:
-    repo = MetadataRepository(trim_days)
-    for visit in trace.visits:
+def cmd_graph_build(args) -> int:
+    repo = MetadataRepository(args.trim_days)
+    for visit in load_trace(args.trace).visits:
         repo.learn(visit)
-    return repo
+    stats = repo_stats(repo, serialized_size_bytes=save_repo(repo, args.out))
+    _sidecar(args, args.out)
+    print(
+        f"wrote {args.out}: {stats.n_websites} websites, "
+        f"{stats.n_webpages} pages, {stats.n_subresources} subresources, "
+        f"{stats.serialized_size_bytes} bytes"
+    )
+    return 0
 
 
-def cmd_graph(args) -> int:
-    if args.action == "build":
-        trace = load_trace(args.trace)
-        repo = _build_repo(trace, args.trim_days)
-        stats = repo_stats(repo, serialized_size_bytes=save_repo(repo, args.out))
-        _sidecar(args, args.out)
-        print(
-            f"wrote {args.out}: {stats.n_websites} websites, "
-            f"{stats.n_webpages} pages, {stats.n_subresources} subresources, "
-            f"{stats.serialized_size_bytes} bytes"
-        )
-        return 0
+def cmd_graph_stats(args) -> int:
     repo = load_repo(args.repo)
-    if args.action == "stats":
-        _emit(args, rpt.STATS_HEADER, [rpt.cells(repo_stats(repo), rpt.STATS_HEADER)])
-        return 0
-    # trim
+    _emit(args, rpt.STATS_HEADER, [rpt.cells(repo_stats(repo), rpt.STATS_HEADER)])
+    return 0
+
+
+def cmd_graph_trim(args) -> int:
+    repo = load_repo(args.repo)
     newest = max(
         (node.last_visit for graph in repo.graphs.values() for node in graph.nodes.values()),
         default=0.0,
     )
-    removed = trim(
-        repo, now=newest, max_age_days=args.trim_days if args.trim_days is not None else 30.0
-    )
+    removed = trim(repo, now=newest, max_age_days=args.trim_days)
     out = args.out or args.repo
     save_repo(repo, out)
     _sidecar(args, out)
@@ -303,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--capacity",
         type=parse_capacity,
-        default=6 * 1024 * 1024,
+        default=DEFAULT_CAPACITY,
         help="cache size: 6MB, 32MB, 64MB, or inf (default: 6MB)",
     )
     p.add_argument("--out", help="CSV output path (prints to stdout if omitted)")
@@ -330,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--capacity",
         type=parse_capacity,
-        default=6 * 1024 * 1024,
+        default=DEFAULT_CAPACITY,
         help="cache size for --cache-state realistic (default: 6MB)",
     )
     p.add_argument(
@@ -355,17 +351,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sim_speculative)
 
     p = sub.add_parser("graph", help="build, inspect, or trim a metadata repository")
-    p.add_argument("action", choices=["build", "stats", "trim"])
-    p.add_argument("--trace", help="trace to build from (build)")
-    p.add_argument("--repo", help="repository file (stats, trim)")
-    p.add_argument("--out", help="output path (build, trim; trim defaults to --repo)")
+    graph = p.add_subparsers(dest="action", required=True)
+    p = graph.add_parser("build", help="learn a repository from a trace")
+    p.add_argument("--trace", required=True, help="trace to build from")
+    p.add_argument("--out", required=True, help="repository output path")
     p.add_argument(
-        "--trim-days",
-        type=parse_trim_days,
-        default=None,
-        help="history window in days (trim default: 30; build keeps everything if omitted)",
+        "--trim-days", type=parse_trim_days, help="history window (default: keep everything)"
     )
-    p.set_defaults(func=cmd_graph)
+    p.set_defaults(func=cmd_graph_build)
+    p = graph.add_parser("stats", help="count a repository's nodes")
+    p.add_argument("--repo", required=True, help="repository file")
+    p.add_argument("--out", help="CSV output path (prints to stdout if omitted)")
+    p.set_defaults(func=cmd_graph_stats)
+    p = graph.add_parser("trim", help="drop what a history window no longer holds")
+    p.add_argument("--repo", required=True, help="repository file")
+    p.add_argument("--out", help="output path (default: overwrite --repo)")
+    p.add_argument(
+        "--trim-days", type=parse_trim_days, default=30.0, help="history window (default: 30)"
+    )
+    p.set_defaults(func=cmd_graph_trim)
 
     p = sub.add_parser("fetch", help="fetch a page live, legacy or tempo")
     p.add_argument("--url", required=True, help="absolute URL, or a path with --fixture")
@@ -392,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "graph":
-        if args.action == "build" and (not args.trace or not args.out):
-            parser.error("graph build requires --trace and --out")
-        if args.action in ("stats", "trim") and not args.repo:
-            parser.error(f"graph {args.action} requires --repo")
     try:
         return args.func(args)
     except (SpecloadError, OSError) as exc:

@@ -23,18 +23,7 @@ from .sim import DEFAULT_NET, EMPTY, NetworkParams, simulate_page
 from .trace import Trace
 
 
-@dataclass
-class PopularityModel:
-    counts: Counter
-    top_k: int
-
-
-def train(
-    trace: Trace,
-    window_end: float,
-    training_window_s: float,
-    top_k: int = 10,
-) -> PopularityModel:
+def train(trace: Trace, window_end: float, training_window_s: float) -> Counter:
     """Count page-URL popularity over [window_end - window, window_end),
     in a trace whose visits may come in any order.  Raises
     ``EmptyWindow`` when the window holds no visit."""
@@ -42,13 +31,13 @@ def train(
     counts = Counter(v.main.url for v in trace.visits if start <= v.timestamp < window_end)
     if not counts:
         raise EmptyWindow(f"no visits in window ending at {window_end}")
-    return PopularityModel(counts, top_k)
+    return counts
 
 
-def predict_pages(model: PopularityModel) -> list[str]:
+def predict_pages(counts: Counter, top_k: int) -> list[str]:
     """Top-k page URLs by visit count, ties broken by URL ascending."""
-    ranked = sorted(model.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [url for url, _ in ranked[: model.top_k]]
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [url for url, _ in ranked[:top_k]]
 
 
 @dataclass
@@ -125,7 +114,7 @@ def evaluate_prefetch(
             if not counts[url]:
                 del counts[url]
             lo += 1
-        predicted = set(predict_pages(PopularityModel(counts, top_k)))
+        predicted = set(predict_pages(counts, top_k))
         interval_end = boundary + refresh_interval_s
         requested: set[str] = set()
         i = hi

@@ -15,13 +15,15 @@ import csv
 import json
 import math
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
 
 from . import __version__
 from .cache import CacheSimReport
+from .errors import SchemaError
 from .live import LoadReport
 from .predict import PredictorReplayResult
-from .sim import PageResult, SimResult
+from .sim import SimResult
 
 
 def format_cell(value) -> str:
@@ -99,8 +101,7 @@ SIM_HEADER = [
 
 def rows_for_sim(result: SimResult, per_page: bool = True) -> list[list]:
     """A row per page, then MEAN: the page whose delays are the means."""
-    mean = PageResult("MEAN", None, result.mean_legacy_ms, result.mean_speculative_ms)
-    return [cells(p, SIM_HEADER) for p in (*(result.pages if per_page else ()), mean)]
+    return [cells(p, SIM_HEADER) for p in (*(result.pages if per_page else ()), result.mean)]
 
 
 PREFETCH_HEADER = [
@@ -154,12 +155,17 @@ def rows_for_load_report(report: LoadReport, run: int = 0) -> list[list]:
 
 
 def render_table(csv_path: str | Path) -> str:
-    """Plain-text rendering of a CSV report, for the terminal."""
-    with Path(csv_path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Plain-text rendering of a CSV report, for the terminal; a row may be
+    longer or shorter than the header.  Raises ``SchemaError`` naming the
+    CSV or its sidecar when that file cannot be read."""
+    try:
+        with Path(csv_path).open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{csv_path}: not a CSV report ({exc})") from exc
     if not rows:
         return "(empty report)"
-    widths = [max(len(row[i]) for row in rows if i < len(row)) for i in range(len(rows[0]))]
+    widths = [max(map(len, column)) for column in zip_longest(*rows, fillvalue="")]
     lines = []
     for idx, row in enumerate(rows):
         cells = [cell.ljust(widths[i]) for i, cell in enumerate(row)]
@@ -168,10 +174,15 @@ def render_table(csv_path: str | Path) -> str:
             lines.append("  ".join("-" * w for w in widths))
     side = Path(str(csv_path) + ".meta.json")
     if side.exists():
-        meta = json.loads(side.read_text())
-        flags = " ".join(f"{k}={v}" for k, v in sorted(meta.get("flags", {}).items()))
+        try:
+            meta = json.loads(side.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SchemaError(f"{side}: not a JSON sidecar ({exc})") from exc
+        flags = meta.get("flags", {}) if isinstance(meta, dict) else None
+        if not isinstance(flags, dict):
+            raise SchemaError(f"{side}: expected a JSON object whose flags are an object")
         lines.append("")
         lines.append(f"command: {meta.get('command')}  version: {meta.get('version')}")
         if flags:
-            lines.append(f"flags: {flags}")
+            lines.append("flags: " + " ".join(f"{k}={v}" for k, v in sorted(flags.items())))
     return "\n".join(lines)

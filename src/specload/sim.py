@@ -435,20 +435,12 @@ class SimResult:
     pages: list[PageResult] = field(default_factory=list)
 
     @property
-    def mean_legacy_ms(self) -> float:
-        return sum(p.legacy_ms for p in self.pages) / len(self.pages) if self.pages else 0.0
-
-    @property
-    def mean_speculative_ms(self) -> float:
-        return sum(p.speculative_ms for p in self.pages) / len(self.pages) if self.pages else 0.0
-
-    @property
-    def mean_reduction_ms(self) -> float:
-        return self.mean_legacy_ms - self.mean_speculative_ms
-
-    @property
-    def reduction_fraction(self) -> float:
-        return self.mean_reduction_ms / self.mean_legacy_ms if self.mean_legacy_ms > 0 else 0.0
+    def mean(self) -> PageResult:
+        """The MEAN row: a page whose delays are the means over every page."""
+        n = len(self.pages)
+        legacy = sum(p.legacy_ms for p in self.pages) / n if n else 0.0
+        speculative = sum(p.speculative_ms for p in self.pages) / n if n else 0.0
+        return PageResult("MEAN", None, legacy, speculative)
 
 
 def simulate_trace(

@@ -76,7 +76,10 @@ def _normalize_split(raw: str) -> str:
 
 def host_of(url: str) -> str:
     """Lower-cased hostname of a normalized URL, without the port."""
-    host = urlsplit(url).hostname
+    try:
+        host = urlsplit(url).hostname
+    except ValueError as exc:
+        raise MalformedUrl(f"not a URL: {url!r} ({exc})") from exc
     if not host:
         raise MalformedUrl(f"no host in {url!r}")
     return host

@@ -78,12 +78,12 @@ def test_01_fresh_cache_null_result(trace_1000):
     t0 = time.perf_counter()
     result = simulate_trace(trace_1000, cache_state=FRESH)
     elapsed = time.perf_counter() - t0
-    assert result.reduction_fraction <= 0.01
+    assert result.mean.reduction_fraction <= 0.01
     assert elapsed < 5.0
     _ok(
         1,
         "fresh-cache null result",
-        f"reduction {result.reduction_fraction:.4%} (limit 1%), "
+        f"reduction {result.mean.reduction_fraction:.4%} (limit 1%), "
         f"{elapsed:.2f}s for 1000 visits (limit 5s)",
     )
 

@@ -131,8 +131,15 @@ def test_version_flag(capsys):
     [
         (),
         ("sim-cache",),  # missing --trace
+        ("graph",),  # missing the action
         ("graph", "build"),  # missing --trace/--out
         ("graph", "stats"),  # missing --repo
+        ("graph", "trim"),  # missing --repo
+        # Each action takes only its own flags.
+        ("graph", "stats", "--repo", "r", "--trim-days", "5"),
+        ("graph", "build", "--trace", "t", "--out", "o", "--repo", "r"),
+        ("graph", "stats", "--repo", "r", "--trace", "t"),
+        ("graph", "trim", "--repo", "r", "--trace", "t"),
         ("sim-cache", "--trace", "t", "--capacity", "9GB"),
         ("sim-speculative", "--trace", "t", "--rtt-ms", "nan"),
         ("sim-speculative", "--trace", "t", "--parse-ms", "-100"),
@@ -151,6 +158,14 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert run("sim-cache", "--trace", str(tmp_path / "missing.jsonl")) == 1
     assert "error:" in capsys.readouterr().err
     assert run("report", str(tmp_path / "missing.csv")) == 1
+
+
+def test_report_of_an_unreadable_csv_is_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b\n\xff,1\n")
+    assert run("report", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 def test_help_shows_defaults(capsys):
@@ -344,6 +359,25 @@ def test_graph_build_stats_trim(tmp_path, trace_path, capsys):
     )
     assert "removed" in capsys.readouterr().out
     assert trimmed.exists()
+
+
+def test_graph_sidecars_name_their_action(tmp_path, trace_path):
+    def flags(path):
+        meta = json.loads(Path(f"{path}.meta.json").read_text())
+        assert meta["command"] == "graph"
+        return meta["flags"]
+
+    repo, stats = tmp_path / "r.bin", tmp_path / "stats.csv"
+    assert run("graph", "build", "--trace", str(trace_path), "--out", str(repo)) == 0
+    assert flags(repo) == {
+        "action": "build", "out": str(repo), "trace": str(trace_path), "trim_days": None
+    }
+    assert run("graph", "stats", "--repo", str(repo), "--out", str(stats)) == 0
+    assert flags(stats) == {"action": "stats", "out": str(stats), "repo": str(repo)}
+    # Trimmed in place, the repository's sidecar is rewritten to say so,
+    # with the default window it was trimmed to.
+    assert run("graph", "trim", "--repo", str(repo)) == 0
+    assert flags(repo) == {"action": "trim", "out": None, "repo": str(repo), "trim_days": 30.0}
 
 
 @pytest.mark.parametrize("node_type", ["SUBRESOURCE", "SUBDOMAIN"])

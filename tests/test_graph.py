@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import specload.cli as cli
 import specload.graph as graph_module
 from conftest import visit
 from specload.errors import CorruptRepository, InvalidParams
@@ -39,7 +38,6 @@ from specload.graph import (
 from specload.predict import replay_predictor
 from specload.sim import simulate_trace
 from specload.synth import SynthParams, generate_synthetic
-from specload.trace import Trace
 from trim_reference import reference_trim
 
 DAY = 86400.0
@@ -340,16 +338,7 @@ def test_indexed_trim_matches_reference_over_synth(seed, trim_days, monkeypatch)
     expected = _learn_all(visits, trim_days, reference_trim, monkeypatch)
     assert len(expected[0]) > 30 and sum(expected[0]) > 0
 
-    removed = []
-
-    def recording(repo, now, max_age_days):
-        removed.append(trim(repo, now, max_age_days))
-        return removed[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(graph_module, "trim", recording)
-        data = dumps_repo(cli._build_repo(Trace(visits=visits), trim_days))
-    assert (removed, data) == expected
+    assert _learn_all(visits, trim_days, trim, monkeypatch) == expected
 
     reloaded = _learn_all(visits, trim_days, trim, monkeypatch, reload_at=len(visits) // 2)
     assert reloaded == _learn_all(

@@ -33,10 +33,9 @@ from specload.predict import (
     round_half_up,
     score_predictions,
 )
-from specload.cli import _build_repo
 from specload.sim import simulate_trace
 from specload.synth import SynthParams, generate_synthetic
-from specload.trace import PageVisit, Trace
+from specload.trace import PageVisit
 from specload.urls import host_of, website_key
 
 from conftest import IssueRecorder, rec, visit, trace_of
@@ -534,7 +533,9 @@ def test_trimming_replay_predicts_like_build_then_predict(trim_days):
     # The first visit of a day is learned and then trims, so the visit
     # after it is the first to be predicted from the trimmed graph.
     for i in sorted({j for b in boundaries for j in (b, b + 1) if j < len(visits)}):
-        repo = _build_repo(Trace(visits=visits[:i]), trim_days)
+        repo = MetadataRepository(trim_days)
+        for v in visits[:i]:
+            repo.learn(v)
         assert predict(repo, visits[i].main.url) == predictions[i], i
     assert predictions != [prediction for _, prediction in replay(visits)]
 

@@ -27,19 +27,18 @@ def test_train_window_and_tie_break():
         visit("http://s.example/d", [], ts=99.0),
         visit("http://s.example/z", [], ts=100.0),  # at window_end: excluded
     )
-    model = train(t, window_end=100.0, training_window_s=100.0, top_k=3)
-    assert model.counts["http://s.example/a"] == 3
-    assert "http://s.example/z" not in model.counts
+    counts = train(t, window_end=100.0, training_window_s=100.0)
+    assert counts["http://s.example/a"] == 3
+    assert "http://s.example/z" not in counts
     # b and c tie at 2: URL ascending breaks it
-    assert predict_pages(model) == [
+    assert predict_pages(counts, 3) == [
         "http://s.example/a",
         "http://s.example/b",
         "http://s.example/c",
     ]
 
     # top_k above the universe size returns everything
-    model = train(t, 100.0, 100.0, top_k=50)
-    assert len(predict_pages(model)) == 4
+    assert len(predict_pages(counts, 50)) == 4
 
     with pytest.raises(EmptyWindow):
         train(t, window_end=5.0, training_window_s=5.0)
@@ -202,7 +201,7 @@ def _evaluate_naively(trace, window, k, refresh) -> PrefetchReport:
     boundary = visits[0].timestamp + window
     while boundary <= visits[-1].timestamp:
         try:
-            predicted = set(predict_pages(train(trace, boundary, window, k)))
+            predicted = set(predict_pages(train(trace, boundary, window), k))
         except EmptyWindow:
             predicted = set()
         interval = [v for v in visits if boundary <= v.timestamp < boundary + refresh]
@@ -257,13 +256,13 @@ def test_sliding_window_equals_train_at_every_boundary(seed, window_days, refres
         if not expected:
             empty += 1
             with pytest.raises(EmptyWindow):
-                train(trace, boundary, window, k)
+                train(trace, boundary, window)
         else:
-            got = train(trace, boundary, window, k)
-            assert got.counts == expected
-            assert 0 not in got.counts.values()
+            got = train(trace, boundary, window)
+            assert got == expected
+            assert 0 not in got.values()
             ranked = sorted(expected, key=lambda url: (-expected[url], url))
-            assert predict_pages(got) == ranked[:k]
+            assert predict_pages(got, k) == ranked[:k]
         boundary += refresh
     assert empty > 0
     if window > 0:

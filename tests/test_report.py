@@ -3,9 +3,13 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from statistics import fmean
 
+import pytest
+
 from specload.cache import replay_cache_sim
+from specload.errors import SchemaError
 from specload.live import LoadReport, ResourceLoad
 from specload.predict import BucketStats, VisitClass, replay, replay_predictor, score_predictions
 from specload.report import (
@@ -22,7 +26,7 @@ from specload.report import (
     write_rows,
     write_sidecar,
 )
-from specload.sim import simulate_trace
+from specload.sim import SimResult, simulate_trace
 from specload.synth import SynthParams, generate_synthetic
 
 from conftest import visit, trace_of
@@ -89,9 +93,12 @@ def test_sim_rows_and_summary_mode():
     rows = rows_for_sim(result)
     assert len(rows) == 4 and rows[-1][0] == "MEAN"
     assert rows_for_sim(result, per_page=False) == [rows[-1]]
-    mean = rows[-1]
-    assert mean[3] == result.mean_legacy_ms
-    assert mean[6] == result.reduction_fraction
+    legacy = sum(p.legacy_ms for p in result.pages) / len(result.pages)
+    speculative = sum(p.speculative_ms for p in result.pages) / len(result.pages)
+    reduction = legacy - speculative
+    assert rows[-1][3:] == [legacy, speculative, reduction, reduction / legacy]
+    # No pages: every mean reads 0, not a ZeroDivisionError.
+    assert rows_for_sim(SimResult()) == [["MEAN", None, None, 0.0, 0.0, 0.0, 0.0]]
 
 
 def test_predictor_rows_end_with_overall():
@@ -153,3 +160,36 @@ def test_render_table_alignment_and_footer(tmp_path):
     text = render_table(csv_path)
     assert "command: synth" in text
     assert "flags: seed=1" in text
+
+
+def test_render_table_takes_widths_over_the_widest_row(tmp_path):
+    csv_path = tmp_path / "ragged.csv"
+    csv_path.write_text("a,b\nlong,2,extra\n1\n")
+    assert render_table(csv_path).splitlines() == [
+        "a     b",
+        "----  -  -----",
+        "long  2  extra",
+        "1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "csv_bytes, sidecar, bad",
+    [
+        (b"a,b\n\xff\xfe,1\n", None, "t.csv"),  # not UTF-8
+        (b"a\n" + b"x" * 200_000 + b"\n", None, "t.csv"),  # past csv's field limit
+        (b"a\n1\n", b"\xff{}", "t.csv.meta.json"),  # not UTF-8
+        (b"a\n1\n", b"{not json", "t.csv.meta.json"),
+        (b"a\n1\n", b"[1, 2]", "t.csv.meta.json"),  # not an object
+        (b"a\n1\n", b'{"flags": ["seed"]}', "t.csv.meta.json"),  # flags not an object
+    ],
+    ids=["csv-not-utf8", "csv-field-limit", "sidecar-not-utf8", "sidecar-not-json",
+         "sidecar-not-object", "flags-not-object"],
+)
+def test_render_table_names_the_file_it_cannot_read(tmp_path, csv_bytes, sidecar, bad):
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_bytes(csv_bytes)
+    if sidecar is not None:
+        (tmp_path / "t.csv.meta.json").write_bytes(sidecar)
+    with pytest.raises(SchemaError, match=re.escape(str(tmp_path / bad))):
+        render_table(csv_path)

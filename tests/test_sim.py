@@ -115,7 +115,7 @@ def test_fresh_cache_is_a_wash():
     result = simulate_trace(Trace(visits=[v1, v2]), cache_state=FRESH)
     assert result.pages[0].legacy_ms == 150.0  # parse 100 + last offset 50
     assert all(p.reduction_ms == 0.0 for p in result.pages)
-    assert result.reduction_fraction == 0.0
+    assert result.mean.reduction_fraction == 0.0
 
 
 # --- misprediction accounting ----------------------------------------
@@ -335,8 +335,9 @@ def test_simulate_trace_oracle_aggregates():
     assert [p.legacy_ms for p in result.pages] == [700.0, 700.0]
     assert [p.speculative_ms for p in result.pages] == [400.0, 400.0]
     assert all(p.visit_class is None for p in result.pages)
-    assert result.mean_reduction_ms == 300.0
-    assert result.reduction_fraction == pytest.approx(3 / 7)
+    assert (result.mean.legacy_ms, result.mean.speculative_ms) == (700.0, 400.0)
+    assert result.mean.reduction_ms == 300.0
+    assert result.mean.reduction_fraction == pytest.approx(3 / 7)
     assert result.pages[0].reduction_fraction == pytest.approx(3 / 7)
 
 

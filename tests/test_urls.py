@@ -118,6 +118,14 @@ def test_host_of_strips_port():
     assert host_of("http://a.com:8080/x") == "a.com"
 
 
+@pytest.mark.parametrize("bad", ["http://[::1/x", "http://a.com]/"])
+def test_host_of_rejects_what_website_key_rejects(bad):
+    # urlsplit's own ValueError ("Invalid IPv6 URL") is a MalformedUrl too.
+    for fn in (host_of, website_key):
+        with pytest.raises(MalformedUrl):
+            fn(bad)
+
+
 # --- fast path against urlsplit ------------------------------------------
 
 _TRICKY = "aZ09.-:/?#@[]% \t\n\x00\x7fé&=~\\"
