@@ -126,7 +126,11 @@ def _validate_spec(spec: dict) -> None:
     if not isinstance(port, int) or isinstance(port, bool) or not 0 <= port <= 65535:
         raise BadSpec(f"port must be an integer from 0 to 65535, not {port!r}")
     delay = spec.get("delay_ms", 0)
-    if not isinstance(delay, (int, float)) or not 0 <= delay < float("inf"):
+    if (
+        not isinstance(delay, (int, float))
+        or isinstance(delay, bool)
+        or not 0 <= delay < float("inf")
+    ):
         raise BadSpec(f"delay_ms must be a finite non-negative number, not {delay!r}")
 
 

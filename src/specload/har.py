@@ -8,7 +8,7 @@ import math
 from datetime import datetime
 
 from .errors import MalformedUrl, SchemaError
-from .headers import directives_from_pairs, kind_from_mime
+from .headers import directives_from_pairs, kind_from_mime, utc_timestamp
 from .trace import PageVisit, ResourceRecord
 from .urls import normalize_url
 
@@ -21,7 +21,7 @@ def _parse_iso(value: str | None) -> float | None:
     if not isinstance(value, str):
         raise SchemaError(f"HAR startedDateTime is not a string: {value!r}")
     try:
-        return datetime.fromisoformat(value.replace("Z", "+00:00")).timestamp()
+        return utc_timestamp(datetime.fromisoformat(value.replace("Z", "+00:00")))
     except ValueError:
         return None
 

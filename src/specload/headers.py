@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
 
 from urllib3 import HTTPHeaderDict
@@ -22,11 +23,19 @@ def kind_from_mime(mime: str | None) -> str:
     return "other"
 
 
+def utc_timestamp(moment: datetime) -> float:
+    """Epoch seconds of ``moment``, read as UTC when it has no offset, so
+    that a trace does not depend on the machine's time zone."""
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    return moment.timestamp()
+
+
 def parse_http_date(value: str | None) -> float | None:
     if not value:
         return None
     try:
-        return parsedate_to_datetime(value).timestamp()
+        return utc_timestamp(parsedate_to_datetime(value))
     except (TypeError, ValueError):
         return None
 

@@ -83,6 +83,18 @@ class CacheDirectives:
     def from_json(cls, obj: dict) -> "CacheDirectives":
         if not isinstance(obj, dict):
             raise ValueError("cc must be an object")
+        # A number the cache model can do float arithmetic with: not a
+        # bool, a string, nan, an infinity or an int too large for a float.
+        for name in ("max_age", "expires", "last_modified"):
+            value = obj.get(name)
+            if value is None:
+                continue
+            try:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):
+                finite = False
+            if not finite:
+                raise ValueError(f"cc {name} must be a finite number, not {value!r}")
         return cls(
             no_store=bool(obj.get("no_store", False)),
             no_cache=bool(obj.get("no_cache", False)),
@@ -97,10 +109,10 @@ def _directives(cc, memo: dict | None) -> CacheDirectives:
     """``CacheDirectives.from_json(cc)``, shared through ``memo`` by equal ``cc``s.
 
     The key is one flat tuple of the ``(key, value)`` pairs followed by
-    each value's type, so 604800, 604800.0 and True stay apart and
-    ``to_json`` gives back what was read.  A ``cc`` with an unhashable
-    value, or with a float zero (-0.0 == 0.0 but prints differently),
-    gets an object of its own.
+    each value's type, so 604800 and 604800.0 stay apart and ``to_json``
+    gives back what was read.  A ``cc`` with an unhashable value, or with
+    a float zero (-0.0 == 0.0 but prints differently), gets an object of
+    its own.
     """
     if memo is None or not isinstance(cc, dict):
         return CacheDirectives.from_json(cc)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
+import specload
 from specload.sim import PageScheduler
 from specload.trace import CacheDirectives, PageVisit, ResourceRecord, Trace
 
@@ -92,3 +94,34 @@ def fixture_process(spec: dict, tmp_path: Path):
         finally:
             proc.stdin.close()
             proc.stdout.read()
+
+
+SRC = Path(specload.__file__).resolve().parent.parent
+
+# Every warning is an error, except that a DeprecationWarning is printed:
+# under -W error, Python 3.12 drops the one os.fork gives with threads
+# alive.  A warning raised in a finalizer (a leaked file, pipe, socket or
+# thread) is printed, not raised, so stderr must stay empty.
+DEV_MODE = (sys.executable, "-X", "dev", "-W", "error", "-W", "default::DeprecationWarning")
+
+
+def run_dev(*args: str, status: int = 0, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh dev-mode interpreter that imports
+    specload from SRC, and check that it exits ``status``; a run that
+    exits 0 must also leave stderr empty."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [*DEV_MODE, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+    assert done.returncode == status, done.stderr
+    assert status != 0 or done.stderr == "", done.stderr
+    return done
+
+
+# The page the dev-mode fetches load: two subresources behind a delay.
+DEV_FIXTURE = {
+    "delay_ms": 20,
+    "pages": {"/index.html": {"subresources": ["/app.js", "/style.css"]}},
+    "resources": {"/app.js": {"size": 2048}, "/style.css": {"size": 512}},
+}

@@ -27,8 +27,7 @@ from pathlib import Path
 
 MANIFEST = Path(__file__).with_name("manifest.sha256")
 
-# One page with one cached script; the same capture the CI dev-mode step
-# ingests.
+# One page with one cached script.
 HAR = """\
 {"log": {"pages": [{"id": "p", "startedDateTime": "2024-03-01T10:00:00.000Z"}],
  "entries": [

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import socket
 import struct
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from specload.report import (
     write_csv,
 )
 from specload.trace import load_trace
+
+from conftest import DEV_FIXTURE, run_dev
 
 
 def run(*argv):
@@ -495,6 +498,12 @@ def test_ingest_of_a_malformed_har_exits_1(tmp_path, capsys):
     assert run("ingest", str(har), "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("error: not a HAR file")
     assert not out.exists()
+    # A page list item that is not an object.
+    har.write_text('{"log": {"pages": [1], "entries": []}}')
+    assert run("ingest", str(har), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_fetch_against_fixture(tmp_path, capsys):
@@ -528,6 +537,25 @@ def test_fetch_against_fixture(tmp_path, capsys):
     assert rows[0] == FETCH_HEADER
     assert {r[0] for r in rows[1:]} == {"0", "1"}
     assert all(r[2] == "tempo" for r in rows[1:])
+
+
+def test_fetch_in_dev_mode(tmp_path):
+    spec = tmp_path / "fixture.json"
+    spec.write_text(json.dumps(DEV_FIXTURE))
+    run_dev(
+        "-m", "specload.cli", "fetch", "--fixture", str(spec), "--url", "/index.html",
+        "--mode", "tempo", "--repeat", "3",
+    )
+
+
+def test_fetch_from_a_closed_port_is_one_error_line_in_dev_mode():
+    # No traceback, and no warning of a leaked socket or thread.
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    url = f"http://127.0.0.1:{port}/index.html"
+    err = run_dev("-m", "specload.cli", "fetch", "--url", url, "--mode", "tempo", status=1).stderr
+    assert err.startswith("error: main resource failed: ") and err.count("\n") == 1, err
 
 
 def test_fetch_with_a_bad_fixture_spec_exits_1(tmp_path, capsys):

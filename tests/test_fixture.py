@@ -94,6 +94,7 @@ _RES_OK = {"/r.js": {"size": 10}}
         pytest.param({"port": "x"}, "port must be an integer", id="port-string"),
         pytest.param({"port": 70000}, "port must be an integer", id="port-range"),
         pytest.param({"delay_ms": "5"}, "delay_ms must be", id="delay-string"),
+        pytest.param({"delay_ms": True}, "delay_ms must be", id="delay-bool"),
         pytest.param({"delay_ms": float("inf")}, "delay_ms must be", id="delay-inf"),
         pytest.param({"delay_ms": float("nan")}, "delay_ms must be", id="delay-nan"),
     ],

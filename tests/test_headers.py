@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from urllib3 import HTTPHeaderDict
 
+from specload.har import _parse_iso
 from specload.headers import (
     directives_from_mapping,
     directives_from_pairs,
@@ -35,6 +38,19 @@ def test_parse_http_date():
     assert parse_http_date("Wed, 21 Oct 2015 07:28:00 GMT") == 1445412480.0
     assert parse_http_date("nonsense") is None
     assert parse_http_date(None) is None
+
+
+@pytest.mark.parametrize("zone, offset", [("UTC", 0), ("America/New_York", 5 * 3600)])
+def test_a_date_without_an_offset_is_read_as_utc(zone, offset, monkeypatch):
+    monkeypatch.setenv("TZ", zone)
+    time.tzset()
+    try:
+        assert time.timezone == offset  # the zone is in effect
+        assert _parse_iso("2024-03-01T10:00:00.000") == 1709287200.0
+        assert parse_http_date("Fri, 01 Mar 2024 10:00:00 -0000") == 1709287200.0
+    finally:
+        monkeypatch.undo()
+        time.tzset()
 
 
 def test_cache_control_parsing():

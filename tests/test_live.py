@@ -6,6 +6,7 @@ import logging
 import os
 import socket
 import sys
+import textwrap
 import threading
 import time
 import weakref
@@ -29,7 +30,7 @@ from specload.predict import Prediction, VisitClass, predict
 from specload.sim import NetworkParams, _Engine, simulate_trace
 from specload.trace import PageVisit, ResourceRecord, Trace
 
-from conftest import fixture_process, request_counts
+from conftest import DEV_FIXTURE, fixture_process, request_counts, run_dev
 
 # --- HTML subresource extraction ---------------------------------------
 
@@ -631,6 +632,22 @@ def test_a_dropped_session_closes_a_pool_held_past_it():
         del session, pools
         gc.collect()
         assert pool.pool is None
+
+
+def test_a_dropped_session_closes_quietly_in_dev_mode():
+    # Dropped without close(), as perfbench's live pass drops its two:
+    # nothing may warn or raise while its kept-alive connections close.
+    code = f"""
+        from specload.fixture import fixture_server
+        from specload.live import FetchSession, fetch_page
+        def visit(url):
+            session = FetchSession()
+            for mode in ("legacy", "tempo", "tempo"):
+                fetch_page(session, url, mode=mode)
+        with fixture_server({DEV_FIXTURE!r}) as server:
+            visit(server.url("/index.html"))
+        """
+    run_dev("-c", textwrap.dedent(code))
 
 
 def test_fetch_page_leaves_nothing_running(port_logging_server, started_threads, monkeypatch):

@@ -3,24 +3,16 @@
 from __future__ import annotations
 
 import importlib
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import specload
 
-SRC = Path(specload.__file__).resolve().parent.parent
+from conftest import run_dev
 
 
 def run_fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports specload from SRC."""
-    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n" + textwrap.dedent(code)
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0 and done.stderr == "", done.stderr
-    return done.stdout
+    """Run ``code`` in a fresh dev-mode interpreter; return its stdout."""
+    return run_dev("-c", "import sys\n" + textwrap.dedent(code)).stdout
 
 
 def test_importing_the_fixture_loads_no_client_or_simulator():
@@ -31,6 +23,10 @@ def test_importing_the_fixture_loads_no_client_or_simulator():
         """
     )
     assert out == "[]\n"
+
+
+def test_every_exported_name_imports():
+    run_fresh("from specload import *")
 
 
 def test_every_exported_name_is_its_defining_modules_object():

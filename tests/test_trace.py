@@ -161,7 +161,6 @@ def test_load_rejects_bad_subresource_urls_with_line(tmp_path, subs):
 _CCS = [
     {"max_age": 604800},
     {"max_age": 604800.0},
-    {"max_age": True},
     {"max_age": 1},
     {"has_validator": True},
     {"no_store": True},
@@ -187,8 +186,8 @@ def _canonical_line(ts: float, ccs) -> str:
 
 def test_save_of_load_gives_the_same_bytes(tmp_path):
     # Each directive set twice in one file: sharing must not merge
-    # values that are equal but print differently (604800 / 604800.0 /
-    # true, 0.0 / -0.0).
+    # values that are equal but print differently (604800 / 604800.0,
+    # 0.0 / -0.0).
     lines = [_canonical_line(1.0, _CCS), _canonical_line(2.0, _CCS[::-1])]
     path, out = tmp_path / "t.jsonl", tmp_path / "out.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -213,7 +212,7 @@ def test_equal_cc_shares_one_object_within_a_load_only(tmp_path):
 
 
 def test_unhashable_cc_values_load_as_before(tmp_path):
-    cc = {"max_age": [60], "expires": {"at": 1}}
+    cc = {"no_store": [60], "has_validator": {"at": 1}}
     path = tmp_path / "t.jsonl"
     path.write_text(_canonical_line(1.0, [cc, cc]) + "\n")
     v = load_trace(path).visits[0]
@@ -240,6 +239,10 @@ def _vis(main=None, subs=None, **extra) -> dict:
 
 def _without(obj: dict, *keys) -> dict:
     return {k: v for k, v in obj.items() if k not in keys}
+
+
+def _with_cc(**cc) -> dict:
+    return _vis(subs=[_res(cc=cc)])
 
 
 # Each malformed visit with the message ``load_trace`` gave before the
@@ -286,6 +289,14 @@ _MALFORMED = {
         "main resource must be html",
     ),
     "cc_not_an_object": (_vis(subs=[_res(cc=[1])]), "cc must be an object"),
+    "cc_string": (_with_cc(max_age="60"), "cc max_age must be a finite number, not '60'"),
+    "cc_list": (_with_cc(max_age=[60]), "cc max_age must be a finite number, not [60]"),
+    "cc_bool": (_with_cc(max_age=True), "cc max_age must be a finite number, not True"),
+    "cc_huge": (_with_cc(expires=10**400), f"cc expires must be a finite number, not {10**400}"),
+    "cc_nan": (
+        _with_cc(last_modified=math.nan),
+        "cc last_modified must be a finite number, not nan",
+    ),
     "fetched_at_not_a_number": (
         _vis(subs=[_res(fetched_at="noon")]),
         "could not convert string to float: 'noon'",
