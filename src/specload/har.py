@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from datetime import datetime
 
 from .errors import MalformedUrl, SchemaError
@@ -29,8 +28,9 @@ def _parse_iso(value: str | None) -> float | None:
 def _number(value, name: str) -> float:
     if value is None:
         return 0.0
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise SchemaError(f"HAR {name} is not a finite number: {value!r}")
+    # Within 2**53 of 0, so a float holds it: not nan, an infinity or 10**400.
+    if not isinstance(value, (int, float)) or not -(2**53) <= value <= 2**53:
+        raise SchemaError(f"HAR {name} is not a number within 2**53 of 0: {value!r}")
     return value
 
 

@@ -10,16 +10,23 @@ Records that carry the same cache directives share one frozen
 distinct profile and parameter for the profiles that do not depend on
 the visit time, and builds ``expires`` and ``heuristic`` directives per
 visit.
+
+The draws are ``random.Random``'s own, for less interpreter work: a
+weighted pick looks one ``random()`` up in a table of running sums, and
+a bounded int runs CPython's ``getrandbits`` rejection loop (``_below``,
+as ``randint`` does in CPython 3.10 to 3.13).
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InvalidParams
-from .trace import CacheDirectives, PageVisit, ResourceRecord, Trace
+from .trace import CacheDirectives, PageVisit, Trace, new_record, new_visit
 
 # Visit cadence baked into the generator: 30 page loads per simulated
 # day, so a 10k-visit trace spans roughly a year.
@@ -29,12 +36,40 @@ _START_TS = 1264982400.0  # 2010-02-01T00:00:00Z
 
 _SUB_KINDS = (("script", 0.20), ("stylesheet", 0.10), ("image", 0.60), ("other", 0.10))
 _EXT = {"script": ".js", "stylesheet": ".css", "image": ".png", "other": ".bin"}
-_SIZE_RANGES = {
-    "html": (10_000, 40_000),
-    "script": (5_000, 80_000),
-    "stylesheet": (2_000, 40_000),
-    "image": (2_000, 60_000),
-    "other": (1_000, 100_000),
+
+
+def _span(lo: int, hi: int) -> tuple[int, int, int]:
+    """``(lo, n, k)`` for a draw from ``[lo, hi]``: ``n`` values, ``k`` bits a try."""
+    n = hi - lo + 1
+    return lo, n, n.bit_length()
+
+
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in ``[0, n)`` by ``Random._randbelow_with_getrandbits``'s
+    loop, so ``lo + _below(rng.getrandbits, n)`` draws what
+    ``rng.randint(lo, lo + n - 1)`` draws."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _weights(pairs) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """The running sums of ``pairs``' weights, added in order, and the
+    names with the last one repeated: ``names[bisect_right(sums, u)]`` is
+    the first name whose running sum exceeds ``u``, or the last name when
+    none does."""
+    names = [name for name, _ in pairs]
+    return tuple(accumulate(w for _, w in pairs)), (*names, names[-1])
+
+
+_SIZE_SPANS = {
+    "html": _span(10_000, 40_000),
+    "script": _span(5_000, 80_000),
+    "stylesheet": _span(2_000, 40_000),
+    "image": _span(2_000, 60_000),
+    "other": _span(1_000, 100_000),
 }
 
 # (profile, weight) pairs; the mix keeps better than half of all
@@ -49,6 +84,17 @@ _SUB_PROFILES = (
     ("no_store", 0.05),
 )
 _MAIN_PROFILES = (("no_cache", 0.60), ("short", 0.20), ("heuristic", 0.20))
+# A profile's parameter in seconds: a draw from its span times its scale.
+# The other profiles draw nothing and take 0.0.
+_PARAM_SPANS = {
+    "short": (*_span(60, 600), 1),
+    "long": (*_span(1, 30), 86400),
+    "expires": (*_span(1, 7), 86400),
+    "heuristic": (*_span(1, 90), 86400),
+}
+_KIND_SUMS, _KIND_NAMES = _weights(_SUB_KINDS)
+_SUB_SUMS, _SUB_NAMES = _weights(_SUB_PROFILES)
+_MAIN_SUMS, _MAIN_NAMES = _weights(_MAIN_PROFILES)
 
 
 @dataclass(frozen=True)
@@ -70,27 +116,6 @@ class SynthParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidParams(f"{name} must be within [0, 1]")
-
-
-def _weighted(rng: random.Random, pairs) -> str:
-    u = rng.random()
-    acc = 0.0
-    for name, w in pairs:
-        acc += w
-        if u < acc:
-            return name
-    return pairs[-1][0]
-
-
-class _Sub:
-    __slots__ = ("url", "kind", "size", "profile", "param")
-
-    def __init__(self, url, kind, size, profile, param):
-        self.url = url
-        self.kind = kind
-        self.size = size
-        self.profile = profile
-        self.param = param
 
 
 class _Page:
@@ -125,23 +150,10 @@ def _directives(profile: str, param: float, ts: float, memo: dict) -> CacheDirec
     return directives
 
 
-def _draw_profile(rng: random.Random, pairs) -> tuple[str, float]:
-    profile = _weighted(rng, pairs)
-    if profile == "short":
-        return profile, float(rng.randint(60, 600))
-    if profile == "long":
-        return profile, float(rng.randint(1, 30) * 86400)
-    if profile == "expires":
-        return profile, float(rng.randint(1, 7) * 86400)
-    if profile == "heuristic":
-        return profile, float(rng.randint(1, 90) * 86400)
-    return profile, 0.0
-
-
 class _Site:
     def __init__(self, index: int, params: SynthParams, rng: random.Random):
         self.host = f"site{index}.example"
-        self.rng = rng
+        self.random, self.getrandbits = rng.random, rng.getrandbits
         self.params = params
         self.next_sub_id = 0
         self.next_page_id = 0
@@ -154,23 +166,41 @@ class _Site:
         self.pages: list[_Page] = []
         self.visit_log: list[int] = []
 
-    def _new_sub(self) -> _Sub:
-        rng = self.rng
-        kind = _weighted(rng, _SUB_KINDS)
-        lo, hi = _SIZE_RANGES[kind]
-        size = rng.randint(lo, hi)
-        profile, param = _draw_profile(rng, _SUB_PROFILES)
+    def _new_sub(self) -> tuple[str, str, int, str, float]:
+        """A new subresource: ``(url, kind, size, profile, param)``."""
+        # The draws of a kind, a size and a profile, inlined: churn makes
+        # one call per replaced slot.
+        random, getrandbits = self.random, self.getrandbits
+        kind = _KIND_NAMES[bisect_right(_KIND_SUMS, random())]
+        lo, n, k = _SIZE_SPANS[kind]
+        size = getrandbits(k)
+        while size >= n:
+            size = getrandbits(k)
+        profile = _SUB_NAMES[bisect_right(_SUB_SUMS, random())]
+        param = 0.0
+        span = _PARAM_SPANS.get(profile)
+        if span is not None:
+            plo, n, k, scale = span
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            param = float((plo + r) * scale)
         url = f"http://{self.host}/r/{self.next_sub_id}{_EXT[kind]}"
         self.next_sub_id += 1
-        return _Sub(url, kind, size, profile, param)
+        return url, kind, lo + size, profile, param
 
     def mint_page(self) -> int:
-        rng = self.rng
-        lo, hi = _SIZE_RANGES["html"]
-        profile, param = _draw_profile(rng, _MAIN_PROFILES)
+        getrandbits = self.getrandbits
+        profile = _MAIN_NAMES[bisect_right(_MAIN_SUMS, self.random())]
+        param = 0.0
+        span = _PARAM_SPANS.get(profile)
+        if span is not None:
+            plo, n, _, scale = span
+            param = float((plo + _below(getrandbits, n)) * scale)
+        lo, n, _ = _SIZE_SPANS["html"]
         page = _Page(
             url=f"http://{self.host}/p/{self.next_page_id}",
-            size=rng.randint(lo, hi),
+            size=lo + _below(getrandbits, n),
             profile=profile,
             param=param,
             unique=[self._new_sub() for _ in range(self.n_unique)],
@@ -183,43 +213,30 @@ class _Site:
         rate = self.params.churn_rate_per_day
         if rate <= 0.0:
             return
-        rng = self.rng
-        for i, sub in enumerate(self.pool):
-            if rng.random() < rate:
-                self.pool[i] = self._new_sub()
-        for page in self.pages:
-            for i, sub in enumerate(page.unique):
-                if rng.random() < rate:
-                    page.unique[i] = self._new_sub()
+        random, new_sub = self.random, self._new_sub
+        for slots in (self.pool, *[page.unique for page in self.pages]):
+            for i in range(len(slots)):
+                if random() < rate:
+                    slots[i] = new_sub()
 
     def build_visit(self, page_idx: int, ts: float, directives: dict) -> PageVisit:
         page = self.pages[page_idx]
-        subs = list(self.pool) + list(page.unique)
+        page_url = page.url
         # Stable per-page interleaving so the document order is not
         # trivially "all shared first".  crc32, not hash(): builtin string
         # hashing is salted per process and would break trace determinism.
         order = sorted(
-            range(len(subs)),
-            key=lambda i: zlib.crc32(f"{page.url}|{subs[i].url}".encode()),
+            self.pool + page.unique,
+            key=lambda sub: zlib.crc32(f"{page_url}|{sub[0]}".encode()),
         )
-        records = tuple(
-            ResourceRecord(
-                url=subs[i].url,
-                kind=subs[i].kind,
-                size_bytes=subs[i].size,
-                cache_directives=_directives(subs[i].profile, subs[i].param, ts, directives),
-                fetched_at=ts,
-            )
-            for i in order
+        records = tuple([
+            new_record(url, kind, size, _directives(profile, param, ts, directives), ts)
+            for url, kind, size, profile, param in order
+        ])
+        main = new_record(
+            page_url, "html", page.size, _directives(page.profile, page.param, ts, directives), ts
         )
-        main = ResourceRecord(
-            url=page.url,
-            kind="html",
-            size_bytes=page.size,
-            cache_directives=_directives(page.profile, page.param, ts, directives),
-            fetched_at=ts,
-        )
-        return PageVisit(user_id="synth", timestamp=ts, main=main, subresources=records)
+        return new_visit("synth", ts, main, records, ())
 
 
 def generate_synthetic(params: SynthParams) -> Trace:

@@ -27,9 +27,9 @@ canonical form (normalised once), one ``CacheDirectives`` per distinct
 ``size_bytes``, each non-zero ``fetched_at`` and ``timestamp`` (zero is
 left alone, so that 0.0 and -0.0 stay apart), and each ``user_id``.
 Ints and floats are kept apart, since 5 == 5.0.  The memos last for one
-load: nothing is kept between calls.  ``from_json`` runs the
-constructors' checks itself, in their order, and then fills the slots of
-the frozen instance directly instead of going through ``__init__``.
+load: nothing is kept between calls.  ``from_json`` and ``synth`` build
+through ``new_record`` and ``new_visit``, which run the constructors'
+checks and then fill the frozen slots without ``__init__``.
 """
 
 from __future__ import annotations
@@ -145,8 +145,9 @@ class _Memo:
 def _check_record(kind, size: int) -> None:
     if kind not in RESOURCE_KINDS:
         raise ValueError(f"unknown resource kind {kind!r}")
-    if size < 0:
-        raise ValueError("size_bytes must be >= 0")
+    # 2**53: the largest integer that a float, as the simulator uses, holds exactly.
+    if not 0 <= size <= 2**53:
+        raise ValueError("size_bytes must be >= 0" if size < 0 else "size_bytes must be <= 2**53")
 
 
 def _check_visit(timestamp, main, subs: tuple, offsets: tuple) -> None:
@@ -165,11 +166,6 @@ def _check_visit(timestamp, main, subs: tuple, offsets: tuple) -> None:
         raise ValueError("discovery offsets must be finite")
     if any(off < 0 for off in offsets):
         raise ValueError("discovery offsets must be >= 0")
-
-
-# ``from_json`` runs these checks itself, after its conversions (the
-# order ``__init__`` gives), then fills the slots of a bare instance.
-_new = object.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,19 +214,11 @@ class ResourceRecord:
         size = int(size)
         directives = _directives(obj.get("cc", {}), None if _memo is None else _memo.directives)
         fetched_at = float(obj.get("fetched_at", 0.0))
-        _check_record(kind, size)
         if _memo is not None:
-            kind = _KINDS[kind]
             size = _memo.ints.setdefault(size, size)
             if fetched_at:
                 fetched_at = _memo.floats.setdefault(fetched_at, fetched_at)
-        record = _new(cls)
-        _set_url(record, url)
-        _set_kind(record, kind)
-        _set_size(record, size)
-        _set_directives(record, directives)
-        _set_fetched_at(record, fetched_at)
-        return record
+        return new_record(url, kind, size, directives, fetched_at)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,17 +274,12 @@ class PageVisit:
         main = parse(main, _memo)
         subs = tuple([parse(s, _memo) for s in subs])
         offsets = tuple(map(float, offsets))
-        _check_visit(ts, main, subs, offsets)
-        visit = _new(cls)
-        _set_user(visit, user)
-        _set_timestamp(visit, ts)
-        _set_main(visit, main)
-        _set_subresources(visit, subs)
-        _set_offsets(visit, offsets)
-        return visit
+        return new_visit(user, ts, main, subs, offsets)
 
 
-# Slot setters of the two frozen classes, for ``from_json``.
+# A bare instance and the slot setters of the two frozen classes, for
+# ``new_record`` and ``new_visit``.
+_new = object.__new__
 _set_url, _set_kind, _set_size, _set_directives, _set_fetched_at = (
     member.__set__
     for member in (
@@ -319,6 +302,35 @@ _set_user, _set_timestamp, _set_main, _set_subresources, _set_offsets = (
 )
 
 
+def new_record(
+    url: str, kind: str, size_bytes: int, cache_directives: CacheDirectives, fetched_at: float
+) -> ResourceRecord:
+    """``ResourceRecord(...)`` for less: its check, then the slots filled,
+    with ``kind`` as its ``RESOURCE_KINDS`` constant."""
+    _check_record(kind, size_bytes)
+    record = _new(ResourceRecord)
+    _set_url(record, url)
+    _set_kind(record, _KINDS[kind])
+    _set_size(record, size_bytes)
+    _set_directives(record, cache_directives)
+    _set_fetched_at(record, fetched_at)
+    return record
+
+
+def new_visit(
+    user_id: str, timestamp: float, main: ResourceRecord, subresources: tuple, offsets: tuple
+) -> PageVisit:
+    """``PageVisit(...)`` for less: its check, then the slots filled."""
+    _check_visit(timestamp, main, subresources, offsets)
+    visit = _new(PageVisit)
+    _set_user(visit, user_id)
+    _set_timestamp(visit, timestamp)
+    _set_main(visit, main)
+    _set_subresources(visit, subresources)
+    _set_offsets(visit, offsets)
+    return visit
+
+
 @dataclass
 class Trace:
     """Visits ordered by timestamp."""
@@ -339,8 +351,9 @@ def load_trace(path) -> Trace:
 
     Ties keep file order.  URLs are canonicalised on the way in.
     Raises SchemaError with the offending line number for records that
-    do not parse, including a visit whose subresource URLs collapse to
-    the same canonical URL.  The cyclic garbage collector is paused
+    do not parse, including a number a float cannot hold (or an infinite
+    size) and a visit whose subresource URLs collapse to the same
+    canonical URL.  The cyclic garbage collector is paused
     while the file is parsed, since parsing makes no reference cycles,
     and left as the caller had it.
     """
@@ -359,7 +372,7 @@ def load_trace(path) -> Trace:
                     raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno) from exc
                 try:
                     visits.append(PageVisit.from_json(obj, memo))
-                except (ValueError, TypeError, KeyError) as exc:
+                except (ValueError, TypeError, KeyError, OverflowError) as exc:
                     raise SchemaError(str(exc), line=lineno) from exc
     finally:
         if gc_was_enabled:

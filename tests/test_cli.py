@@ -171,6 +171,19 @@ def test_report_of_an_unreadable_csv_is_one_error_line(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("size", ["1e400", "1" + "0" * 400], ids=["1e400", "10**400"])
+@pytest.mark.parametrize("command", ["sim-cache", "sim-speculative"])
+def test_a_size_beyond_float_range_is_one_error_line(tmp_path, capsys, command, size):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(
+        '{"user": "u", "ts": 1.0, "subs": [],'
+        f' "main": {{"url": "http://a.com/", "kind": "html", "size": {size}}}}}\n'
+    )
+    assert run(command, "--trace", str(trace), "--out", str(tmp_path / "out.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_help_shows_defaults(capsys):
     with pytest.raises(SystemExit):
         run("sim-speculative", "--help")
@@ -498,12 +511,18 @@ def test_ingest_of_a_malformed_har_exits_1(tmp_path, capsys):
     assert run("ingest", str(har), "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("error: not a HAR file")
     assert not out.exists()
-    # A page list item that is not an object.
-    har.write_text('{"log": {"pages": [1], "entries": []}}')
-    assert run("ingest", str(har), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    assert not out.exists()
+    # A page list item that is not an object; a size no float holds.
+    entry = {
+        "pageref": "p",
+        "request": {"url": "http://a.com/"},
+        "response": {"content": {"size": 10**400, "mimeType": "text/html"}},
+    }
+    for doc in ({"pages": [1], "entries": []}, {"pages": [{"id": "p"}], "entries": [entry]}):
+        har.write_text(json.dumps({"log": doc}))
+        assert run("ingest", str(har), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_fetch_against_fixture(tmp_path, capsys):

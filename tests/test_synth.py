@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import bisect
+import hashlib
+import math
+import random
+
 import pytest
 
+from specload import synth
 from specload.errors import InvalidParams
-from specload.synth import VISITS_PER_DAY, SynthParams, generate_synthetic
+from specload.synth import VISITS_PER_DAY, SynthParams, _below, generate_synthetic
 from specload.trace import save_trace
 from specload.urls import normalize_url, website_key
 
@@ -156,3 +162,104 @@ def test_time_free_directives_are_one_object_per_call():
     again = second.visits[0].subresources[0].cache_directives
     assert again == first.visits[0].subresources[0].cache_directives
     assert again is not first.visits[0].subresources[0].cache_directives
+
+
+# sha256 of ``save_trace(generate_synthetic(params))`` at each edge of the
+# parameters.  A change to the order or the kind of any draw changes them.
+_PINNED = {
+    "seed0": (
+        dict(visits=300, seed=0),
+        "823351efbe5b9e45adee5824b57f1d5f7ed496f4d03fb1f9daff6c37caadc3d8",
+    ),
+    "seed1": (
+        dict(visits=300, seed=1),
+        "1a6665270bafb06d8242c4467e5f57844b4f2207a5c34b28f05d314bdd87f1ac",
+    ),
+    "seed2": (
+        dict(visits=300, seed=2),
+        "5b9b316a5158ffe28a594d9b2c61bd5693f8f7f1de5dae2f3128414364153041",
+    ),
+    "shared_none": (
+        dict(visits=300, shared_fraction=0.0),
+        "38c5db5c7bbfae636621bd6336aece403151593d9425eac4697ad9c015c8e70b",
+    ),
+    "shared_all": (
+        dict(visits=300, shared_fraction=1.0),
+        "910cfd163327c50b84a669aa42d45a5642ad9b8e103568b53a5654e9a0dc3f5d",
+    ),
+    "churn_none": (
+        dict(visits=300, churn_rate_per_day=0.0),
+        "62520fecb1355cc6c45c8328e36112ef89dbc25ab3b98432a298f8575ce32586",
+    ),
+    "churn_all": (
+        dict(visits=300, churn_rate_per_day=1.0),
+        "fface24f4a519e052bba97ab649d635298b1bc508f03cccbb4a34596b73e1311",
+    ),
+    "new_none": (
+        dict(visits=300, new_visit_rate=0.0),
+        "cc39570a1ce7e0e551573382f9a464d1a64a0143c767482e772d0ebd6ee7ae46",
+    ),
+    "new_all": (
+        dict(visits=300, new_visit_rate=1.0),
+        "9e2719466251219f4aa9743f11193bc2d8967be632df524bbd32e009dbadd821",
+    ),
+    "one_of_each": (
+        dict(visits=300, n_sites=3, pages_per_site=1, subresources_per_page=1),
+        "e0aa6d987852064f3541acf26d6f5ba2c423945084c111260b8ac3bd59c6adc3",
+    ),
+    "history_build": (
+        dict(visits=600, n_sites=40, pages_per_site=50, churn_rate_per_day=0.3),
+        "70a983b261c0f8bf4a3f7a051c53b95a2d33e473d52cea1f6530c0d02c7788b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_seeded_bytes_are_pinned(tmp_path, case):
+    params, digest = _PINNED[case]
+    path = tmp_path / "t.jsonl"
+    save_trace(generate_synthetic(SynthParams(**params)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_below_draws_what_randint_draws(seed):
+    # ``_below`` copies CPython's ``_randbelow_with_getrandbits``; a
+    # CPython that draws ``randint`` another way fails here.
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in (1, 2, 3, 7, 30, 90, 541, 1024, 1025, 2**31, 2**31 + 1):
+        lo = n // 3
+        drawn = [lo + _below(ours.getrandbits, n) for _ in range(200)]
+        assert drawn == [theirs.randint(lo, lo + n - 1) for _ in range(200)]
+
+
+def _weighted(u: float, pairs) -> str:
+    """The first name whose running sum of weights exceeds ``u``, else the last."""
+    acc = 0.0
+    for name, w in pairs:
+        acc += w
+        if u < acc:
+            return name
+    return pairs[-1][0]
+
+
+@pytest.mark.parametrize(
+    "pairs, sums, names",
+    [
+        (synth._SUB_KINDS, synth._KIND_SUMS, synth._KIND_NAMES),
+        (synth._SUB_PROFILES, synth._SUB_SUMS, synth._SUB_NAMES),
+        (synth._MAIN_PROFILES, synth._MAIN_SUMS, synth._MAIN_NAMES),
+    ],
+    ids=["kinds", "sub_profiles", "main_profiles"],
+)
+def test_weight_tables_pick_what_the_weights_give(pairs, sums, names):
+    def pick(u):
+        return names[bisect.bisect_right(sums, u)]
+
+    # At a running sum exactly, the next name; past the last sum, the last.
+    for i, total in enumerate(sums[:-1]):
+        assert pick(total) == pairs[i + 1][0] == _weighted(total, pairs)
+    for u in (sums[-1], math.nextafter(sums[-1], 2.0), 1.0):
+        assert pick(u) == pairs[-1][0] == _weighted(u, pairs)
+    for u in [0.0, *(math.nextafter(total, 0.0) for total in sums), *(i / 997 for i in range(997))]:
+        assert pick(u) == _weighted(u, pairs)

@@ -263,6 +263,12 @@ _MALFORMED = {
     ),
     "unhashable_kind": (_vis(subs=[_res(kind=["script"])]), "unknown resource kind ['script']"),
     "negative_size": (_vis(subs=[_res(size=-5)]), "size_bytes must be >= 0"),
+    "infinite_size": (_vis(subs=[_res(size=1e400)]), "cannot convert float infinity to integer"),
+    "huge_size": (_vis(subs=[_res(size=10**400)]), "size_bytes must be <= 2**53"),
+    "size_past_2_53": (_vis(subs=[_res(size=2**53 + 1)]), "size_bytes must be <= 2**53"),
+    "huge_ts": (_vis(ts=10**400), "int too large to convert to float"),
+    "huge_fetched_at": (_vis(subs=[_res(fetched_at=10**400)]), "int too large to convert to float"),
+    "huge_offset": (_vis(offsets=[10**400]), "int too large to convert to float"),
     "size_not_a_number": (
         _vis(subs=[_res(size="big")]),
         "invalid literal for int() with base 10: 'big'",
