@@ -28,8 +28,8 @@ def _parse_iso(value: str | None) -> float | None:
 def _number(value, name: str) -> float:
     if value is None:
         return 0.0
-    # Within 2**53 of 0, so a float holds it: not nan, an infinity or 10**400.
-    if not isinstance(value, (int, float)) or not -(2**53) <= value <= 2**53:
+    # Within 2**53 of 0, so a float holds it: not a bool, nan, an infinity or 10**400.
+    if type(value) is bool or not isinstance(value, (int, float)) or not -(2**53) <= value <= 2**53:
         raise SchemaError(f"HAR {name} is not a number within 2**53 of 0: {value!r}")
     return value
 

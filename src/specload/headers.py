@@ -50,7 +50,8 @@ def directives_from_mapping(headers) -> CacheDirectives:
     for t in tokens:
         if t.startswith("max-age="):
             try:
-                max_age = int(t.split("=", 1)[1])
+                # RFC 9111 1.2.2: a delta-seconds too large to hold is 2**31.
+                max_age = min(max(int(t.split("=", 1)[1]), 0), 2**31)
             except ValueError:
                 pass
     last_modified = parse_http_date(headers.get("Last-Modified"))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvalidParams
-from .trace import CacheDirectives, PageVisit, Trace, new_record, new_visit
+from .trace import CacheDirectives, PageVisit, ResourceRecord, Trace
 
 # Visit cadence baked into the generator: 30 page loads per simulated
 # day, so a 10k-visit trace spans roughly a year.
@@ -108,7 +108,7 @@ class SynthParams:
     visits: int = 2000
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("n_sites", "pages_per_site", "subresources_per_page", "visits"):
             if getattr(self, name) < 1:
                 raise InvalidParams(f"{name} must be >= 1")
@@ -230,13 +230,13 @@ class _Site:
             key=lambda sub: zlib.crc32(f"{page_url}|{sub[0]}".encode()),
         )
         records = tuple([
-            new_record(url, kind, size, _directives(profile, param, ts, directives), ts)
+            ResourceRecord(url, kind, size, _directives(profile, param, ts, directives), ts)
             for url, kind, size, profile, param in order
         ])
-        main = new_record(
+        main = ResourceRecord(
             page_url, "html", page.size, _directives(page.profile, page.param, ts, directives), ts
         )
-        return new_visit("synth", ts, main, records, ())
+        return PageVisit("synth", ts, main, records)
 
 
 def generate_synthetic(params: SynthParams) -> Trace:
@@ -247,7 +247,6 @@ def generate_synthetic(params: SynthParams) -> Trace:
     are sampled from the site's past visits, so frequently revisited
     pages stay popular.  Churn runs once per simulated day.
     """
-    params.validate()
     rng = random.Random(params.seed)
     sites = [_Site(i, params, rng) for i in range(params.n_sites)]
     directives: dict[tuple[str, float], CacheDirectives] = {}

@@ -27,9 +27,13 @@ canonical form (normalised once), one ``CacheDirectives`` per distinct
 ``size_bytes``, each non-zero ``fetched_at`` and ``timestamp`` (zero is
 left alone, so that 0.0 and -0.0 stay apart), and each ``user_id``.
 Ints and floats are kept apart, since 5 == 5.0.  The memos last for one
-load: nothing is kept between calls.  ``from_json`` and ``synth`` build
-through ``new_record`` and ``new_visit``, which run the constructors'
-checks and then fill the frozen slots without ``__init__``.
+load: nothing is kept between calls.
+
+Each number rule has one home, met on every path (``from_json``, synth,
+HAR, live): a size is an int in [0, 2**53] (``ResourceRecord``), a ``cc``
+number finite (``CacheDirectives``), a visit's time and offsets finite
+(``PageVisit``), and on disk a ``ts``, ``fetched_at`` or offset a number,
+not a bool or a string (``_float``, as ``from_json`` reads them).
 """
 
 from __future__ import annotations
@@ -37,13 +41,23 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .errors import SchemaError
 from .urls import normalize_url
 
 RESOURCE_KINDS = ("html", "script", "stylesheet", "image", "other")
 _KINDS = {kind: kind for kind in RESOURCE_KINDS}
+
+
+def _float(value, name: str) -> float:
+    """``value`` as a float: a number, not a bool or a string (``ValueError``);
+    an int too large for a float raises ``float``'s ``OverflowError``."""
+    if type(value) is float:
+        return value
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -79,22 +93,24 @@ class CacheDirectives:
             out["last_modified"] = self.last_modified
         return out
 
+    def __post_init__(self):
+        # A number the cache model can do float arithmetic with: not a
+        # bool, a string, nan, an infinity or an int too large for a float.
+        for name in ("max_age", "expires", "last_modified"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                finite = math.isfinite(_float(value, name))
+            except (ValueError, OverflowError):
+                finite = False
+            if not finite:
+                raise ValueError(f"cc {name} must be a finite number, not {value!r}")
+
     @classmethod
     def from_json(cls, obj: dict) -> "CacheDirectives":
         if not isinstance(obj, dict):
             raise ValueError("cc must be an object")
-        # A number the cache model can do float arithmetic with: not a
-        # bool, a string, nan, an infinity or an int too large for a float.
-        for name in ("max_age", "expires", "last_modified"):
-            value = obj.get(name)
-            if value is None:
-                continue
-            try:
-                finite = not isinstance(value, bool) and math.isfinite(value)
-            except (TypeError, OverflowError):
-                finite = False
-            if not finite:
-                raise ValueError(f"cc {name} must be a finite number, not {value!r}")
         return cls(
             no_store=bool(obj.get("no_store", False)),
             no_cache=bool(obj.get("no_cache", False)),
@@ -142,30 +158,8 @@ class _Memo:
         self.users: dict[str, str] = {}
 
 
-def _check_record(kind, size: int) -> None:
-    if kind not in RESOURCE_KINDS:
-        raise ValueError(f"unknown resource kind {kind!r}")
-    # 2**53: the largest integer that a float, as the simulator uses, holds exactly.
-    if not 0 <= size <= 2**53:
-        raise ValueError("size_bytes must be >= 0" if size < 0 else "size_bytes must be <= 2**53")
-
-
-def _check_visit(timestamp, main, subs: tuple, offsets: tuple) -> None:
-    # JSON reads NaN and Infinity: a NaN timestamp leaves the visit
-    # order undefined, and a NaN ready time would sit in the simulator's
-    # event heap.
-    if not math.isfinite(timestamp):
-        raise ValueError("timestamp must be finite")
-    if main.kind != "html":
-        raise ValueError("main resource must be html")
-    if len({r.url for r in subs}) != len(subs):
-        raise ValueError("duplicate subresource URL within one visit")
-    if offsets and len(offsets) != len(subs):
-        raise ValueError("discovery_offsets length mismatch")
-    if not all(map(math.isfinite, offsets)):
-        raise ValueError("discovery offsets must be finite")
-    if any(off < 0 for off in offsets):
-        raise ValueError("discovery offsets must be >= 0")
+# The default directives: frozen, so every record may share them.
+_NO_DIRECTIVES = CacheDirectives()
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,17 +168,34 @@ class ResourceRecord:
 
     ``url`` must be canonical (see the module docstring).  The
     constructor does not normalise it, so that generators which build
-    canonical URLs pay nothing; ``from_json`` does.
+    canonical URLs pay nothing; ``from_json`` does.  It checks ``kind``
+    and ``size_bytes`` and stores ``kind`` as its ``RESOURCE_KINDS``
+    constant.
     """
 
     url: str
     kind: str
     size_bytes: int
-    cache_directives: CacheDirectives = field(default_factory=CacheDirectives)
+    cache_directives: CacheDirectives = _NO_DIRECTIVES
     fetched_at: float = 0.0
 
-    def __post_init__(self):
-        _check_record(self.kind, self.size_bytes)
+    def __init__(self, url, kind, size_bytes, cache_directives=_NO_DIRECTIVES, fetched_at=0.0):
+        try:
+            kind = _KINDS[kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown resource kind {kind!r}") from None
+        # An int (a bool is not a size) up to 2**53: the largest integer
+        # that a float, as the simulator uses, holds exactly.
+        if type(size_bytes) is not int:
+            raise ValueError(f"size_bytes must be an integer, not {size_bytes!r}")
+        if not 0 <= size_bytes <= 2**53:
+            bound = ">= 0" if size_bytes < 0 else "<= 2**53"
+            raise ValueError(f"size_bytes must be {bound}")
+        _set_url(self, url)
+        _set_kind(self, kind)
+        _set_size(self, size_bytes)
+        _set_directives(self, cache_directives)
+        _set_fetched_at(self, fetched_at)
 
     def to_json(self) -> dict:
         return {
@@ -211,14 +222,15 @@ class ResourceRecord:
                 url = _memo.urls[raw_url] = normalize_url(raw_url)
         else:
             url = normalize_url(raw_url)
-        size = int(size)
         directives = _directives(obj.get("cc", {}), None if _memo is None else _memo.directives)
-        fetched_at = float(obj.get("fetched_at", 0.0))
+        fetched_at = _float(obj.get("fetched_at", 0.0), "fetched_at")
         if _memo is not None:
-            size = _memo.ints.setdefault(size, size)
+            # Only an int is shared: True == 1 would fetch a shared 1.
+            if type(size) is int:
+                size = _memo.ints.setdefault(size, size)
             if fetched_at:
                 fetched_at = _memo.floats.setdefault(fetched_at, fetched_at)
-        return new_record(url, kind, size, directives, fetched_at)
+        return cls(url, kind, size, directives, fetched_at)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,8 +249,27 @@ class PageVisit:
     subresources: tuple[ResourceRecord, ...]
     discovery_offsets: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        _check_visit(self.timestamp, self.main, self.subresources, self.discovery_offsets)
+    def __init__(self, user_id, timestamp, main, subresources, discovery_offsets=()):
+        # JSON reads NaN and Infinity: a NaN timestamp leaves the visit
+        # order undefined, and a NaN ready time would sit in the simulator's
+        # event heap.
+        if not math.isfinite(timestamp):
+            raise ValueError("timestamp must be finite")
+        if main.kind != "html":
+            raise ValueError("main resource must be html")
+        if len({r.url for r in subresources}) != len(subresources):
+            raise ValueError("duplicate subresource URL within one visit")
+        if discovery_offsets and len(discovery_offsets) != len(subresources):
+            raise ValueError("discovery_offsets length mismatch")
+        if not all(map(math.isfinite, discovery_offsets)):
+            raise ValueError("discovery offsets must be finite")
+        if any(off < 0 for off in discovery_offsets):
+            raise ValueError("discovery offsets must be >= 0")
+        _set_user(self, user_id)
+        _set_timestamp(self, timestamp)
+        _set_main(self, main)
+        _set_subresources(self, subresources)
+        _set_offsets(self, discovery_offsets)
 
     def to_json(self) -> dict:
         out = {
@@ -265,7 +296,7 @@ class PageVisit:
         if not isinstance(offsets, list):
             raise ValueError("offsets must be a list")
         user = str(user)
-        ts = float(ts)
+        ts = _float(ts, "ts")
         if _memo is not None:
             user = _memo.users.setdefault(user, user)
             if ts:
@@ -273,62 +304,17 @@ class PageVisit:
         parse = ResourceRecord.from_json
         main = parse(main, _memo)
         subs = tuple([parse(s, _memo) for s in subs])
-        offsets = tuple(map(float, offsets))
-        return new_visit(user, ts, main, subs, offsets)
+        offsets = tuple([_float(off, "offset") for off in offsets])
+        return cls(user, ts, main, subs, offsets)
 
 
-# A bare instance and the slot setters of the two frozen classes, for
-# ``new_record`` and ``new_visit``.
-_new = object.__new__
+# The slot setters of the two frozen classes, in field order, for their constructors.
 _set_url, _set_kind, _set_size, _set_directives, _set_fetched_at = (
-    member.__set__
-    for member in (
-        ResourceRecord.url,
-        ResourceRecord.kind,
-        ResourceRecord.size_bytes,
-        ResourceRecord.cache_directives,
-        ResourceRecord.fetched_at,
-    )
+    getattr(ResourceRecord, f.name).__set__ for f in fields(ResourceRecord)
 )
 _set_user, _set_timestamp, _set_main, _set_subresources, _set_offsets = (
-    member.__set__
-    for member in (
-        PageVisit.user_id,
-        PageVisit.timestamp,
-        PageVisit.main,
-        PageVisit.subresources,
-        PageVisit.discovery_offsets,
-    )
+    getattr(PageVisit, f.name).__set__ for f in fields(PageVisit)
 )
-
-
-def new_record(
-    url: str, kind: str, size_bytes: int, cache_directives: CacheDirectives, fetched_at: float
-) -> ResourceRecord:
-    """``ResourceRecord(...)`` for less: its check, then the slots filled,
-    with ``kind`` as its ``RESOURCE_KINDS`` constant."""
-    _check_record(kind, size_bytes)
-    record = _new(ResourceRecord)
-    _set_url(record, url)
-    _set_kind(record, _KINDS[kind])
-    _set_size(record, size_bytes)
-    _set_directives(record, cache_directives)
-    _set_fetched_at(record, fetched_at)
-    return record
-
-
-def new_visit(
-    user_id: str, timestamp: float, main: ResourceRecord, subresources: tuple, offsets: tuple
-) -> PageVisit:
-    """``PageVisit(...)`` for less: its check, then the slots filled."""
-    _check_visit(timestamp, main, subresources, offsets)
-    visit = _new(PageVisit)
-    _set_user(visit, user_id)
-    _set_timestamp(visit, timestamp)
-    _set_main(visit, main)
-    _set_subresources(visit, subresources)
-    _set_offsets(visit, offsets)
-    return visit
 
 
 @dataclass
@@ -351,8 +337,8 @@ def load_trace(path) -> Trace:
 
     Ties keep file order.  URLs are canonicalised on the way in.
     Raises SchemaError with the offending line number for records that
-    do not parse, including a number a float cannot hold (or an infinite
-    size) and a visit whose subresource URLs collapse to the same
+    do not parse, including a number of the wrong type or one a float
+    cannot hold, and a visit whose subresource URLs collapse to the same
     canonical URL.  The cyclic garbage collector is paused
     while the file is parsed, since parsing makes no reference cycles,
     and left as the caller had it.

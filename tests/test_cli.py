@@ -504,6 +504,25 @@ def test_ingest_har(tmp_path, capsys):
     assert len(load_trace(out).visits) == 1
 
 
+def test_ingest_of_a_max_age_too_large_for_a_float_loads_again(tmp_path, capsys):
+    # The max-age clamps to 2**31 at ingest, so the trace it writes is one
+    # that load_trace accepts.
+    entry = {
+        "pageref": "p",
+        "request": {"url": "http://site.test/"},
+        "response": {
+            "headers": [{"name": "Cache-Control", "value": "max-age=1" + "0" * 400}],
+            "content": {"size": 500, "mimeType": "text/html"},
+        },
+    }
+    har, out = tmp_path / "cap.har", tmp_path / "har.jsonl"
+    har.write_text(json.dumps({"log": {"pages": [{"id": "p"}], "entries": [entry]}}))
+    assert run("ingest", str(har), "--out", str(out)) == 0
+    assert json.loads(out.read_text())["main"]["cc"]["max_age"] == 2147483648
+    assert run("sim-cache", "--trace", str(out), "--out", str(tmp_path / "cache.csv")) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_ingest_of_a_malformed_har_exits_1(tmp_path, capsys):
     har = tmp_path / "cap.har"
     har.write_text("[]")

@@ -177,8 +177,10 @@ def _with_main_entry(**changes):
         [{"log": {}}],
         _with_main_entry(response__content__size="12"),
         _with_main_entry(response__content__size=float("inf")),
+        _with_main_entry(response__content__size=True),
         _with_main_entry(response__bodySize="12", response__content__size=-1),
         _with_main_entry(time="fast"),
+        _with_main_entry(time=True),
         _with_main_entry(startedDateTime=1709287200),
         {"log": {"pages": [1], "entries": []}},
         {"log": {"pages": [], "entries": [1]}},
@@ -189,7 +191,8 @@ def _with_main_entry(**changes):
         {"log": {"pages": [{"id": 1}], "entries": []}},
     ],
     ids=[
-        "array", "string-size", "infinite-size", "string-body-size", "string-time", "numeric-start",
+        "array", "string-size", "infinite-size", "bool-size", "string-body-size", "string-time",
+        "bool-time", "numeric-start",
         "number-page", "number-entry", "array-request", "number-header", "number-content",
         "array-pageref", "number-id",
     ],

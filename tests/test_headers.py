@@ -64,6 +64,26 @@ def test_cache_control_parsing():
     assert d.no_cache
 
 
+@pytest.mark.parametrize(
+    "value,max_age",
+    [
+        ("0", 0),
+        ("2147483647", 2147483647),
+        ("2147483648", 2**31),
+        ("2147483649", 2**31),
+        ("1" + "0" * 400, 2**31),
+        ("-5", 0),
+        ("-" + "1" * 400, 0),
+        ("soon", None),
+    ],
+    ids=["zero", "below-2-31", "2-31", "above-2-31", "400-digits", "negative", "huge-negative",
+         "not-a-number"],
+)
+def test_max_age_is_clamped_to_0_through_2_31(value, max_age):
+    # RFC 9111 1.2.2: a delta-seconds too large to hold counts as 2**31.
+    assert directives_from_mapping({"Cache-Control": f"max-age={value}"}).max_age == max_age
+
+
 def test_expires_and_validators():
     d = directives_from_mapping(
         {

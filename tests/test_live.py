@@ -115,6 +115,25 @@ def test_legacy_fetch_learns_and_caches():
         assert counts["/c.png"] == 2
 
 
+def test_a_max_age_too_large_for_a_float_is_fresh_on_the_next_fetch():
+    # RFC 9111 1.2.2: a max-age beyond 2**31 counts as 2**31, not as a
+    # number the cache's float arithmetic overflows on.
+    huge = {"Cache-Control": "max-age=1" + "0" * 400}
+    spec = {
+        "delay_ms": 0,
+        "pages": {"/index.html": {"subresources": ["/a.js"]}},
+        "resources": {"/a.js": {"size": 700, "headers": huge}},
+    }
+    with fixture_server(spec) as srv, FetchSession() as session:
+        page_url, script = srv.url("/index.html"), srv.url("/a.js")
+        first = fetch_page(session, page_url, mode="legacy")
+        assert {r.url: r.outcome for r in first.resources}[script] == "fetched"
+        assert session.cache.entries[script].directives.max_age == 2**31
+        second = fetch_page(session, page_url, mode="legacy")
+        assert {r.url: r.outcome for r in second.resources}[script] == "fresh"
+        assert request_counts(srv)["/a.js"] == 1
+
+
 def test_subresources_keep_their_kind_in_both_modes():
     # A predicted load is issued before the parse, so when its response
     # does not tell the kind (a 304, or an untyped body) only the parse can.

@@ -139,8 +139,9 @@ def test_pages_per_site_is_a_hard_cap():
     ],
 )
 def test_invalid_params_rejected(bad):
+    # Checked when built, with no call to generate_synthetic.
     with pytest.raises(InvalidParams):
-        generate_synthetic(SynthParams(**bad))
+        SynthParams(**bad)
 
 
 def test_time_free_directives_are_one_object_per_call():

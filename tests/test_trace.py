@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import json
 import math
+import pickle
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specload.trace as trace_mod
 from conftest import rec, visit
@@ -15,6 +22,7 @@ from specload.trace import (
     RESOURCE_KINDS,
     CacheDirectives,
     PageVisit,
+    ResourceRecord,
     Trace,
     load_trace,
     save_trace,
@@ -245,9 +253,8 @@ def _with_cc(**cc) -> dict:
     return _vis(subs=[_res(cc=cc)])
 
 
-# Each malformed visit with the message ``load_trace`` gave before the
-# record parsers validated inline.  Several break two rules at once, to
-# pin which check comes first.
+# Each malformed visit with the message ``load_trace`` gives.  Several
+# break two rules at once, to pin which check comes first.
 _MALFORMED = {
     "visit_missing_ts": (_without(_vis(), "ts"), "visit missing 'ts'"),
     "visit_missing_user_and_subs": (_without(_vis(), "user", "subs"), "visit missing 'user'"),
@@ -263,7 +270,15 @@ _MALFORMED = {
     ),
     "unhashable_kind": (_vis(subs=[_res(kind=["script"])]), "unknown resource kind ['script']"),
     "negative_size": (_vis(subs=[_res(size=-5)]), "size_bytes must be >= 0"),
-    "infinite_size": (_vis(subs=[_res(size=1e400)]), "cannot convert float infinity to integer"),
+    "infinite_size": (_vis(subs=[_res(size=1e400)]), "size_bytes must be an integer, not inf"),
+    "float_size": (_vis(subs=[_res(size=5.7)]), "size_bytes must be an integer, not 5.7"),
+    "whole_float_size": (_vis(subs=[_res(size=5.0)]), "size_bytes must be an integer, not 5.0"),
+    "string_size": (_vis(subs=[_res(size="5")]), "size_bytes must be an integer, not '5'"),
+    "bool_size": (_vis(subs=[_res(size=True)]), "size_bytes must be an integer, not True"),
+    "bool_main_size": (
+        _vis(main=_res("http://a.com/", "html", size=False)),
+        "size_bytes must be an integer, not False",
+    ),
     "huge_size": (_vis(subs=[_res(size=10**400)]), "size_bytes must be <= 2**53"),
     "size_past_2_53": (_vis(subs=[_res(size=2**53 + 1)]), "size_bytes must be <= 2**53"),
     "huge_ts": (_vis(ts=10**400), "int too large to convert to float"),
@@ -271,13 +286,15 @@ _MALFORMED = {
     "huge_offset": (_vis(offsets=[10**400]), "int too large to convert to float"),
     "size_not_a_number": (
         _vis(subs=[_res(size="big")]),
-        "invalid literal for int() with base 10: 'big'",
+        "size_bytes must be an integer, not 'big'",
     ),
     "subs_not_a_list": (_vis(subs={"a": 1}), "subs must be a list"),
     "offsets_not_a_list": (_vis(offsets=5), "offsets must be a list"),
     "offsets_length_mismatch": (_vis(offsets=[1.0, 2.0]), "discovery_offsets length mismatch"),
     "negative_offset": (_vis(offsets=[-1.0]), "discovery offsets must be >= 0"),
-    "offset_not_a_number": (_vis(offsets=["x"]), "could not convert string to float: 'x'"),
+    "offset_not_a_number": (_vis(offsets=["x"]), "offset must be a number, not 'x'"),
+    "string_offset": (_vis(offsets=["7"]), "offset must be a number, not '7'"),
+    "bool_offset": (_vis(offsets=[True]), "offset must be a number, not True"),
     "relative_url": (_vis(subs=[_res(url="/x.js")]), "not an absolute URL: '/x.js'"),
     "url_not_a_string": (_vis(subs=[_res(url=5)]), "not a URL: 5"),
     "url_unhashable": (_vis(subs=[_res(url=["http://a.com/"])]), "not a URL: ['http://a.com/']"),
@@ -305,14 +322,25 @@ _MALFORMED = {
     ),
     "fetched_at_not_a_number": (
         _vis(subs=[_res(fetched_at="noon")]),
-        "could not convert string to float: 'noon'",
+        "fetched_at must be a number, not 'noon'",
+    ),
+    "string_fetched_at": (
+        _vis(subs=[_res(fetched_at="7")]),
+        "fetched_at must be a number, not '7'",
+    ),
+    "bool_fetched_at": (
+        _vis(subs=[_res(fetched_at=True)]),
+        "fetched_at must be a number, not True",
     ),
     "resource_not_an_object": (_vis(subs=["http://a.com/x.js"]), "resource must be an object"),
     "visit_not_an_object": ([1, 2], "visit must be an object"),
-    "ts_not_a_number": (_vis(ts="soon"), "could not convert string to float: 'soon'"),
-    "bad_size_before_bad_cc": (
-        _vis(subs=[_res(size="big", cc=1)]),
-        "invalid literal for int() with base 10: 'big'",
+    "ts_not_a_number": (_vis(ts="soon"), "ts must be a number, not 'soon'"),
+    "string_ts": (_vis(ts="123"), "ts must be a number, not '123'"),
+    "bool_ts": (_vis(ts=True), "ts must be a number, not True"),
+    "bad_cc_before_bad_size": (_vis(subs=[_res(size="big", cc=1)]), "cc must be an object"),
+    "bad_kind_before_bad_size_type": (
+        _vis(subs=[_res(kind="wasm", size="big")]),
+        "unknown resource kind 'wasm'",
     ),
     "bad_cc_before_bad_fetched_at": (
         _vis(subs=[_res(cc=1, fetched_at="noon")]),
@@ -320,11 +348,11 @@ _MALFORMED = {
     ),
     "bad_fetched_at_before_bad_kind": (
         _vis(subs=[_res(kind="wasm", fetched_at="noon")]),
-        "could not convert string to float: 'noon'",
+        "fetched_at must be a number, not 'noon'",
     ),
     "bad_ts_before_bad_main": (
         _vis(ts="soon", main=_res("/", "wasm")),
-        "could not convert string to float: 'soon'",
+        "ts must be a number, not 'soon'",
     ),
     "bad_offsets_before_bad_main": (
         _vis(offsets={}, main=_res("/", "wasm")),
@@ -443,7 +471,7 @@ def test_equal_values_share_one_object_within_a_load_only(tmp_path):
     assert again.main.size_bytes is not first.main.size_bytes
 
 
-@pytest.mark.parametrize("size", [12, 12.0])
+@pytest.mark.parametrize("size", [12, 0])
 def test_save_of_load_keeps_each_number_as_read(tmp_path, size):
     # Sharing must not merge numbers that are equal but print
     # differently: 0.0 and -0.0, or an int size and an equal float time.
@@ -466,8 +494,7 @@ def test_save_of_load_keeps_each_number_as_read(tmp_path, size):
     save_trace(load_trace(path), out)
     unshared = [_dumps(PageVisit.from_json(json.loads(line)).to_json()) for line in lines]
     assert out.read_text() == "".join(line + "\n" for line in unshared)
-    if type(size) is int:
-        assert out.read_bytes() == path.read_bytes()
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_a_loaded_trace_retains_well_under_unshared_records(tmp_path):
@@ -516,3 +543,122 @@ def test_load_pauses_the_collector_and_restores_the_callers_state(
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert during and not any(during)
+
+
+# --- one constructor per type: the codec and the rules, drawn ------------
+
+_urls = st.builds(
+    "{}://{}.example/{}".format,
+    st.sampled_from(["http", "https"]),
+    st.text("abcdefghijklmnopqrstuvwxyz0123456789.-", min_size=1, max_size=8),
+    st.text("".join(map(chr, range(0x21, 0x7F))).replace("#", ""), max_size=10),
+).filter(lambda url: normalize_url(url) == url)
+_times = st.floats(allow_nan=False, allow_infinity=False)
+_directives = st.builds(
+    CacheDirectives,
+    no_store=st.booleans(),
+    no_cache=st.booleans(),
+    max_age=st.none() | st.integers(0, 2**31),
+    expires=st.none() | _times,
+    has_validator=st.booleans(),
+    last_modified=st.none() | _times,
+)
+
+
+def _records(url, kinds=st.sampled_from(RESOURCE_KINDS)):
+    return st.builds(ResourceRecord, url, kinds, st.integers(0, 2**53), _directives, _times)
+
+
+@st.composite
+def _visits(draw) -> PageVisit:
+    main = draw(_records(_urls, st.just("html")))
+    subs = tuple(draw(st.lists(_records(_urls), max_size=5, unique_by=lambda r: r.url)))
+    offsets = ()
+    if subs and draw(st.booleans()):
+        # All-zero offsets are not written, so they load back as ().
+        offsets = draw(st.tuples(*[st.floats(0.0, 1e9) for _ in subs]).filter(any))
+    return PageVisit(draw(st.text(max_size=6)), draw(_times), main, subs, offsets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_visits(), max_size=4))
+def test_drawn_visits_round_trip_equal_and_resave_byte_identical(visits):
+    visits = sorted(visits, key=lambda v: v.timestamp)
+    with tempfile.TemporaryDirectory() as work:
+        path, again = Path(work) / "t.jsonl", Path(work) / "again.jsonl"
+        save_trace(Trace(visits=visits), path)
+        loaded = load_trace(path).visits
+        assert loaded == visits
+        assert [hash(v) for v in loaded] == [hash(v) for v in visits]
+        save_trace(Trace(visits=loaded), again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def _main(**changes) -> ResourceRecord:
+    return dataclasses.replace(rec("http://a.com/", kind="html"), **changes)
+
+
+_not_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+_huge = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))
+_no_float = st.one_of(st.booleans(), st.text(), _not_finite, _huge)
+
+# Each constructor rule, with a drawn value it must refuse.
+_RULES = {
+    "kind": st.text().filter(lambda k: k not in RESOURCE_KINDS).map(
+        lambda kind: lambda: rec("http://a.com/x", kind=kind)
+    ),
+    "size_type": st.one_of(st.booleans(), st.floats(), st.text()).map(
+        lambda size: lambda: rec("http://a.com/x", size=size)
+    ),
+    "size_range": (st.integers(max_value=-1) | st.integers(min_value=2**53 + 1)).map(
+        lambda size: lambda: rec("http://a.com/x", size=size)
+    ),
+    "cc_number": st.tuples(st.sampled_from(["max_age", "expires", "last_modified"]), _no_float).map(
+        lambda pair: lambda: CacheDirectives(**{pair[0]: pair[1]})
+    ),
+    "timestamp": _not_finite.map(lambda ts: lambda: PageVisit("u", ts, _main(), ())),
+    "main_kind": st.sampled_from(RESOURCE_KINDS[1:]).map(
+        lambda kind: lambda: PageVisit("u", 0.0, _main(kind=kind), ())
+    ),
+    "duplicate_subs": st.integers(2, 4).map(
+        lambda n: lambda: PageVisit("u", 0.0, _main(), (rec("http://a.com/x"),) * n)
+    ),
+    "offsets_length": st.integers(2, 4).map(
+        lambda n: lambda: PageVisit("u", 0.0, _main(), (rec("http://a.com/x"),), (1.0,) * n)
+    ),
+    "offsets_finite": _not_finite.map(
+        lambda off: lambda: PageVisit("u", 0.0, _main(), (rec("http://a.com/x"),), (off,))
+    ),
+    "offsets_sign": st.floats(max_value=-1e-300, allow_infinity=False).map(
+        lambda off: lambda: PageVisit("u", 0.0, _main(), (rec("http://a.com/x"),), (off,))
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_RULES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_each_constructor_rule_refuses_its_out_of_range_value(rule, data):
+    build = data.draw(_RULES[rule])
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_records_behave_as_dataclasses():
+    record = rec("http://a.com/x", kind="".join(["scr", "ipt"]), size=7, max_age=60)
+    assert record.kind is RESOURCE_KINDS[1]
+    defaults = [ResourceRecord(f"http://a.com/{i}", "image", i) for i in range(2)]
+    assert defaults[0].cache_directives is defaults[1].cache_directives == CacheDirectives()
+    page = PageVisit("u", 1.0, _main(), (record,), (5.0,))
+    for value in (record, page):
+        twin = dataclasses.replace(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, "http://a.com/z")
+    assert dataclasses.replace(record, size_bytes=8).size_bytes == 8
+    with pytest.raises(ValueError, match="size_bytes must be >= 0"):
+        dataclasses.replace(record, size_bytes=-1)
+    with pytest.raises(ValueError, match="main resource must be html"):
+        dataclasses.replace(page, main=record)
